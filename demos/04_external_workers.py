@@ -3,8 +3,8 @@
 
 Endpoints speak newline-delimited JSON over stdio (or HTTP POST of the same
 objects). This demo writes a minimal worker to a temp file, drives it
-through the protocol classes, and finishes with exact n-gram
-decontamination of its output against a protected set.
+through `RemoteEndpoint` over a `JsonLinesProcess` transport, and finishes
+with exact n-gram decontamination of its output against a protected set.
 """
 
 import sys
@@ -40,8 +40,8 @@ with tempfile.NamedTemporaryFile("w", suffix=".py", delete=False) as fh:
 
 pool = gv.template_corpus(4, 8, seed=3, name="pool")
 
-generator = gv.ProcessGenerator([sys.executable, worker_path])
-solver = gv.ProcessSolver([sys.executable, worker_path])
+generator = gv.RemoteEndpoint(gv.JsonLinesProcess([sys.executable, worker_path]))
+solver = gv.RemoteEndpoint(gv.JsonLinesProcess([sys.executable, worker_path]))
 try:
     candidates, failed = gv.generate_candidates(generator, pool, fewshot_count=3, batch=5, rng_seed=11)
     print(f"generated {len(candidates)} candidates ({failed} failed requests)")

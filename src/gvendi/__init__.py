@@ -7,7 +7,7 @@ or down, and grows a data pool with a cluster-and-filter synthesis loop that
 targets the sparse regions of gradient space.
 """
 
-from .corpus import Corpus, Sample, content_id, ingest_jsonl, subset, write_jsonl
+from .corpus import Corpus, Sample, content_id, ingest_jsonl, write_jsonl
 from .featmat import FeatureMatrix, Provenance, load_features, store_features
 from .proxy import (
     ProjectionSpec,
@@ -38,11 +38,10 @@ from .sampling import (
 from .synthesis import (
     EchoSolver,
     EndpointError,
-    HttpGenerator,
-    HttpSolver,
-    ProcessGenerator,
-    ProcessSolver,
+    HttpJson,
+    JsonLinesProcess,
     RecombinationGenerator,
+    RemoteEndpoint,
     SynthesisConfig,
     SynthesisState,
     VerifiedCandidate,
@@ -78,14 +77,13 @@ __all__ = [
     "EchoSolver",
     "EndpointError",
     "FeatureMatrix",
-    "HttpGenerator",
-    "HttpSolver",
-    "ProcessGenerator",
-    "ProcessSolver",
+    "HttpJson",
+    "JsonLinesProcess",
     "ProjectionSpec",
     "Provenance",
     "ProxyModel",
     "RecombinationGenerator",
+    "RemoteEndpoint",
     "Sample",
     "SynthesisConfig",
     "SynthesisState",
@@ -126,7 +124,6 @@ __all__ = [
     "spearman",
     "store_features",
     "stratified_correlation_study",
-    "subset",
     "tag_entropy",
     "template_corpus",
     "vendi_score",

@@ -16,21 +16,19 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
+from typing import Sequence
 
 from .cluster import dynamic_k, kmeans_fit
 from .corpus import Corpus, ingest_jsonl, write_jsonl
-from .featmat import FeatureMatrix, load_features, store_features
+from .featmat import load_features, store_features
 from .metrics import (
     DiversityReport,
-    embedding_dissimilarity,
     embedding_vendi,
     g_vendi,
     mean_nll,
     ngram_entropy,
+    report_from_features,
     tag_entropy,
-    vendi_score,
 )
 from .evalstats import AccuracyTable, correlation_study, relative_perf
 from .proxy import ProjectionSpec, ProxyModel, embed_hashed_tfidf, featurize
@@ -43,11 +41,10 @@ from .sampling import (
 from .synthesis import (
     EchoSolver,
     EndpointError,
-    HttpGenerator,
-    HttpSolver,
-    ProcessGenerator,
-    ProcessSolver,
+    HttpJson,
+    JsonLinesProcess,
     RecombinationGenerator,
+    RemoteEndpoint,
     SynthesisConfig,
     decontaminate,
     gradient_featurizer,
@@ -118,12 +115,20 @@ def _proxy_from(settings: Settings) -> ProxyModel:
     )
 
 
-def _projection_from(settings: Settings, model: ProxyModel) -> ProjectionSpec:
-    return ProjectionSpec(
+def _gradient_from(settings: Settings) -> tuple[ProxyModel, ProjectionSpec]:
+    model = _proxy_from(settings)
+    return model, ProjectionSpec(
         source_dim=model.n_params,
         target_dim=settings.get("proj_dim", "projection.dim", DEFAULT_PROJECTION_DIM, int),
         seed=settings.get("proj_seed", "projection.seed", DEFAULT_PROJECTION_SEED, int),
     )
+
+
+def _embedding_from(settings: Settings) -> dict:
+    return {
+        "dim": settings.get("embed_dim", "embedding.dim", DEFAULT_EMBED_DIM, int),
+        "seed": settings.get("embed_seed", "embedding.seed", DEFAULT_EMBED_SEED, int),
+    }
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -138,16 +143,6 @@ def _write_text(path: str | None, text: str) -> None:
                 fh.write("\n")
 
 
-def _nondegenerate(features: FeatureMatrix) -> tuple[FeatureMatrix, int]:
-    mask = features.degenerate_mask()
-    if not mask.any():
-        return features, 0
-    keep = np.flatnonzero(~mask)
-    if keep.size == 0:
-        raise ValueError("all feature rows are degenerate")
-    return features.take(keep), int(mask.sum())
-
-
 def cmd_ingest(settings: Settings) -> None:
     corpus = ingest_jsonl(settings.require("input", "corpus"))
     out = settings.require("output", "output")
@@ -160,89 +155,73 @@ def cmd_featurize(settings: Settings) -> None:
     out = settings.require("output", "features")
     kind = settings.get("featurizer", "featurizer", "gradient")
     if kind == "gradient":
-        model = _proxy_from(settings)
-        feats = featurize(model, _projection_from(settings, model), corpus)
+        feats = featurize(*_gradient_from(settings), corpus)
     elif kind == "embedding":
-        feats = embed_hashed_tfidf(
-            corpus,
-            dim=settings.get("embed_dim", "embedding.dim", DEFAULT_EMBED_DIM, int),
-            seed=settings.get("embed_seed", "embedding.seed", DEFAULT_EMBED_SEED, int),
-        )
+        feats = embed_hashed_tfidf(corpus, **_embedding_from(settings))
     else:
         raise ValueError(f"unknown featurizer {kind!r} (expected gradient or embedding)")
     store_features(feats, out)
     print(json.dumps({"rows": feats.rows, "dim": feats.dim, "output": out}, sort_keys=True))
 
 
-def _report_from_features(metric: str, feats: FeatureMatrix, params: dict) -> DiversityReport:
-    used, dropped = _nondegenerate(feats)
-    if metric == "embedding_dissim":
-        value = embedding_dissimilarity(used)
-    else:
-        value = vendi_score(used)
-    params = dict(params)
-    params["degenerate_dropped"] = dropped
-    return DiversityReport(metric, value, used.rows, params)
-
-
-def _load_selection(path: str) -> list[str]:
+def _load_selection(path: str, sample_ids: Sequence[str]) -> list[int]:
+    """Row indices, in file order, of the ids in a JSON id-list file."""
     with open(path, "r", encoding="utf-8") as fh:
         ids = json.load(fh)
     if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
         raise ValueError(f"{path}: expected a JSON array of sample ids")
-    return ids
+    index = {sid: i for i, sid in enumerate(sample_ids)}
+    try:
+        return [index[sid] for sid in ids]
+    except KeyError as e:
+        raise ValueError(f"{path}: unknown sample id {e.args[0]!r}") from None
+
+
+def _ngram_report(settings: Settings, corpus: Corpus) -> DiversityReport:
+    order = settings.get("order", "ngram.order", 2, int)
+    value = ngram_entropy(corpus, order)
+    return DiversityReport("ngram_entropy", value, len(corpus), {"order": order})
+
+
+# metric -> (settings, corpus) -> report
+_CORPUS_METRICS = {
+    "g_vendi": lambda st, corpus: g_vendi(*_gradient_from(st), corpus),
+    "embedding_vendi": lambda st, corpus: embedding_vendi(corpus, **_embedding_from(st)),
+    "embedding_dissim": lambda st, corpus: report_from_features(
+        "embedding_dissim", embed_hashed_tfidf(corpus, **_embedding_from(st)), {}
+    ),
+    "ngram_entropy": _ngram_report,
+    "tag_entropy": lambda st, corpus: DiversityReport(
+        "tag_entropy", tag_entropy(corpus), len(corpus), {}
+    ),
+    "mean_nll": lambda st, corpus: DiversityReport(
+        "mean_nll", mean_nll(_proxy_from(st), corpus), len(corpus), {}
+    ),
+}
+# metrics that can score a stored feature matrix (--features) instead
+_FEATURE_METRICS = ("g_vendi", "embedding_vendi", "embedding_dissim")
 
 
 def cmd_diversity(settings: Settings) -> None:
     metric = settings.require("metric", "metric").replace("-", "_")
+    if metric not in _CORPUS_METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
     features_path = settings.get("features_in", "features")
-    corpus_path = settings.get("input", "corpus")
     select_path = settings.get("select", "select")
-
-    if metric in ("g_vendi", "embedding_vendi", "embedding_dissim") and features_path:
+    if features_path and metric in _FEATURE_METRICS:
         feats = load_features(features_path)
         if select_path:
-            index = {sid: i for i, sid in enumerate(feats.sample_ids)}
-            try:
-                feats = feats.take([index[s] for s in _load_selection(select_path)])
-            except KeyError as e:
-                raise ValueError(f"{select_path}: id {e.args[0]!r} not in features") from None
-        report = _report_from_features(metric, feats, {"features": os.path.basename(features_path)})
+            feats = feats.take(_load_selection(select_path, feats.sample_ids))
+        params = {"features": os.path.basename(features_path)}
+        report = report_from_features(metric, feats, params)
     else:
+        corpus_path = settings.get("input", "corpus")
         if corpus_path is None:
             raise ValueError(f"metric {metric} needs --corpus (or --features)")
         corpus = ingest_jsonl(corpus_path)
         if select_path:
-            corpus = corpus.subset(_load_selection(select_path))
-        if metric == "g_vendi":
-            model = _proxy_from(settings)
-            report = g_vendi(model, _projection_from(settings, model), corpus)
-        elif metric == "embedding_vendi":
-            report = embedding_vendi(
-                corpus,
-                dim=settings.get("embed_dim", "embedding.dim", DEFAULT_EMBED_DIM, int),
-                seed=settings.get("embed_seed", "embedding.seed", DEFAULT_EMBED_SEED, int),
-            )
-        elif metric == "embedding_dissim":
-            feats = embed_hashed_tfidf(
-                corpus,
-                dim=settings.get("embed_dim", "embedding.dim", DEFAULT_EMBED_DIM, int),
-                seed=settings.get("embed_seed", "embedding.seed", DEFAULT_EMBED_SEED, int),
-            )
-            report = _report_from_features(metric, feats, {})
-        elif metric == "ngram_entropy":
-            order = settings.get("order", "ngram.order", 2, int)
-            report = DiversityReport(
-                metric, ngram_entropy(corpus, order), len(corpus), {"order": order}
-            )
-        elif metric == "tag_entropy":
-            report = DiversityReport(metric, tag_entropy(corpus), len(corpus), {})
-        elif metric == "mean_nll":
-            report = DiversityReport(
-                metric, mean_nll(_proxy_from(settings), corpus), len(corpus), {}
-            )
-        else:
-            raise ValueError(f"unknown metric {metric!r}")
+            corpus = corpus.subset(_load_selection(select_path, corpus.ids()))
+        report = _CORPUS_METRICS[metric](settings, corpus)
     _write_text(settings.get("output", "output"), report.to_json())
 
 
@@ -279,15 +258,7 @@ def cmd_sample(settings: Settings) -> None:
         parent_paths = settings.require("parents", "sample.parents")
         if isinstance(parent_paths, str):
             parent_paths = [p for p in parent_paths.split(",") if p]
-        index = {sid: i for i, sid in enumerate(feats.sample_ids)}
-        parents = []
-        for p in parent_paths:
-            with open(p, "r", encoding="utf-8") as fh:
-                ids = json.load(fh)
-            try:
-                parents.append([index[sid] for sid in ids])
-            except KeyError as e:
-                raise ValueError(f"{p}: id {e.args[0]!r} not present in features") from None
+        parents = [_load_selection(p, feats.sample_ids) for p in parent_paths]
         weights_raw = settings.get("weights", "sample.weights", None)
         if weights_raw is None:
             weights = [1.0] * len(parents)
@@ -300,30 +271,35 @@ def cmd_sample(settings: Settings) -> None:
     _write_text(settings.get("output", "output"), json.dumps(ids))
 
 
+def _remote_endpoint(spec: str) -> RemoteEndpoint | None:
+    """A fresh worker for a `cmd:<argv>` or `http(s)://...` spec, else None."""
+    if spec.startswith(("http://", "https://")):
+        return RemoteEndpoint(HttpJson(spec))
+    if spec.startswith("cmd:"):
+        return RemoteEndpoint(JsonLinesProcess(spec[len("cmd:") :]))
+    return None
+
+
 def _make_generator(spec: str):
-    if spec.startswith("builtin:"):
-        spec = spec[len("builtin:") :]
+    spec = spec.removeprefix("builtin:")
     if spec == "recombine":
         return RecombinationGenerator()
-    if spec.startswith(("http://", "https://")):
-        return HttpGenerator(spec)
-    if spec.startswith("cmd:"):
-        return ProcessGenerator(spec[len("cmd:") :])
-    raise ValueError(f"unknown generator spec {spec!r} (recombine | cmd:... | http(s)://...)")
+    remote = _remote_endpoint(spec)
+    if remote is None:
+        raise ValueError(f"unknown generator spec {spec!r} (recombine | cmd:... | http(s)://...)")
+    return remote
 
 
 def _make_solver(spec: str):
-    if spec.startswith("builtin:"):
-        spec = spec[len("builtin:") :]
+    spec = spec.removeprefix("builtin:")
     if spec == "echo":
         return EchoSolver()
     if spec.startswith("echo:"):
         return EchoSolver(error_rate=float(spec.split(":", 1)[1]))
-    if spec.startswith(("http://", "https://")):
-        return HttpSolver(spec)
-    if spec.startswith("cmd:"):
-        return ProcessSolver(spec[len("cmd:") :])
-    raise ValueError(f"unknown solver spec {spec!r} (echo[:rate] | cmd:... | http(s)://...)")
+    remote = _remote_endpoint(spec)
+    if remote is None:
+        raise ValueError(f"unknown solver spec {spec!r} (echo[:rate] | cmd:... | http(s)://...)")
+    return remote
 
 
 class _DirLock:
@@ -367,8 +343,7 @@ def cmd_synthesize(settings: Settings) -> None:
     )
     generator = _make_generator(settings.get("generator", "synthesis.generator", "recombine"))
     solver = _make_solver(settings.get("solver", "synthesis.solver", "echo"))
-    model = _proxy_from(settings)
-    featurizer = gradient_featurizer(model, _projection_from(settings, model))
+    featurizer = gradient_featurizer(*_gradient_from(settings))
     try:
         with _DirLock(outdir):
             state = run_synthesis(
@@ -419,7 +394,12 @@ def _diversity_map(path: str) -> dict[str, float]:
         for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
-            out[row[0].strip()] = float(row[1])
+            try:
+                out[row[0].strip()] = float(row[1])
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected 'model,diversity'"
+                ) from None
     return out
 
 
@@ -482,8 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="feature file to write")
     p.add_argument("--featurizer", choices=["gradient", "embedding"])
     _add_proxy_flags(p)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--embed-seed", dest="embed_seed", type=int)
+    _add_embedding_flags(p)
 
     p = add("diversity", cmd_diversity, help="compute a diversity metric")
     p.add_argument(
@@ -499,8 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, help="n-gram order (ngram-entropy)")
     p.add_argument("--output")
     _add_proxy_flags(p)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--embed-seed", dest="embed_seed", type=int)
+    _add_embedding_flags(p)
 
     p = add("cluster", cmd_cluster, help="k-means over a feature matrix")
     p.add_argument("--features", dest="features_in")
@@ -568,6 +546,11 @@ def _add_proxy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weight-seed", dest="weight_seed", type=int)
     p.add_argument("--proj-dim", dest="proj_dim", type=int)
     p.add_argument("--proj-seed", dest="proj_seed", type=int)
+
+
+def _add_embedding_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--embed-dim", dest="embed_dim", type=int)
+    p.add_argument("--embed-seed", dest="embed_seed", type=int)
 
 
 def main(argv: list[str] | None = None) -> int:

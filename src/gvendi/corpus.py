@@ -188,7 +188,3 @@ def write_jsonl(corpus: Corpus, path) -> None:
         for s in corpus:
             fh.write(json.dumps(s.to_json_dict(), ensure_ascii=False))
             fh.write("\n")
-
-
-def subset(corpus: Corpus, selection: Sequence[int] | Sequence[str]) -> Corpus:
-    return corpus.subset(selection)

@@ -101,15 +101,27 @@ def vendi_score(features: FeatureMatrix) -> float:
     return float(np.exp(effective_rank_entropy(lam)))
 
 
-def _drop_degenerate(features: FeatureMatrix) -> tuple[FeatureMatrix, int]:
+def drop_degenerate(features: FeatureMatrix) -> tuple[FeatureMatrix, int]:
+    """The non-degenerate (nonzero) rows, and how many rows were dropped."""
     mask = features.degenerate_mask()
     dropped = int(mask.sum())
     if dropped == 0:
         return features, 0
-    keep = np.flatnonzero(~mask)
-    if keep.size == 0:
-        raise ValueError("all rows are degenerate (zero vectors)")
-    return features.take(keep), dropped
+    if dropped == features.rows:
+        raise ValueError("all feature rows are degenerate (zero vectors)")
+    return features.take(np.flatnonzero(~mask)), dropped
+
+
+def report_from_features(metric: str, features: FeatureMatrix, params: dict) -> DiversityReport:
+    """Score the non-degenerate rows; `embedding_dissim` is the mean pairwise
+    dissimilarity, every other metric the Vendi score. The dropped-row count
+    is added to params."""
+    used, dropped = drop_degenerate(features)
+    if metric == "embedding_dissim":
+        value = embedding_dissimilarity(used)
+    else:
+        value = vendi_score(used)
+    return DiversityReport(metric, value, used.rows, {**params, "degenerate_dropped": dropped})
 
 
 def g_vendi(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> DiversityReport:
@@ -119,24 +131,13 @@ def g_vendi(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Diversit
     is reported in params.
     """
     feats = featurize(model, proj, corpus)
-    used, dropped = _drop_degenerate(feats)
-    value = vendi_score(used)
-    return DiversityReport(
-        "g_vendi",
-        value,
-        used.rows,
-        {"projection_dim": proj.target_dim, "degenerate_dropped": dropped},
-    )
+    return report_from_features("g_vendi", feats, {"projection_dim": proj.target_dim})
 
 
 def embedding_vendi(corpus: Corpus, dim: int = 32768, seed: int = 404) -> DiversityReport:
     """Same score over built-in hashed TF-IDF embeddings."""
     feats = embed_hashed_tfidf(corpus, dim=dim, seed=seed)
-    used, dropped = _drop_degenerate(feats)
-    value = vendi_score(used)
-    return DiversityReport(
-        "embedding_vendi", value, used.rows, {"dim": dim, "degenerate_dropped": dropped}
-    )
+    return report_from_features("embedding_vendi", feats, {"dim": dim})
 
 
 def embedding_dissimilarity(features: FeatureMatrix) -> float:

@@ -36,7 +36,7 @@ import numpy as np
 from .cluster import dynamic_k, kmeans_fit, sparse_clusters
 from .corpus import Corpus, Sample, content_id, ingest_jsonl, write_jsonl
 from .featmat import FeatureMatrix, load_features, store_features
-from .metrics import vendi_score
+from .metrics import drop_degenerate, vendi_score
 from .proxy import ProjectionSpec, ProxyModel, featurize
 from .rng import mix64, rng_from
 
@@ -57,47 +57,46 @@ class Solver(Protocol):
 # answer extraction
 
 
+_BOX = "\\boxed{"
+
+
+def _last_box(text: str) -> tuple[int, int] | None:
+    r"""(start, end) of the last ``\boxed{`` in text and the index just past
+    its matching brace, or None when there is no such box or it is unbalanced."""
+    pos = text.rfind(_BOX)
+    if pos < 0:
+        return None
+    depth = 1
+    for i in range(pos + len(_BOX), len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return pos, i + 1
+    return None
+
+
 def extract_answer(text: str) -> str:
     r"""Final answer of a solution trace.
 
     The content of the last balanced ``\boxed{...}`` if present, else the
     last whitespace token.
     """
-    marker = "\\boxed{"
-    pos = text.rfind(marker)
-    if pos >= 0:
-        i = pos + len(marker)
-        depth = 1
-        start = i
-        while i < len(text) and depth > 0:
-            if text[i] == "{":
-                depth += 1
-            elif text[i] == "}":
-                depth -= 1
-            i += 1
-        if depth == 0:
-            return text[start : i - 1].strip()
+    box = _last_box(text)
+    if box is not None:
+        return text[box[0] + len(_BOX) : box[1] - 1].strip()
     tokens = text.split()
     return tokens[-1] if tokens else ""
 
 
 def _with_final_answer(text: str, answer: str) -> str:
     """Rewrite the last boxed answer of a trace, or append one."""
-    marker = "\\boxed{"
-    pos = text.rfind(marker)
-    if pos >= 0:
-        i = pos + len(marker)
-        depth = 1
-        while i < len(text) and depth > 0:
-            if text[i] == "{":
-                depth += 1
-            elif text[i] == "}":
-                depth -= 1
-            i += 1
-        if depth == 0:
-            return text[:pos] + marker + answer + "}" + text[i:]
+    box = _last_box(text)
+    if box is not None:
+        return text[: box[0]] + _BOX + answer + "}" + text[box[1] :]
     sep = " " if text and not text.endswith(" ") else ""
-    return f"{text}{sep}\\boxed{{{answer}}}"
+    return f"{text}{sep}{_BOX}{answer}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -277,38 +276,17 @@ class HttpJson:
             raise EndpointError(f"{self.url}: response is not a JSON object")
         return out
 
-
-def _parse_generate_response(resp: dict) -> list[dict]:
-    samples = resp.get("samples")
-    if not isinstance(samples, list):
-        raise EndpointError("generator response missing 'samples' list")
-    cleaned = []
-    for rec in samples:
-        if not isinstance(rec, dict) or "input" not in rec:
-            raise EndpointError("generator sample record missing 'input'")
-        cleaned.append(
-            {
-                "input": str(rec["input"]),
-                "output": str(rec.get("output", "")),
-                "label": None if rec.get("label") is None else str(rec["label"]),
-            }
-        )
-    return cleaned
+    def close(self) -> None:
+        """Nothing to release: each request opens its own connection."""
 
 
-def _parse_solve_response(resp: dict, n: int) -> tuple[list[str], list[str]]:
-    answers = resp.get("answers")
-    traces = resp.get("traces")
-    if not isinstance(answers, list) or len(answers) != n:
-        raise EndpointError(f"solver response needs {n} answers")
-    if not isinstance(traces, list) or len(traces) != n:
-        raise EndpointError(f"solver response needs {n} traces")
-    return [str(a) for a in answers], [str(t) for t in traces]
+class RemoteEndpoint:
+    """Generator and solver behind a JSON request/response transport
+    (`JsonLinesProcess` or `HttpJson`): builds the wire requests and
+    validates the responses."""
 
-
-class ProcessGenerator:
-    def __init__(self, command: str | Sequence[str]):
-        self.transport = JsonLinesProcess(command)
+    def __init__(self, transport: JsonLinesProcess | HttpJson):
+        self.transport = transport
 
     def generate(self, exemplars: Sequence[Sample], count: int, seed: int) -> list[dict]:
         resp = self.transport.request(
@@ -319,55 +297,48 @@ class ProcessGenerator:
                 "seed": seed,
             }
         )
-        return _parse_generate_response(resp)
-
-    def close(self) -> None:
-        self.transport.close()
-
-
-class ProcessSolver:
-    def __init__(self, command: str | Sequence[str]):
-        self.transport = JsonLinesProcess(command)
-
-    def solve(self, sample: Sample, n: int, seed: int) -> tuple[list[str], list[str]]:
-        resp = self.transport.request(
-            {"type": "solve", "problem": sample.input, "n": n, "seed": seed}
-        )
-        return _parse_solve_response(resp, n)
-
-    def close(self) -> None:
-        self.transport.close()
-
-
-class HttpGenerator:
-    def __init__(self, url: str, timeout: float = 60.0):
-        self.transport = HttpJson(url, timeout)
-
-    def generate(self, exemplars: Sequence[Sample], count: int, seed: int) -> list[dict]:
-        resp = self.transport.request(
-            {
-                "type": "generate",
-                "exemplars": [s.to_json_dict() for s in exemplars],
-                "count": count,
-                "seed": seed,
-            }
-        )
-        return _parse_generate_response(resp)
-
-
-class HttpSolver:
-    def __init__(self, url: str, timeout: float = 60.0):
-        self.transport = HttpJson(url, timeout)
+        samples = resp.get("samples")
+        if not isinstance(samples, list):
+            raise EndpointError("generator response missing 'samples' list")
+        cleaned = []
+        for rec in samples:
+            if not isinstance(rec, dict) or "input" not in rec:
+                raise EndpointError("generator sample record missing 'input'")
+            cleaned.append(
+                {
+                    "input": str(rec["input"]),
+                    "output": str(rec.get("output", "")),
+                    "label": None if rec.get("label") is None else str(rec["label"]),
+                }
+            )
+        return cleaned
 
     def solve(self, sample: Sample, n: int, seed: int) -> tuple[list[str], list[str]]:
         resp = self.transport.request(
             {"type": "solve", "problem": sample.input, "n": n, "seed": seed}
         )
-        return _parse_solve_response(resp, n)
+        answers = resp.get("answers")
+        traces = resp.get("traces")
+        if not isinstance(answers, list) or len(answers) != n:
+            raise EndpointError(f"solver response needs {n} answers")
+        if not isinstance(traces, list) or len(traces) != n:
+            raise EndpointError(f"solver response needs {n} traces")
+        return [str(a) for a in answers], [str(t) for t in traces]
+
+    def close(self) -> None:
+        self.transport.close()
 
 
 # ---------------------------------------------------------------------------
 # pipeline stages
+
+
+def _map_pooled(fn: Callable, items: list, max_workers: int) -> list:
+    """[fn(x) for x in items], on a thread pool when max_workers > 1."""
+    if max_workers > 1 and items:
+        with ThreadPoolExecutor(max_workers=max_workers) as ex:
+            return list(ex.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def generate_candidates(
@@ -406,11 +377,7 @@ def generate_candidates(
                 last = f"attempt {attempt + 1}/{max_attempts}: {e}"
         return EndpointError(last)
 
-    if max_workers > 1 and jobs:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            results = list(ex.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
+    results = _map_pooled(run, jobs, max_workers)
 
     known = {s.content_id() for s in pool} | set(pool.ids())
     candidates: list[Sample] = []
@@ -468,12 +435,7 @@ def majority_vote_filter(
         except EndpointError as e:
             return e
 
-    items = list(enumerate(candidates))
-    if max_workers > 1 and items:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            results = list(ex.map(run, items))
-    else:
-        results = [run(it) for it in items]
+    results = _map_pooled(run, list(enumerate(candidates)), max_workers)
 
     verified: list[VerifiedCandidate] = []
     failures = 0
@@ -632,14 +594,6 @@ def gradient_featurizer(model: ProxyModel, proj: ProjectionSpec) -> Featurizer:
     return run
 
 
-def _pool_vendi(features: FeatureMatrix) -> float:
-    mask = features.degenerate_mask()
-    if mask.all():
-        raise ValueError("pool has no non-degenerate feature rows")
-    usable = features.take(np.flatnonzero(~mask)) if mask.any() else features
-    return vendi_score(usable)
-
-
 def prismatic_step(
     state: SynthesisState,
     config: SynthesisConfig,
@@ -714,7 +668,7 @@ def prismatic_step(
         "solver_failed": solver_failed,
         "decontam_flagged": len(flagged),
         "sparse_accepted": len(accepted),
-        "pool_g_vendi": _pool_vendi(new_features),
+        "pool_g_vendi": vendi_score(drop_degenerate(new_features)[0]),
     }
     return SynthesisState(
         pool=new_pool,

@@ -125,6 +125,23 @@ def test_sample_mixture_from_id_files(toy):
     assert len(ids) == len(set(ids)) == 20
 
 
+@pytest.mark.parametrize("content", ["5", "null", '["a", 3]', '{"ids": []}'])
+def test_sample_mixture_bad_parents_file(toy, capsys, content):
+    tmp_path, pool = toy
+    feats = str(tmp_path / "pool.gvfm")
+    run_cli("featurize", "--input", pool, "--output", feats,
+            "--feature-dim", "32", "--proj-dim", "32")
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    capsys.readouterr()
+    rc = run_cli("sample", "--features", feats, "--strategy", "mixture",
+                 "--parents", str(bad), "--n", "5")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{bad}: expected a JSON array of sample ids" in err
+
+
 def test_diversity_select_subset(toy, capsys):
     tmp_path, pool = toy
     feats = str(tmp_path / "pool.gvfm")
@@ -216,6 +233,19 @@ def test_evaluate_and_report(tmp_path, capsys):
     assert lines[0] == "diversity\tperf\tmodel"
     assert len(lines) == 4
     assert all(len(line.split("\t")) == 3 for line in lines[1:])
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_diversity_csv_short_row(tmp_path, capsys, command):
+    acc = tmp_path / "acc.csv"
+    acc.write_text("model,b1\nref,0.8\nm1,0.4\nm2,0.6\nm3,0.7\n")
+    div = tmp_path / "div.csv"
+    div.write_text("model,diversity\nm1,5.0\nm2\nm3,17.0\n")
+    rc = run_cli(command, "--table", str(acc), "--reference", "ref", "--diversity", str(div))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and err.count("\n") == 1
+    assert f"{div}: line 3" in err
 
 
 def test_runtime_error_exit_code_and_stderr(tmp_path, capsys):

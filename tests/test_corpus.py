@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gvendi import Corpus, Sample, content_id, ingest_jsonl, subset, write_jsonl
+from gvendi import Corpus, Sample, content_id, ingest_jsonl, write_jsonl
 from gvendi.rng import rng_from
 
 
@@ -132,14 +132,14 @@ def test_unknown_keys_survive_roundtrip(tmp_path):
 
 def test_subset_empty():
     c = Corpus((Sample(id="a", input="x", output=""),), name="c")
-    assert len(subset(c, [])) == 0
+    assert len(c.subset([])) == 0
 
 
 def test_subset_identity_and_order():
     samples = tuple(Sample(id=f"s{i}", input=str(i), output="") for i in range(3))
     c = Corpus(samples, name="c")
-    assert subset(c, [0, 1, 2]).ids() == c.ids()
-    picked = subset(c, [2, 0])
+    assert c.subset([0, 1, 2]).ids() == c.ids()
+    picked = c.subset([2, 0])
     assert picked.ids() == ["s2", "s0"]
     assert c.ids() == ["s0", "s1", "s2"]  # original untouched
 
@@ -147,25 +147,25 @@ def test_subset_identity_and_order():
 def test_subset_by_ids_and_numpy_indices():
     samples = tuple(Sample(id=f"s{i}", input=str(i), output="") for i in range(4))
     c = Corpus(samples, name="c")
-    assert subset(c, ["s3", "s1"]).ids() == ["s3", "s1"]
-    assert subset(c, list(np.array([1, 2]))).ids() == ["s1", "s2"]
+    assert c.subset(["s3", "s1"]).ids() == ["s3", "s1"]
+    assert c.subset(list(np.array([1, 2]))).ids() == ["s1", "s2"]
 
 
 def test_subset_errors():
     c = Corpus((Sample(id="a", input="x", output=""),), name="c")
     with pytest.raises(IndexError):
-        subset(c, [5])
+        c.subset([5])
     with pytest.raises(KeyError):
-        subset(c, ["nope"])
+        c.subset(["nope"])
     with pytest.raises(ValueError, match="repeats"):
-        subset(c, [0, 0])
+        c.subset([0, 0])
 
 
 def test_selection_maps_to_ids_exactly():
     rng = rng_from(5)
     c = random_corpus(rng, 30)
     sel = [int(i) for i in rng.choice(30, size=10, replace=False)]
-    assert subset(c, sel).ids() == [c[i].id for i in sel]
+    assert c.subset(sel).ids() == [c[i].id for i in sel]
 
 
 def test_corpus_rejects_duplicate_ids():

@@ -10,13 +10,12 @@ from gvendi import (
     Corpus,
     EchoSolver,
     EndpointError,
-    HttpGenerator,
-    HttpSolver,
-    ProcessGenerator,
-    ProcessSolver,
+    HttpJson,
+    JsonLinesProcess,
     ProjectionSpec,
     ProxyModel,
     RecombinationGenerator,
+    RemoteEndpoint,
     Sample,
     SynthesisConfig,
     SynthesisState,
@@ -82,6 +81,24 @@ def test_echo_solver_error_rate_corrupts():
     s = Sample(id="x", input="p", output=r"steps \boxed{17}")
     answers, _ = EchoSolver(error_rate=1.0).solve(s, 4, seed=4)
     assert all(a != "17" for a in answers)
+
+
+@pytest.mark.parametrize(
+    "output, rewritten",
+    [
+        # the whole nested box is replaced, text after it kept
+        (r"so \boxed{\frac{1}{2}} done", "so \\boxed{\\frac{1}{2}'} done"),
+        # an unbalanced box is left alone and a new one appended
+        (r"broken \boxed{42", "broken \\boxed{42 \\boxed{\\boxed{42'}"),
+        # no box at all: one is appended after a single space
+        ("the answer is x", "the answer is x \\boxed{x'}"),
+        ("trailing space ", "trailing space \\boxed{space'}"),
+    ],
+)
+def test_echo_solver_trace_rewrite(output, rewritten):
+    s = Sample(id="x", input="p", output=output)
+    _, traces = EchoSolver(error_rate=1.0).solve(s, 2, seed=4)
+    assert traces == [rewritten, rewritten]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +413,7 @@ def worker_script(tmp_path):
 
 
 def test_process_generator_roundtrip(worker_script, small_pool):
-    gen = ProcessGenerator([sys.executable, worker_script])
+    gen = RemoteEndpoint(JsonLinesProcess([sys.executable, worker_script]))
     try:
         recs = gen.generate(list(small_pool)[:2], count=3, seed=5)
         assert len(recs) == 3
@@ -407,7 +424,7 @@ def test_process_generator_roundtrip(worker_script, small_pool):
 
 
 def test_process_solver_roundtrip(worker_script):
-    solver = ProcessSolver([sys.executable, worker_script])
+    solver = RemoteEndpoint(JsonLinesProcess([sys.executable, worker_script]))
     try:
         answers, traces = solver.solve(Sample(id="x", input="q", output=""), 2, seed=5)
         assert answers == ["9", "9"]
@@ -417,7 +434,7 @@ def test_process_solver_roundtrip(worker_script):
 
 
 def test_process_endpoint_in_generate_candidates(worker_script, small_pool):
-    gen = ProcessGenerator([sys.executable, worker_script])
+    gen = RemoteEndpoint(JsonLinesProcess([sys.executable, worker_script]))
     try:
         cands, failed = generate_candidates(gen, small_pool, 3, 4, rng_seed=2)
         assert failed == 0
@@ -429,7 +446,7 @@ def test_process_endpoint_in_generate_candidates(worker_script, small_pool):
 def test_process_garbage_output_is_endpoint_error(tmp_path, small_pool):
     bad = tmp_path / "bad.py"
     bad.write_text("import sys\nfor line in sys.stdin:\n    print('not json', flush=True)\n")
-    gen = ProcessGenerator([sys.executable, str(bad)])
+    gen = RemoteEndpoint(JsonLinesProcess([sys.executable, str(bad)]))
     try:
         with pytest.raises(EndpointError, match="invalid JSON"):
             gen.generate(list(small_pool)[:1], 1, seed=1)
@@ -440,7 +457,7 @@ def test_process_garbage_output_is_endpoint_error(tmp_path, small_pool):
 def test_process_early_exit_counts_as_failures(tmp_path, small_pool):
     dead = tmp_path / "dead.py"
     dead.write_text("import sys; sys.exit(0)\n")
-    gen = ProcessGenerator([sys.executable, str(dead)])
+    gen = RemoteEndpoint(JsonLinesProcess([sys.executable, str(dead)]))
     try:
         cands, failed = generate_candidates(gen, small_pool, 3, 3, rng_seed=2, max_attempts=2)
         assert cands == [] and failed == 3
@@ -455,7 +472,7 @@ def test_solver_length_mismatch_rejected(tmp_path):
         "for line in sys.stdin:\n"
         "    print(json.dumps({'answers': ['1'], 'traces': ['t']}), flush=True)\n"
     )
-    solver = ProcessSolver([sys.executable, str(short)])
+    solver = RemoteEndpoint(JsonLinesProcess([sys.executable, str(short)]))
     try:
         with pytest.raises(EndpointError, match="answers"):
             solver.solve(Sample(id="x", input="q", output=""), 3, seed=1)
@@ -496,15 +513,15 @@ def http_endpoint():
 
 
 def test_http_generator_and_solver(http_endpoint):
-    gen = HttpGenerator(http_endpoint)
+    gen = RemoteEndpoint(HttpJson(http_endpoint))
     recs = gen.generate([Sample(id="a", input="x", output="")], 2, seed=1)
     assert [r["input"] for r in recs] == ["http item 0", "http item 1"]
-    solver = HttpSolver(http_endpoint)
+    solver = RemoteEndpoint(HttpJson(http_endpoint))
     answers, traces = solver.solve(Sample(id="a", input="x", output=""), 3, seed=1)
     assert answers == ["7", "7", "7"]
 
 
 def test_http_connection_refused_is_endpoint_error():
-    gen = HttpGenerator("http://127.0.0.1:9/", timeout=0.5)
+    gen = RemoteEndpoint(HttpJson("http://127.0.0.1:9/", timeout=0.5))
     with pytest.raises(EndpointError):
         gen.generate([Sample(id="a", input="x", output="")], 1, seed=1)
