@@ -95,9 +95,14 @@ class Settings:
         if val is not None:
             return val
         raw = self.config.get(key)
-        if raw is not None:
+        if raw is None:
+            return default
+        try:
             return cast(raw)
-        return default
+        except ValueError:
+            raise ValueError(
+                f"config key {key!r}: expected {cast.__name__}, got {raw!r}"
+            ) from None
 
     def require(self, flag: str, key: str, cast=str):
         val = self.get(flag, key, None, cast)

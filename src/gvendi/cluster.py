@@ -115,78 +115,55 @@ def _kmeanspp(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return rows[chosen].copy()
 
 
-def kmeans_fit(
-    features: FeatureMatrix,
-    k: int,
-    seed: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-    n_init: int = 1,
-) -> ClusterModel:
+_MAX_ITERS = 100  # Lloyd steps before the final assignment
+_TOL = 1e-6  # relative inertia improvement that counts as converged
+
+
+def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> ClusterModel:
     """Lloyd's algorithm with k-means++ seeding; deterministic per seed.
 
-    Stops when the relative inertia improvement drops below tol or after
-    max_iters. Clusters emptied by an assignment step are refilled with the
-    point farthest from its own centroid, so exactly k clusters survive.
-    With n_init > 1, the best of n_init seeded runs (lowest inertia, ties to
-    the earliest run) is returned.
+    Stops when an assignment improves inertia by at most a relative 1e-6, or
+    assigns one last time after 100 centroid updates. Clusters emptied by an
+    assignment step are refilled with the point farthest from its own
+    centroid, so exactly k clusters survive. With n_init > 1, the best of
+    n_init seeded runs (lowest inertia, ties to the earliest run) is returned.
     """
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
-    best: ClusterModel | None = None
-    for trial in range(n_init):
-        init_seed = seed if n_init == 1 else mix64(seed, 0xC17, trial)
-        model = _kmeans_single(features, k, init_seed, max_iters, tol, seed)
-        if best is None or model.inertia < best.inertia:
-            best = model
-    return best
-
-
-def _kmeans_single(
-    features: FeatureMatrix,
-    k: int,
-    init_seed: int,
-    max_iters: int,
-    tol: float,
-    reported_seed: int,
-) -> ClusterModel:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > features.rows:
         raise ValueError(f"k={k} exceeds number of rows {features.rows}")
     rows = features.data.astype(np.float64)
-    rng = rng_from(init_seed, 0xC15)
-    centroids = _kmeanspp(rows, k, rng)
-
-    prev = math.inf
-    labels = np.zeros(rows.shape[0], dtype=np.int64)
-    inertia = 0.0
-    for _ in range(max_iters):
-        labels, d2 = _assign(rows, centroids)
-        counts = np.bincount(labels, minlength=k)
-        _repair_empty(rows, centroids, labels, d2, counts)
-        inertia = float(d2.sum())
-        if inertia > prev + 1e-9 * max(prev, 1.0):
-            raise AssertionError(f"inertia increased: {prev} -> {inertia}")
-        if prev - inertia <= tol * max(prev, 1e-300) and math.isfinite(prev):
-            break
-        prev = inertia
-        for c in range(k):
-            centroids[c] = rows[labels == c].mean(axis=0)
-    else:
-        labels, d2 = _assign(rows, centroids)
-        counts = np.bincount(labels, minlength=k)
-        _repair_empty(rows, centroids, labels, d2, counts)
-        inertia = float(d2.sum())
-
-    return ClusterModel(
-        k=k,
-        centroids=centroids,
-        assignment=labels,
-        sizes=np.bincount(labels, minlength=k),
-        seed=reported_seed,
-        inertia=inertia,
-    )
+    best: ClusterModel | None = None
+    for trial in range(n_init):
+        init_seed = seed if n_init == 1 else mix64(seed, 0xC17, trial)
+        centroids = _kmeanspp(rows, k, rng_from(init_seed, 0xC15))
+        prev = math.inf
+        for step in range(_MAX_ITERS + 1):
+            labels, d2 = _assign(rows, centroids)
+            counts = np.bincount(labels, minlength=k)
+            _repair_empty(rows, centroids, labels, d2, counts)
+            inertia = float(d2.sum())
+            if inertia > prev + 1e-9 * max(prev, 1.0):
+                raise AssertionError(f"inertia increased: {prev} -> {inertia}")
+            if step == _MAX_ITERS or (
+                prev - inertia <= _TOL * max(prev, 1e-300) and math.isfinite(prev)
+            ):
+                break
+            prev = inertia
+            for c in range(k):
+                centroids[c] = rows[labels == c].mean(axis=0)
+        if best is None or inertia < best.inertia:
+            best = ClusterModel(
+                k=k,
+                centroids=centroids,
+                assignment=labels,
+                sizes=np.bincount(labels, minlength=k),
+                seed=seed,
+                inertia=inertia,
+            )
+    return best
 
 
 def dynamic_k(pool_size: int, fraction: float = 0.01) -> int:

@@ -74,6 +74,8 @@ class Sample:
             sid = content_id(input_text, output_text, label)
         tags = known["tags"]
         if tags is not None:
+            if not isinstance(tags, list):
+                raise ValueError(f"'tags' must be an array or null, got {type(tags).__name__}")
             tags = tuple(str(t) for t in tags)
         return cls(
             id=str(sid),

@@ -33,7 +33,6 @@ METRICS = (
 
 EIG_ZERO_TOL = 1e-12  # eigenvalues below this contribute 0 via 0*ln(0) = 0
 EIG_NEG_TOL = -1e-9  # more negative than this signals a broken matrix
-ROW_NORM_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -55,18 +54,13 @@ class DiversityReport:
 
 
 def _unit_row_matrix(features: FeatureMatrix, op: str) -> np.ndarray:
+    """The rows as float64; FeatureMatrix already guarantees they are finite
+    and unit-norm or exactly zero, so only zero rows are rejected here."""
     if features.rows == 0:
         raise ValueError(f"{op}: empty feature matrix")
-    mat = features.data.astype(np.float64)
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{op}: non-finite feature data")
-    norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms == 0.0):
+    if features.degenerate_mask().any():
         raise ValueError(f"{op}: matrix contains degenerate zero rows; drop them first")
-    if np.any(np.abs(norms - 1.0) > ROW_NORM_TOL):
-        i = int(np.argmax(np.abs(norms - 1.0)))
-        raise ValueError(f"{op}: row {i} has norm {norms[i]:.6g}, expected 1")
-    return mat
+    return features.data.astype(np.float64)
 
 
 def effective_rank_entropy(eigenvalues: np.ndarray) -> float:

@@ -225,11 +225,9 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
         norm = np.linalg.norm(g)
         if norm > 0.0:
             grads[i] = g / norm
-    projected = project(proj, grads)
-    zero = np.linalg.norm(grads, axis=1) == 0.0
-    projected[zero] = 0.0
+    # a zero gradient row projects to exactly +0.0 and _unit_rows keeps it zero
     return FeatureMatrix(
-        _unit_rows(projected).astype(np.float32),
+        _unit_rows(project(proj, grads)).astype(np.float32),
         tuple(corpus.ids()),
         Provenance("proxy_gradient", fingerprint=model.fingerprint(), seed=proj.seed),
     )
@@ -248,7 +246,7 @@ def embed_hashed_tfidf(corpus: Corpus, dim: int = 32768, seed: int = 404) -> Fea
     for s in corpus:
         tokens = (s.input + " " + s.output).lower().split()
         buckets = np.array(
-            sorted(_tfidf_bucket(tokens[i], tokens[i + 1], seed, dim) for i in range(len(tokens) - 1)),
+            [_tfidf_bucket(tokens[i], tokens[i + 1], seed, dim) for i in range(len(tokens) - 1)],
             dtype=np.int64,
         )
         bucket_lists.append(buckets)

@@ -43,7 +43,6 @@ def sample_higher_diversity(
     k: int,
     n_target: int,
     rng_seed: int,
-    cluster_seed: int | None = None,
 ) -> list[int]:
     """Cluster-balanced sampling that up-samples sparse clusters.
 
@@ -59,9 +58,7 @@ def sample_higher_diversity(
     _check_target(n_target, features.rows)
     if k > features.rows:
         raise ValueError(f"k={k} exceeds pool size {features.rows}")
-    model = kmeans_fit(
-        features, k, seed=rng_seed if cluster_seed is None else cluster_seed, n_init=4
-    )
+    model = kmeans_fit(features, k, seed=rng_seed, n_init=4)
     rng = rng_from(rng_seed, 0x5A2)
     per_draw = math.ceil(n_target / k)
     selected: list[int] = []

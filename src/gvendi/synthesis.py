@@ -196,7 +196,9 @@ class JsonLinesProcess:
         self._lock = threading.Lock()
 
     def _ensure(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
+        if self._proc is not None and self._proc.poll() is not None:
+            self._release()
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
@@ -228,12 +230,16 @@ class JsonLinesProcess:
         return resp
 
     def _drop(self) -> None:
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc = None
+        """Kill the worker, close its pipes and reap it."""
+        self._proc.kill()
+        self._release()
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
+        """Let the worker exit on end of input (killed after 5 s), then
+        close its pipes and reap it."""
+        if self._proc is None:
+            return
+        if self._proc.poll() is None:
             try:
                 self._proc.stdin.close()
             except OSError:
@@ -242,6 +248,15 @@ class JsonLinesProcess:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+        self._release()
+
+    def _release(self) -> None:
+        for pipe in (self._proc.stdin, self._proc.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass
+        self._proc.wait()
         self._proc = None
 
     def __enter__(self):
@@ -300,18 +315,10 @@ class RemoteEndpoint:
         samples = resp.get("samples")
         if not isinstance(samples, list):
             raise EndpointError("generator response missing 'samples' list")
-        cleaned = []
         for rec in samples:
             if not isinstance(rec, dict) or "input" not in rec:
                 raise EndpointError("generator sample record missing 'input'")
-            cleaned.append(
-                {
-                    "input": str(rec["input"]),
-                    "output": str(rec.get("output", "")),
-                    "label": None if rec.get("label") is None else str(rec["label"]),
-                }
-            )
-        return cleaned
+        return samples
 
     def solve(self, sample: Sample, n: int, seed: int) -> tuple[list[str], list[str]]:
         resp = self.transport.request(
@@ -639,11 +646,10 @@ def prismatic_step(
         flagged = []
 
     # trace replacement can re-collide ids; keep pool ids unique
-    pool_ids = set(state.pool.ids())
     unique: list[Sample] = []
     seen: set[str] = set()
     for s in survivors:
-        if s.id in pool_ids or s.id in seen:
+        if s.id in state.pool or s.id in seen:
             continue
         seen.add(s.id)
         unique.append(s)

@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -411,7 +412,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             rep = str(outdir / f"{strategy}.div.json")
             run_cli("--config", str(config), "diversity", "--metric", "g-vendi",
                     "--features", feats, "--select", sel, "--output", rep)
-            values[strategy] = json.loads(open(rep).read())["value"]
+            values[strategy] = json.loads(Path(rep).read_text())["value"]
         return values
 
     values_a = pipeline(tmp_path / "a")

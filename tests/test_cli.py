@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -84,13 +85,37 @@ def test_config_env_var(toy, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["metric"] == "tag_entropy"
 
 
+def test_config_bad_value_names_key_and_type(toy, capsys):
+    tmp_path, pool = toy
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("proxy.feature_dim = x\n")
+    rc = run_cli("--config", str(cfg), "featurize", "--input", pool,
+                 "--output", str(tmp_path / "f.gvfm"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: ValueError: config key 'proxy.feature_dim': expected int, got 'x'\n"
+
+
+@pytest.mark.parametrize("tags", ["5", '"abc"', '{"a": "b"}'])
+def test_ingest_rejects_non_array_tags(tmp_path, capsys, tags):
+    src = tmp_path / "in.jsonl"
+    src.write_text('{"input": "a b", "output": "c", "tags": null}\n'
+                   '{"input": "d e", "output": "f", "tags": %s}\n' % tags)
+    out = tmp_path / "out.jsonl"
+    rc = run_cli("ingest", "--input", str(src), "--output", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {src}: line 2: 'tags' must be an array or null")
+    assert not out.exists()
+
+
 def test_featurize_bitwise_idempotent(toy):
     tmp_path, pool = toy
     a, b = str(tmp_path / "a.gvfm"), str(tmp_path / "b.gvfm")
     for out in (a, b):
         assert run_cli("featurize", "--input", pool, "--output", out,
                        "--feature-dim", "32", "--proj-dim", "32") == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_sample_deterministic_artifacts(toy):
@@ -102,8 +127,8 @@ def test_sample_deterministic_artifacts(toy):
     for out in (a, b):
         assert run_cli("sample", "--features", feats, "--strategy", "higher",
                        "--k", "6", "--n", "40", "--seed", "7", "--output", out) == 0
-    assert open(a).read() == open(b).read()
-    ids = json.loads(open(a).read())
+    assert Path(a).read_text() == Path(b).read_text()
+    ids = json.loads(Path(a).read_text())
     assert len(ids) == 40 and all(isinstance(s, str) for s in ids)
 
 
@@ -121,7 +146,7 @@ def test_sample_mixture_from_id_files(toy):
     assert run_cli("sample", "--features", feats, "--strategy", "mixture",
                    "--parents", p1, p2, "--weights", "1,1", "--n", "20",
                    "--seed", "3", "--output", out) == 0
-    ids = json.loads(open(out).read())
+    ids = json.loads(Path(out).read_text())
     assert len(ids) == len(set(ids)) == 20
 
 
@@ -180,11 +205,11 @@ def test_synthesize_and_resume_idempotent(toy, capsys):
     assert os.path.exists(os.path.join(outdir, "state.json"))
     assert not os.path.exists(os.path.join(outdir, ".lock"))
     # rerunning resumes the finished checkpoint and changes nothing
-    snapshot = open(os.path.join(outdir, "pool.jsonl")).read()
+    snapshot = Path(outdir, "pool.jsonl").read_text()
     assert run_cli(*args) == 0
     second = json.loads(capsys.readouterr().out)
     assert first == second
-    assert open(os.path.join(outdir, "pool.jsonl")).read() == snapshot
+    assert Path(outdir, "pool.jsonl").read_text() == snapshot
 
 
 def test_synthesize_lock_conflict(toy, capsys):
@@ -203,7 +228,7 @@ def test_decontaminate_command(toy, capsys):
     tmp_path, pool = toy
     protected = tmp_path / "prot.jsonl"
     # protect one verbatim pool input
-    first = json.loads(open(pool).readline())
+    first = json.loads(Path(pool).read_text().splitlines()[0])
     protected.write_text(json.dumps({"id": "p0", "input": first["input"], "output": ""}) + "\n")
     out = str(tmp_path / "kept.jsonl")
     flagged = str(tmp_path / "flagged.jsonl")
@@ -212,7 +237,7 @@ def test_decontaminate_command(toy, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["flagged"] >= 1
     assert summary["kept"] + summary["flagged"] == 120
-    assert len(open(flagged).readlines()) == summary["flagged"]
+    assert len(Path(flagged).read_text().splitlines()) == summary["flagged"]
 
 
 def test_evaluate_and_report(tmp_path, capsys):
@@ -264,9 +289,9 @@ def test_usage_error_exit_code():
 
 def test_input_files_not_mutated(toy):
     tmp_path, pool = toy
-    before = open(pool, "rb").read()
+    before = Path(pool).read_bytes()
     feats = str(tmp_path / "pool.gvfm")
     run_cli("featurize", "--input", pool, "--output", feats,
             "--feature-dim", "32", "--proj-dim", "32")
     run_cli("diversity", "--metric", "ngram-entropy", "--corpus", pool)
-    assert open(pool, "rb").read() == before
+    assert Path(pool).read_bytes() == before

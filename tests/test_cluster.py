@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gvendi import FeatureMatrix, Provenance, blob_features, dynamic_k, kmeans_fit, sparse_clusters
+from gvendi import cluster
 from gvendi.cluster import ClusterModel
 from gvendi.rng import rng_from
 
@@ -179,3 +180,15 @@ def test_nearest_centroid():
     model = model_with_sizes([1, 1, 1])
     rows = np.array([[0.1, 0.9, 0.0], [1.1, 0.0, 0.0]])
     assert model.nearest_centroid(rows).tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("n_init", [1, 3])
+def test_iteration_cap_returns_consistent_model(monkeypatch, n_init):
+    monkeypatch.setattr(cluster, "_MAX_ITERS", 1)
+    feats = fm(rng_from(45).normal(size=(60, 5)))
+    model = kmeans_fit(feats, 6, seed=2, n_init=n_init)
+    rows = feats.data.astype(np.float64)
+    np.testing.assert_array_equal(model.assignment, model.nearest_centroid(rows))
+    np.testing.assert_array_equal(model.sizes, np.bincount(model.assignment, minlength=6))
+    inertia = ((rows - model.centroids[model.assignment]) ** 2).sum()
+    assert model.inertia == pytest.approx(inertia, rel=1e-9)

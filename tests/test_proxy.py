@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from gvendi import (
     project,
     sample_nll,
     store_features,
+    template_corpus,
 )
 from gvendi.rng import rng_from
 
@@ -265,3 +268,17 @@ def test_feature_matrix_rejects_non_unit_rows():
 def test_feature_matrix_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="unique"):
         FeatureMatrix(np.eye(2, 4, dtype=np.float32), ("a", "a"), Provenance("external"))
+
+
+def test_featurize_peak_memory_is_one_gradient_buffer():
+    model = ProxyModel.create()
+    corpus = template_corpus(5, 60, 3)
+    proj = ProjectionSpec(model.n_params, 16, seed=1)
+    buffer_bytes = len(corpus) * model.n_params * 8
+    tracemalloc.start()
+    try:
+        featurize(model, proj, corpus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f}x the gradient buffer"

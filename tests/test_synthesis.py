@@ -1,8 +1,10 @@
+import gc
 import http.server
 import json
 import sys
 import threading
 import textwrap
+import warnings
 
 import pytest
 
@@ -480,6 +482,24 @@ def test_solver_length_mismatch_rejected(tmp_path):
         solver.close()
 
 
+@pytest.mark.parametrize("script", [WORKER, "import sys; sys.exit(0)\n"],
+                         ids=["close-live-worker", "drop-exited-worker"])
+def test_process_transport_releases_pipes(tmp_path, script):
+    path = tmp_path / "worker.py"
+    path.write_text(script, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        transport = JsonLinesProcess([sys.executable, str(path)])
+        try:
+            transport.request({"type": "solve", "problem": "q", "n": 1, "seed": 1})
+        except EndpointError:
+            pass
+        transport.close()
+        del transport
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 # ---------------------------------------------------------------------------
 # HTTP protocol
 
@@ -510,6 +530,7 @@ def http_endpoint():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_generator_and_solver(http_endpoint):
