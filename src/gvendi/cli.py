@@ -222,7 +222,8 @@ def cmd_diversity(settings: Settings) -> None:
     else:
         corpus_path = settings.get("input", "corpus")
         if corpus_path is None:
-            raise ValueError(f"metric {metric} needs --corpus (or --features)")
+            alt = "or --features" if metric in _FEATURE_METRICS else "not scorable from a feature file"
+            raise ValueError(f"metric {metric} needs --corpus ({alt})")
         corpus = ingest_jsonl(corpus_path)
         if select_path:
             corpus = corpus.subset(_load_selection(select_path, corpus.ids()))

@@ -16,6 +16,7 @@ Store-then-load is a bitwise identity on data and metadata.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -43,7 +44,8 @@ class Provenance:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """n x d float32 matrix of unit-norm (or exactly-zero) rows."""
+    """n x d float32 matrix of unit-norm (or exactly-zero) rows. A float32
+    array passed in is kept without a copy and marked read-only."""
 
     data: np.ndarray
     sample_ids: tuple[str, ...]
@@ -59,9 +61,11 @@ class FeatureMatrix:
             raise ValueError(f"{len(ids)} ids for {arr.shape[0]} rows")
         if len(set(ids)) != len(ids):
             raise ValueError("sample ids must be unique")
-        if not np.all(np.isfinite(arr)):
+        # float32 squares neither overflow nor underflow in float64, so a row's
+        # sum is non-finite iff an entry is, and zero iff every entry is zero
+        norms = np.sqrt(np.einsum("ij,ij->i", arr, arr, dtype=np.float64))
+        if not np.all(np.isfinite(norms)):
             raise ValueError("feature data contains non-finite values")
-        norms = np.linalg.norm(arr.astype(np.float64), axis=1)
         zero = norms == 0.0
         bad = ~zero & (np.abs(norms - 1.0) > UNIT_NORM_TOL)
         if np.any(bad):
@@ -92,7 +96,7 @@ class FeatureMatrix:
         if idx.size and (idx.min() < 0 or idx.max() >= self.rows):
             raise IndexError(f"row index out of range for matrix of {self.rows} rows")
         ids = tuple(self.sample_ids[int(i)] for i in idx)
-        return FeatureMatrix(self.data[idx].copy(), ids, self.provenance)
+        return FeatureMatrix(self.data[idx], ids, self.provenance)
 
     def append(self, other: "FeatureMatrix") -> "FeatureMatrix":
         """Row-wise concatenation; provenance must match."""
@@ -120,7 +124,7 @@ def store_features(features: FeatureMatrix, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(features.data, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(features.data, dtype="<f4"))
         for sid in features.sample_ids:
             raw = sid.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
@@ -128,43 +132,38 @@ def store_features(features: FeatureMatrix, path) -> None:
 
 
 def load_features(path) -> FeatureMatrix:
-    """Read the binary feature-matrix format; exact inverse of store_features."""
+    """Exact inverse of store_features; any defect is a ValueError naming the path."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size or blob[:4] != MAGIC:
-        raise ValueError(f"{path}: not a feature matrix file")
-    magic, version, n, d, feat_code, fp, seed = _HEADER.unpack_from(blob, 0)
+        try:
+            return _read_features(fh)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e
+
+
+def _read_features(fh) -> FeatureMatrix:
+    size = fh.seek(0, os.SEEK_END)  # bounds every allocation and read below
+    fh.seek(0)
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size or head[:4] != MAGIC:
+        raise ValueError("not a feature matrix file")
+    _, version, n, d, feat_code, fp, seed = _HEADER.unpack(head)
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported feature file version {version}")
+        raise ValueError(f"unsupported feature file version {version}")
     if feat_code >= len(FEATURIZERS):
-        raise ValueError(f"{path}: unknown featurizer code {feat_code}")
-    data_bytes = n * d * 4
-    offset = _HEADER.size
-    if len(blob) < offset + data_bytes:
-        raise ValueError(
-            f"{path}: truncated feature file: expected at least "
-            f"{offset + data_bytes} bytes, got {len(blob)}"
-        )
-    data = np.frombuffer(blob, dtype="<f4", count=n * d, offset=offset).reshape(n, d)
-    offset += data_bytes
-    ids = []
-    for _ in range(n):
-        if len(blob) < offset + 4:
-            raise ValueError(
-                f"{path}: truncated id table: expected at least {offset + 4} bytes, "
-                f"got {len(blob)}"
-            )
-        (length,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if len(blob) < offset + length:
-            raise ValueError(
-                f"{path}: truncated id table: expected at least {offset + length} bytes, "
-                f"got {len(blob)}"
-            )
-        ids.append(blob[offset : offset + length].decode("utf-8"))
-        offset += length
-    return FeatureMatrix(
-        data.copy(),
-        tuple(ids),
-        Provenance(FEATURIZERS[feat_code], fingerprint=fp, seed=seed),
-    )
+        raise ValueError(f"unknown featurizer code {feat_code}")
+    end = _HEADER.size + n * d * 4
+    if size < end:
+        raise ValueError(f"truncated feature file: expected at least {end} bytes, got {size}")
+    data = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
+
+    def chunk(length: int) -> bytes:
+        nonlocal end
+        end += length
+        if size < end:
+            raise ValueError(f"truncated id table: expected at least {end} bytes, got {size}")
+        return fh.read(length)
+
+    ids = tuple(chunk(struct.unpack("<I", chunk(4))[0]).decode("utf-8") for _ in range(n))
+    if size > end:
+        raise ValueError(f"{size - end} trailing bytes after the id table")
+    return FeatureMatrix(data, ids, Provenance(FEATURIZERS[feat_code], fingerprint=fp, seed=seed))

@@ -53,14 +53,13 @@ class DiversityReport:
         )
 
 
-def _unit_row_matrix(features: FeatureMatrix, op: str) -> np.ndarray:
-    """The rows as float64; FeatureMatrix already guarantees they are finite
-    and unit-norm or exactly zero, so only zero rows are rejected here."""
+def _check_nondegenerate(features: FeatureMatrix, op: str) -> None:
+    """FeatureMatrix already guarantees finite rows that are unit-norm or
+    exactly zero, so only an empty matrix or a zero row is rejected here."""
     if features.rows == 0:
         raise ValueError(f"{op}: empty feature matrix")
     if features.degenerate_mask().any():
         raise ValueError(f"{op}: matrix contains degenerate zero rows; drop them first")
-    return features.data.astype(np.float64)
 
 
 def effective_rank_entropy(eigenvalues: np.ndarray) -> float:
@@ -88,7 +87,8 @@ def vendi_score(features: FeatureMatrix) -> float:
     side is smaller (n x n or d x d share the same nonzero spectrum), so cost
     is O(min(n,d)^2 * max(n,d)) instead of O(n^3).
     """
-    mat = _unit_row_matrix(features, "vendi_score")
+    _check_nondegenerate(features, "vendi_score")
+    mat = features.data.astype(np.float64)
     n, d = mat.shape
     gram = (mat @ mat.T if n <= d else mat.T @ mat) / n
     lam = np.linalg.eigvalsh(gram)
@@ -140,11 +140,11 @@ def embedding_dissimilarity(features: FeatureMatrix) -> float:
     Uses sum_{i<j} x_i . x_j = (||sum x||^2 - n) / 2, so runtime is O(n d)
     with no pairwise matrix.
     """
-    mat = _unit_row_matrix(features, "embedding_dissimilarity")
-    n = mat.shape[0]
+    _check_nondegenerate(features, "embedding_dissimilarity")
+    n = features.rows
     if n < 2:
         raise ValueError("embedding_dissimilarity needs at least 2 rows")
-    total = mat.sum(axis=0)
+    total = features.data.sum(axis=0, dtype=np.float64)
     mean_cos = (float(total @ total) - n) / (n * (n - 1))
     return 1.0 - mean_cos
 

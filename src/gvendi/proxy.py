@@ -201,8 +201,8 @@ def project(spec: ProjectionSpec, vectors: np.ndarray) -> np.ndarray:
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return mat / safe[:, None]
+    mat /= np.where(norms == 0.0, 1.0, norms)[:, None]  # in place; zero rows stay zero
+    return mat
 
 
 def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> FeatureMatrix:

@@ -660,7 +660,7 @@ def prismatic_step(
     if survivors:
         cand_corpus = Corpus(tuple(survivors), name=state.pool.name)
         cand_feats = featurizer(cand_corpus)
-        nearest = model.nearest_centroid(cand_feats.data.astype(np.float64))
+        nearest = model.nearest_centroid(cand_feats.data)
         keep = [i for i, c in enumerate(nearest) if int(c) in sparse]
         if keep:
             accepted = [survivors[i] for i in keep]

@@ -5,6 +5,7 @@ budget is pinned here; nothing is deferred to later calibration.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -370,10 +371,15 @@ def test_criterion_09_decontamination_exactness():
 
 
 def run_cli(*argv):
+    # the child imports the same gvendi as this test, installed or not
+    src = str(Path(gv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "gvendi.cli", *argv],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

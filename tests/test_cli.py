@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from gvendi import template_corpus, write_jsonl
+import numpy as np
+
+from gvendi import FeatureMatrix, Provenance, store_features, template_corpus, write_jsonl
 from gvendi.cli import main, parse_config
 
 
@@ -271,6 +273,42 @@ def test_diversity_csv_short_row(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError:") and err.count("\n") == 1
     assert f"{div}: line 3" in err
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("non-utf8-id", "can't decode byte 0xff"),
+        ("duplicate-ids", "sample ids must be unique"),
+        ("trailing-bytes", "trailing bytes after the id table"),
+    ],
+)
+def test_feature_file_errors_name_the_file(tmp_path, capsys, defect, message):
+    path = tmp_path / "f.gvfm"
+    feats = FeatureMatrix(np.eye(2, 4, dtype=np.float32), ("a", "b"), Provenance("external"))
+    store_features(feats, path)
+    blob = path.read_bytes()
+    assert blob.endswith(b"a\x01\x00\x00\x00b")
+    if defect == "non-utf8-id":
+        blob = blob[:-1] + b"\xff"
+    elif defect == "duplicate-ids":
+        blob = blob[:-1] + b"a"
+    else:
+        blob += blob
+    path.write_bytes(blob)
+    assert run_cli("diversity", "--metric", "g-vendi", "--features", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and err.count("\n") == 1
+    assert err.count(str(path)) == 1 and message in err
+
+
+@pytest.mark.parametrize("metric", ["ngram-entropy", "tag-entropy", "mean-nll"])
+def test_corpus_only_metric_with_features_names_corpus(tmp_path, capsys, metric):
+    rc = run_cli("diversity", "--metric", metric, "--features", str(tmp_path / "x.gvfm"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "needs --corpus" in err and "not scorable from a feature file" in err
+    assert "(or --features)" not in err
 
 
 def test_runtime_error_exit_code_and_stderr(tmp_path, capsys):

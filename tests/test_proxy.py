@@ -11,6 +11,7 @@ from gvendi import (
     ProxyModel,
     Sample,
     embed_hashed_tfidf,
+    embedding_dissimilarity,
     featurize,
     load_features,
     loss_gradient,
@@ -282,3 +283,80 @@ def test_featurize_peak_memory_is_one_gradient_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f}x the gradient buffer"
+
+
+@pytest.mark.parametrize(
+    "row, match",
+    [
+        ([np.nan, 0.0, 0.0], "non-finite"),
+        ([np.inf, 0.0, 0.0], "non-finite"),
+        ([-np.inf, 0.0, 0.0], "non-finite"),
+        ([3.0e38, 0.0, 0.0], "norm"),
+        ([1e-45, 0.0, 0.0], "norm"),  # the smallest float32 subnormal
+        ([0.0, 0.0, 0.0], None),
+    ],
+    ids=["nan", "+inf", "-inf", "huge", "subnormal", "zero"],
+)
+def test_feature_matrix_row_edges(row, match):
+    data = np.array([[0.0, 1.0, 0.0], row], dtype=np.float32)
+    if match is None:
+        feats = FeatureMatrix(data, ("a", "b"), Provenance("external"))
+        assert feats.degenerate_mask().tolist() == [False, True]
+    else:
+        with pytest.raises(ValueError, match=match):
+            FeatureMatrix(data, ("a", "b"), Provenance("external"))
+
+
+def _unit_float32_rows(n=2000, d=256):
+    data = rng_from(6).normal(size=(n, d))
+    data /= np.linalg.norm(data, axis=1)[:, None]
+    return data.astype(np.float32), tuple(f"s{i}" for i in range(n))
+
+
+def _unit_feature_matrix():
+    return FeatureMatrix(*_unit_float32_rows(), Provenance("external"))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_feature_matrix_check_makes_no_row_copy():
+    data, ids = _unit_float32_rows()
+    feats, peak = _traced_peak(lambda: FeatureMatrix(data, ids, Provenance("external")))
+    assert feats.data is data and not data.flags.writeable
+    assert peak <= 0.5 * data.nbytes, f"peak {peak / data.nbytes:.2f}x the rows"
+
+
+def test_load_features_peak_is_one_copy_of_the_rows(tmp_path):
+    feats = _unit_feature_matrix()
+    path = tmp_path / "f.gvfm"
+    store_features(feats, path)
+    back, peak = _traced_peak(lambda: load_features(path))
+    assert back.data.tobytes() == feats.data.tobytes()
+    assert peak <= 1.5 * feats.data.nbytes, f"peak {peak / feats.data.nbytes:.2f}x the rows"
+
+
+def test_take_peak_is_one_copy_of_the_output():
+    feats = _unit_feature_matrix()
+    half, peak = _traced_peak(lambda: feats.take(np.arange(0, feats.rows, 2)))
+    assert half.data.tobytes() == feats.data[::2].tobytes()
+    assert peak <= 1.5 * half.data.nbytes, f"peak {peak / half.data.nbytes:.2f}x the output"
+
+
+def test_tfidf_peak_memory():
+    corpus = template_corpus(5, 60, 3)
+    out, peak = _traced_peak(lambda: embed_hashed_tfidf(corpus, dim=4096))
+    assert peak <= 5 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
+
+
+def test_dissimilarity_makes_no_row_copy():
+    feats = _unit_feature_matrix()
+    _, peak = _traced_peak(lambda: embedding_dissimilarity(feats))
+    assert peak <= 0.5 * feats.data.nbytes, f"peak {peak / feats.data.nbytes:.2f}x the rows"
