@@ -53,19 +53,10 @@ from .synthesis import (
 
 CONFIG_ENV = "GVENDI_CONFIG"
 
-# documented default seeds; override via config or flags
-DEFAULT_HASH_SEED = 101
-DEFAULT_WEIGHT_SEED = 202
-DEFAULT_PROJECTION_SEED = 303
-DEFAULT_EMBED_SEED = 404
+# documented default seeds of the commands whose functions take no default;
+# every other default lives with the function or class it parameterizes
 DEFAULT_SAMPLE_SEED = 505
-DEFAULT_SYNTH_SEED = 606
 DEFAULT_CLUSTER_SEED = 707
-
-DEFAULT_VOCAB = 256
-DEFAULT_FEATURE_DIM = 64
-DEFAULT_PROJECTION_DIM = 1024
-DEFAULT_EMBED_DIM = 32768
 
 
 def parse_config(path: str) -> dict[str, str]:
@@ -104,6 +95,11 @@ class Settings:
                 f"config key {key!r}: expected {cast.__name__}, got {raw!r}"
             ) from None
 
+    def given(self, **specs) -> dict:
+        """Keyword arguments for the (flag, key, cast) specs a flag or config set."""
+        vals = {name: self.get(flag, key, None, cast) for name, (flag, key, cast) in specs.items()}
+        return {name: val for name, val in vals.items() if val is not None}
+
     def require(self, flag: str, key: str, cast=str):
         val = self.get(flag, key, None, cast)
         if val is None:
@@ -112,40 +108,34 @@ class Settings:
 
 
 def _proxy_from(settings: Settings) -> ProxyModel:
-    return ProxyModel.create(
-        vocab_size=settings.get("vocab_size", "proxy.vocab_size", DEFAULT_VOCAB, int),
-        feature_dim=settings.get("feature_dim", "proxy.feature_dim", DEFAULT_FEATURE_DIM, int),
-        hash_seed=settings.get("hash_seed", "proxy.hash_seed", DEFAULT_HASH_SEED, int),
-        weight_seed=settings.get("weight_seed", "proxy.weight_seed", DEFAULT_WEIGHT_SEED, int),
-    )
+    return ProxyModel.create(**settings.given(
+        vocab_size=("vocab_size", "proxy.vocab_size", int),
+        feature_dim=("feature_dim", "proxy.feature_dim", int),
+        hash_seed=("hash_seed", "proxy.hash_seed", int),
+        weight_seed=("weight_seed", "proxy.weight_seed", int),
+    ))
 
 
 def _gradient_from(settings: Settings) -> tuple[ProxyModel, ProjectionSpec]:
     model = _proxy_from(settings)
-    return model, ProjectionSpec(
-        source_dim=model.n_params,
-        target_dim=settings.get("proj_dim", "projection.dim", DEFAULT_PROJECTION_DIM, int),
-        seed=settings.get("proj_seed", "projection.seed", DEFAULT_PROJECTION_SEED, int),
-    )
+    return model, ProjectionSpec(model.n_params, **settings.given(
+        target_dim=("proj_dim", "projection.dim", int),
+        seed=("proj_seed", "projection.seed", int),
+    ))
 
 
 def _embedding_from(settings: Settings) -> dict:
-    return {
-        "dim": settings.get("embed_dim", "embedding.dim", DEFAULT_EMBED_DIM, int),
-        "seed": settings.get("embed_seed", "embedding.seed", DEFAULT_EMBED_SEED, int),
-    }
+    return settings.given(dim=("embed_dim", "embedding.dim", int),
+                          seed=("embed_seed", "embedding.seed", int))
 
 
 def _write_text(path: str | None, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def cmd_ingest(settings: Settings) -> None:
@@ -235,7 +225,8 @@ def cmd_cluster(settings: Settings) -> None:
     feats = load_features(settings.require("features_in", "features"))
     k = settings.get("k", "cluster.k", None, int)
     if k is None:
-        k = dynamic_k(feats.rows, settings.get("k_fraction", "cluster.k_fraction", 0.01, float))
+        fraction = settings.given(fraction=("k_fraction", "cluster.k_fraction", float))
+        k = dynamic_k(feats.rows, **fraction)
     model = kmeans_fit(feats, k, seed=settings.get("seed", "cluster.seed", DEFAULT_CLUSTER_SEED, int))
     _write_text(settings.get("output", "output"), model.to_json())
 
@@ -269,12 +260,20 @@ def cmd_sample(settings: Settings) -> None:
         if weights_raw is None:
             weights = [1.0] * len(parents)
         else:
-            weights = [float(w) for w in str(weights_raw).split(",") if w]
+            weights = [_number("--weights", weights_raw, w) for w in str(weights_raw).split(",") if w]
         sel = sample_mixture(parents, weights, n_target, seed)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     ids = [feats.sample_ids[i] for i in sel]
     _write_text(settings.get("output", "output"), json.dumps(ids))
+
+
+def _number(flag: str, value: str, part: str) -> float:
+    """float(part), where part is taken from the value of flag."""
+    try:
+        return float(part)
+    except ValueError:
+        raise ValueError(f"{flag} {value!r}: {part!r} is not a number") from None
 
 
 def _remote_endpoint(spec: str) -> RemoteEndpoint | None:
@@ -301,7 +300,7 @@ def _make_solver(spec: str):
     if spec == "echo":
         return EchoSolver()
     if spec.startswith("echo:"):
-        return EchoSolver(error_rate=float(spec.split(":", 1)[1]))
+        return EchoSolver(error_rate=_number("--solver", spec, spec.split(":", 1)[1]))
     remote = _remote_endpoint(spec)
     if remote is None:
         raise ValueError(f"unknown solver spec {spec!r} (echo[:rate] | cmd:... | http(s)://...)")
@@ -338,14 +337,16 @@ def cmd_synthesize(settings: Settings) -> None:
     config = SynthesisConfig(
         iterations=settings.require("iterations", "synthesis.iterations", int),
         gen_batch=settings.require("gen_batch", "synthesis.gen_batch", int),
-        vote_n=settings.get("vote_n", "synthesis.vote_n", 3, int),
-        vote_tau=settings.get("vote_tau", "synthesis.vote_tau", 2, int),
-        k_fraction=settings.get("k_fraction", "synthesis.k_fraction", 0.01, float),
-        sparse_fraction=settings.get("sparse_fraction", "synthesis.sparse_fraction", None, float),
-        fewshot_count=settings.get("fewshot", "synthesis.fewshot", 5, int),
-        decontam_ngram=settings.get("ngram", "synthesis.ngram", 10, int),
-        seed=settings.get("seed", "synthesis.seed", DEFAULT_SYNTH_SEED, int),
-        max_workers=settings.get("threads", "threads", 1, int),
+        **settings.given(
+            vote_n=("vote_n", "synthesis.vote_n", int),
+            vote_tau=("vote_tau", "synthesis.vote_tau", int),
+            k_fraction=("k_fraction", "synthesis.k_fraction", float),
+            sparse_fraction=("sparse_fraction", "synthesis.sparse_fraction", float),
+            fewshot_count=("fewshot", "synthesis.fewshot", int),
+            decontam_ngram=("ngram", "synthesis.ngram", int),
+            seed=("seed", "synthesis.seed", int),
+            max_workers=("threads", "threads", int),
+        ),
     )
     generator = _make_generator(settings.get("generator", "synthesis.generator", "recombine"))
     solver = _make_solver(settings.get("solver", "synthesis.solver", "echo"))
@@ -435,11 +436,7 @@ def cmd_report(settings: Settings) -> None:
         settings.require("reference", "evaluate.reference"),
     )
     dmap = _diversity_map(settings.require("diversity", "evaluate.diversity"))
-    rows = []
-    for m in table.models:
-        if m in dmap:
-            rows.append((dmap[m], relative_perf(table, m), m))
-    rows.sort()
+    rows = sorted((dmap[m], relative_perf(table, m), m) for m in table.models if m in dmap)
     lines = ["diversity\tperf\tmodel"]
     lines += [f"{d!r}\t{p!r}\t{m}" for d, p, m in rows]
     _write_text(settings.get("output", "output"), "\n".join(lines))
@@ -471,13 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embedding_flags(p)
 
     p = add("diversity", cmd_diversity, help="compute a diversity metric")
-    p.add_argument(
-        "--metric",
-        choices=[
-            "g-vendi", "embedding-vendi", "embedding-dissim",
-            "ngram-entropy", "tag-entropy", "mean-nll",
-        ],
-    )
+    p.add_argument("--metric", choices=[m.replace("_", "-") for m in _CORPUS_METRICS])
     p.add_argument("--corpus", dest="input")
     p.add_argument("--features", dest="features_in")
     p.add_argument("--select", help="id-list JSON restricting the metric to a subset")

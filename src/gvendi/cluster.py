@@ -45,7 +45,8 @@ class ClusterModel:
 
     def nearest_centroid(self, rows: np.ndarray) -> np.ndarray:
         """Index of the closest centroid for each given row."""
-        return _assign(np.atleast_2d(np.asarray(rows, dtype=np.float64)), self.centroids)[0]
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        return _assign(rows, (rows * rows).sum(axis=1), self.centroids)[0]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -61,14 +62,17 @@ class ClusterModel:
         )
 
 
-def _assign(rows: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sqdist(rows: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, m) squared distances ||x||^2 - 2 x.c + ||c||^2; sq holds ||x||^2."""
+    return sq[:, None] - 2.0 * rows @ centers.T + (centers * centers).sum(axis=1)[None, :]
+
+
+def _assign(
+    rows: np.ndarray, sq: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per row and the squared distance to it."""
-    d2 = (
-        (rows * rows).sum(axis=1)[:, None]
-        - 2.0 * rows @ centroids.T
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    labels = np.argmin(d2, axis=1)
+    d2 = _sqdist(rows, sq, centroids)
+    labels = np.argmin(d2, axis=1)  # on the unclamped distances, so ties at 0 keep their order
     best = np.maximum(d2[np.arange(rows.shape[0]), labels], 0.0)
     return labels.astype(np.int64), best
 
@@ -89,10 +93,18 @@ def _repair_empty(rows, centroids, labels, d2, counts) -> None:
         d2[donor] = 0.0
 
 
-def _kmeanspp(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """D^2-weighted seeding with greedy local trials per step."""
-    n = rows.shape[0]
+def _kmeanspp(rows: np.ndarray, sq: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """D^2-weighted seeding with greedy local trials per step.
+
+    A step scores all its trials in one _sqdist product, then re-scores those
+    within its rounding bound of the best from direct differences, so exact
+    ties keep the first trial. The running distance d2 is the winner's direct
+    column, exact: duplicates of a chosen row sit at 0 and draw no mass.
+    """
+    n, dim = rows.shape
     trials = 2 + int(math.log(k)) if k > 1 else 1
+    # twice the worst-case gap between a product-scored and a direct potential
+    slack = 16 * n * (n + dim + 2) * np.finfo(np.float64).eps * float(sq.max())
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(0, n)
     d2 = ((rows - rows[chosen[0]]) ** 2).sum(axis=1)
@@ -104,14 +116,11 @@ def _kmeanspp(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
             chosen[i] = rng.choice(pool) if pool.size else chosen[0]
             continue
         candidates = rng.choice(n, size=trials, p=d2 / total)
-        best_cand, best_d2, best_pot = -1, d2, math.inf
-        for cand in candidates:
-            cand_d2 = np.minimum(d2, ((rows - rows[int(cand)]) ** 2).sum(axis=1))
-            pot = float(cand_d2.sum())
-            if pot < best_pot:
-                best_cand, best_d2, best_pot = int(cand), cand_d2, pot
-        chosen[i] = best_cand
-        d2 = best_d2
+        pots = np.minimum(d2[:, None], _sqdist(rows, sq, rows[candidates])).sum(axis=0)
+        near = candidates[pots <= pots.min() + slack]
+        cols = np.minimum(d2, ((rows - rows[near][:, None, :]) ** 2).sum(axis=2))
+        best = int(np.argmin(cols.sum(axis=1)))
+        chosen[i], d2 = near[best], cols[best]
     return rows[chosen].copy()
 
 
@@ -127,6 +136,8 @@ def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> C
     assignment step are refilled with the point farthest from its own
     centroid, so exactly k clusters survive. With n_init > 1, the best of
     n_init seeded runs (lowest inertia, ties to the earliest run) is returned.
+    Row norms are computed once per fit. k-means++ scores each step's trials
+    in one product and keeps its running distance exact.
     """
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
@@ -135,13 +146,14 @@ def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> C
     if k > features.rows:
         raise ValueError(f"k={k} exceeds number of rows {features.rows}")
     rows = features.data.astype(np.float64)
+    sq = (rows * rows).sum(axis=1)  # shared by every seeding and assignment below
     best: ClusterModel | None = None
     for trial in range(n_init):
         init_seed = seed if n_init == 1 else mix64(seed, 0xC17, trial)
-        centroids = _kmeanspp(rows, k, rng_from(init_seed, 0xC15))
+        centroids = _kmeanspp(rows, sq, k, rng_from(init_seed, 0xC15))
         prev = math.inf
         for step in range(_MAX_ITERS + 1):
-            labels, d2 = _assign(rows, centroids)
+            labels, d2 = _assign(rows, sq, centroids)
             counts = np.bincount(labels, minlength=k)
             _repair_empty(rows, centroids, labels, d2, counts)
             inertia = float(d2.sum())

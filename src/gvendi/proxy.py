@@ -199,12 +199,6 @@ def project(spec: ProjectionSpec, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit_rows(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1)
-    mat /= np.where(norms == 0.0, 1.0, norms)[:, None]  # in place; zero rows stay zero
-    return mat
-
-
 def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> FeatureMatrix:
     """Unit-norm projected loss gradients, one row per sample in corpus order.
 
@@ -225,9 +219,12 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
         norm = np.linalg.norm(g)
         if norm > 0.0:
             grads[i] = g / norm
-    # a zero gradient row projects to exactly +0.0 and _unit_rows keeps it zero
+    # a zero gradient row projects to exactly +0.0 and stays zero
+    projected = project(proj, grads)
+    norms = np.linalg.norm(projected, axis=1)
+    projected /= np.where(norms == 0.0, 1.0, norms)[:, None]
     return FeatureMatrix(
-        _unit_rows(project(proj, grads)).astype(np.float32),
+        projected.astype(np.float32),
         tuple(corpus.ids()),
         Provenance("proxy_gradient", fingerprint=model.fingerprint(), seed=proj.seed),
     )
@@ -254,12 +251,14 @@ def embed_hashed_tfidf(corpus: Corpus, dim: int = 32768, seed: int = 404) -> Fea
             df[np.unique(buckets)] += 1.0
     n = len(corpus)
     idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
-    data = np.zeros((n, dim), dtype=np.float64)
+    data = np.zeros((n, dim), dtype=np.float32)
     for i, buckets in enumerate(bucket_lists):
         if buckets.size:
-            data[i] = np.bincount(buckets, minlength=dim) * idf
+            row = np.bincount(buckets, minlength=dim) * idf
+            # the same pairwise sum as norm(axis=1); norm(row) would use BLAS dot
+            data[i] = row / np.sqrt(np.add.reduce(row * row))
     return FeatureMatrix(
-        _unit_rows(data).astype(np.float32),
+        data,
         tuple(corpus.ids()),
         Provenance("embedding", fingerprint=0, seed=seed),
     )

@@ -56,8 +56,6 @@ def sample_higher_diversity(
     overshoot is truncated uniformly.
     """
     _check_target(n_target, features.rows)
-    if k > features.rows:
-        raise ValueError(f"k={k} exceeds pool size {features.rows}")
     model = kmeans_fit(features, k, seed=rng_seed, n_init=4)
     rng = rng_from(rng_seed, 0x5A2)
     per_draw = math.ceil(n_target / k)

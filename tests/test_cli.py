@@ -169,6 +169,29 @@ def test_sample_mixture_bad_parents_file(toy, capsys, content):
     assert f"{bad}: expected a JSON array of sample ids" in err
 
 
+def test_sample_mixture_bad_weight_names_flag(toy, capsys):
+    tmp_path, pool = toy
+    feats = str(tmp_path / "pool.gvfm")
+    run_cli("featurize", "--input", pool, "--output", feats,
+            "--feature-dim", "32", "--proj-dim", "32")
+    parent = str(tmp_path / "p.json")
+    run_cli("sample", "--features", feats, "--strategy", "random", "--n", "30",
+            "--output", parent)
+    capsys.readouterr()
+    rc = run_cli("sample", "--features", feats, "--strategy", "mixture",
+                 "--parents", parent, parent, "--weights", "1,x", "--n", "5")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: ValueError: --weights '1,x': 'x' is not a number\n"
+
+
+def test_synthesize_bad_echo_rate_names_flag(toy, capsys):
+    tmp_path, pool = toy
+    rc = run_cli("synthesize", "--corpus", pool, "--outdir", str(tmp_path / "run"),
+                 "--iterations", "1", "--gen-batch", "4", "--solver", "echo:x")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: ValueError: --solver 'echo:x': 'x' is not a number\n"
+
+
 def test_diversity_select_subset(toy, capsys):
     tmp_path, pool = toy
     feats = str(tmp_path / "pool.gvfm")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -192,3 +193,55 @@ def test_iteration_cap_returns_consistent_model(monkeypatch, n_init):
     np.testing.assert_array_equal(model.sizes, np.bincount(model.assignment, minlength=6))
     inertia = ((rows - model.centroids[model.assignment]) ** 2).sum()
     assert model.inertia == pytest.approx(inertia, rel=1e-9)
+
+
+def _per_trial_kmeanspp(rows, sq, k, rng):
+    """Reference seeding: every local trial scored from its own direct
+    differences, one at a time, keeping the first lowest potential."""
+    n = rows.shape[0]
+    trials = 2 + int(math.log(k)) if k > 1 else 1
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(0, n)
+    d2 = ((rows - rows[chosen[0]]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            pool = np.setdiff1d(np.arange(n), chosen[:i])
+            chosen[i] = rng.choice(pool) if pool.size else chosen[0]
+            continue
+        candidates = rng.choice(n, size=trials, p=d2 / total)
+        best_cand, best_d2, best_pot = -1, d2, math.inf
+        for cand in candidates:
+            cand_d2 = np.minimum(d2, ((rows - rows[int(cand)]) ** 2).sum(axis=1))
+            pot = float(cand_d2.sum())
+            if pot < best_pot:
+                best_cand, best_d2, best_pot = int(cand), cand_d2, pot
+        chosen[i] = best_cand
+        d2 = best_d2
+    return rows[chosen].copy()
+
+
+def _blobs(seed):
+    return blob_features(5, 40, dim=64, center_seed=seed, point_seed=seed + 1, spread=0.3), 8
+
+
+def _duplicate_heavy(seed):
+    # 3 unit vectors repeated 5/4/3 times, then 4 distinct rows and 2 copies of them
+    rng = rng_from(seed)
+    base = rng.normal(size=(3, 1024))
+    extra = rng.normal(size=(4, 1024))
+    data = np.vstack([np.repeat(base, [5, 4, 3], axis=0), extra, extra, extra])
+    return fm(data), data.shape[0] - 3
+
+
+@pytest.mark.parametrize("n_init", [1, 4])
+@pytest.mark.parametrize("make", [_blobs, _duplicate_heavy], ids=["blobs", "duplicates"])
+def test_seeding_matches_per_trial_reference(monkeypatch, make, n_init):
+    for seed in range(1000, 1016):
+        feats, k = make(seed)
+        fit = kmeans_fit(feats, k, seed=seed, n_init=n_init).to_json()
+        with monkeypatch.context() as m:
+            m.setattr(cluster, "_kmeanspp", _per_trial_kmeanspp)
+            ref = kmeans_fit(feats, k, seed=seed, n_init=n_init).to_json()
+        same = fit == ref  # a bool, so a failure does not diff two long JSON strings
+        assert same, f"seed {seed}"

@@ -49,6 +49,11 @@ def test_higher_k1_degenerates_to_uniform(pool):
     contract_ok(sel, 30, pool.rows)
 
 
+def test_higher_rejects_k_over_pool(pool):
+    with pytest.raises(ValueError, match=f"k={pool.rows + 1} exceeds number of rows {pool.rows}"):
+        sample_higher_diversity(pool, k=pool.rows + 1, n_target=1, rng_seed=5)
+
+
 def test_higher_target_equal_pool(pool):
     sel = sample_higher_diversity(pool, k=5, n_target=pool.rows, rng_seed=5)
     assert sel == list(range(pool.rows))
