@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -356,3 +358,221 @@ def test_input_files_not_mutated(toy):
             "--feature-dim", "32", "--proj-dim", "32")
     run_cli("diversity", "--metric", "ngram-entropy", "--corpus", pool)
     assert Path(pool).read_bytes() == before
+
+
+# ---------------------------------------------------------------------------
+# every keyed option three ways: (a) flags, (b) the same values from a config
+# file, (c) a config file with other values overridden by the flags of (a).
+# All three must write the same bytes; a value that a key would drop or a
+# config value that would beat its flag changes an artifact. `--threads` is
+# left out: no artifact depends on it.
+
+GUARD_WORKER = """\
+import json, sys
+
+for line in sys.stdin:
+    req = json.loads(line)
+    seed = req["seed"]
+    ex = req["exemplars"][seed % len(req["exemplars"])]
+    lead = "" if seed % 4 else "zeta eta theta iota "
+    tail = " %d of %d" % (seed % 97, len(req["exemplars"]))
+    samples = [{"input": lead + ex["input"] + tail, "output": ex["output"]}
+               for _ in range(req["count"])]
+    print(json.dumps({"samples": samples}), flush=True)
+"""
+
+PROXY_KEYS = [
+    ("--vocab-size", "proxy.vocab_size", "512", "1024"),
+    ("--feature-dim", "proxy.feature_dim", "24", "32"),
+    ("--hash-seed", "proxy.hash_seed", "11", "21"),
+    ("--weight-seed", "proxy.weight_seed", "12", "22"),
+    ("--proj-dim", "projection.dim", "16", "8"),
+    ("--proj-seed", "projection.seed", "13", "23"),
+]
+EMBEDDING_KEYS = [
+    ("--embed-dim", "embedding.dim", "64", "32"),
+    ("--embed-seed", "embedding.seed", "14", "24"),
+]
+CORPUS = ("--corpus", "corpus", "{d}/pool.jsonl", "{d}/other.jsonl")
+OUTPUT = ("--output", "output", "out.json", "other.json")
+FEATURES = ("--features", "features", "{d}/pool.gvfm", "{d}/other.gvfm")
+SELECT = ("--select", "select", "{d}/sel.json", "{d}/other_sel.json")
+TABLE = [
+    ("--table", "evaluate.table", "{d}/acc.csv", "{d}/other_acc.csv"),
+    ("--reference", "evaluate.reference", "ref", "m1"),
+    ("--diversity", "evaluate.diversity", "{d}/div.csv", "{d}/other_div.csv"),
+    OUTPUT,
+]
+
+# (command, [(flag, config key, value, other value)]); a list value is a
+# multi-valued flag, written comma-separated in a config file
+KEYED_CASES = {
+    "ingest": ("ingest", [
+        ("--input", "corpus", "{d}/pool.jsonl", "{d}/other.jsonl"),
+        ("--output", "output", "out.jsonl", "other.jsonl"),
+    ]),
+    "featurize-gradient": ("featurize", [
+        ("--input", "corpus", "{d}/pool.jsonl", "{d}/other.jsonl"),
+        ("--output", "features", "out.gvfm", "other.gvfm"),
+        ("--featurizer", "featurizer", "gradient", "embedding"),
+        *PROXY_KEYS,
+    ]),
+    "featurize-embedding": ("featurize", [
+        ("--input", "corpus", "{d}/pool.jsonl", "{d}/other.jsonl"),
+        ("--output", "features", "out.gvfm", "other.gvfm"),
+        ("--featurizer", "featurizer", "embedding", "gradient"),
+        *EMBEDDING_KEYS,
+    ]),
+    "diversity-g-vendi-corpus": ("diversity", [
+        ("--metric", "metric", "g-vendi", "embedding-vendi"),
+        CORPUS, SELECT, OUTPUT, *PROXY_KEYS,
+    ]),
+    "diversity-g-vendi-features": ("diversity", [
+        ("--metric", "metric", "g-vendi", "embedding-dissim"),
+        FEATURES, SELECT, OUTPUT,
+    ]),
+    "diversity-embedding-vendi": ("diversity", [
+        ("--metric", "metric", "embedding-vendi", "g-vendi"),
+        CORPUS, OUTPUT, *EMBEDDING_KEYS,
+    ]),
+    "diversity-ngram-entropy": ("diversity", [
+        ("--metric", "metric", "ngram-entropy", "tag-entropy"),
+        ("--order", "ngram.order", "3", "4"),
+        CORPUS, OUTPUT,
+    ]),
+    "cluster-k": ("cluster", [
+        FEATURES,
+        ("--k", "cluster.k", "3", "5"),
+        ("--seed", "cluster.seed", "5", "6"),
+        OUTPUT,
+    ]),
+    "cluster-k-fraction": ("cluster", [
+        FEATURES,
+        ("--k-fraction", "cluster.k_fraction", "0.1", "0.2"),
+        ("--seed", "cluster.seed", "5", "6"),
+        OUTPUT,
+    ]),
+    "sample-higher": ("sample", [
+        FEATURES,
+        ("--strategy", "sample.strategy", "higher", "lower"),
+        ("--n", "sample.n", "12", "10"),
+        ("--k", "sample.k", "3", "4"),
+        ("--seed", "sample.seed", "7", "8"),
+        OUTPUT,
+    ]),
+    "sample-lower": ("sample", [
+        FEATURES,
+        ("--strategy", "sample.strategy", "lower", "random"),
+        ("--n", "sample.n", "12", "10"),
+        ("--seed-size", "sample.seed_size", "3", "4"),
+        ("--batch-size", "sample.batch_size", "4", "5"),
+        ("--tau", "sample.tau", "0.9", "0.7"),
+        ("--seed", "sample.seed", "7", "8"),
+        OUTPUT,
+    ]),
+    "sample-mixture": ("sample", [
+        FEATURES,
+        ("--strategy", "sample.strategy", "mixture", "random"),
+        ("--n", "sample.n", "12", "10"),
+        ("--parents", "sample.parents", ["{d}/p1.json", "{d}/p2.json"], ["{d}/p2.json"]),
+        ("--weights", "sample.weights", "1,3", "3,1"),
+        ("--seed", "sample.seed", "7", "8"),
+        OUTPUT,
+    ]),
+    "synthesize": ("synthesize", [
+        CORPUS,
+        ("--outdir", "outdir", "out", "other"),
+        ("--iterations", "synthesis.iterations", "1", "2"),
+        ("--gen-batch", "synthesis.gen_batch", "12", "5"),
+        ("--vote-n", "synthesis.vote_n", "4", "3"),
+        ("--vote-tau", "synthesis.vote_tau", "3", "2"),
+        ("--k-fraction", "synthesis.k_fraction", "0.1", "0.2"),
+        ("--sparse-fraction", "synthesis.sparse_fraction", "0.25", "0.75"),
+        ("--fewshot", "synthesis.fewshot", "3", "4"),
+        ("--ngram", "synthesis.ngram", "4", "5"),
+        ("--seed", "synthesis.seed", "9", "10"),
+        ("--generator", "synthesis.generator", "cmd:{worker}", "builtin:recombine"),
+        ("--solver", "synthesis.solver", "echo:0.3", "echo"),
+        ("--protected", "protected", "{d}/prot.jsonl", "{d}/other_prot.jsonl"),
+        *PROXY_KEYS,
+    ]),
+    "decontaminate": ("decontaminate", [
+        CORPUS,
+        ("--protected", "protected", "{d}/prot.jsonl", "{d}/other_prot.jsonl"),
+        ("--ngram", "decontaminate.ngram", "4", "5"),
+        ("--output", "output", "kept.jsonl", "other.jsonl"),
+        ("--flagged", "decontaminate.flagged", "flagged.jsonl", "other_flagged.jsonl"),
+    ]),
+    "evaluate": ("evaluate", TABLE),
+    "report": ("report", TABLE),
+}
+
+
+@pytest.fixture(scope="module")
+def keyed_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("keyed")
+    pool = template_corpus(4, 10, seed=17, name="pool")
+    other = template_corpus(4, 10, seed=29, name="other")
+    write_jsonl(pool, d / "pool.jsonl")
+    write_jsonl(other, d / "other.jsonl")
+    small = ["--feature-dim", "24", "--proj-dim", "16"]
+    assert main(["featurize", "--input", str(d / "pool.jsonl"),
+                 "--output", str(d / "pool.gvfm"), *small]) == 0
+    assert main(["featurize", "--input", str(d / "other.jsonl"),
+                 "--output", str(d / "other.gvfm"), *small]) == 0
+    ids, other_ids = pool.ids(), other.ids()
+    (d / "sel.json").write_text(json.dumps(ids[::2]))
+    (d / "other_sel.json").write_text(json.dumps(other_ids[::2]))
+    (d / "p1.json").write_text(json.dumps(ids[:20]))
+    (d / "p2.json").write_text(json.dumps(ids[20:]))
+    first4 = " ".join(pool[0].input.split()[:4])
+    protected = [{"id": "p0", "input": "zeta eta theta iota", "output": ""},
+                 {"id": "p1", "input": first4, "output": ""}]
+    (d / "prot.jsonl").write_text("".join(json.dumps(r) + "\n" for r in protected))
+    (d / "other_prot.jsonl").write_text(
+        json.dumps({"id": "q0", "input": "unrelated words only here", "output": ""}) + "\n")
+    (d / "acc.csv").write_text("model,b1,b2\nref,0.8,0.5\nm1,0.4,0.25\nm2,0.6,0.45\nm3,0.72,0.48\n")
+    (d / "other_acc.csv").write_text("model,b1\nref,0.9\nm1,0.3\nm2,0.5\nm3,0.8\n")
+    (d / "div.csv").write_text("model,diversity\nm1,5.0\nm2,11.0\nm3,17.0\nref,20.0\n")
+    (d / "other_div.csv").write_text("model,diversity\nm1,7.0\nm2,3.0\nm3,1.0\nref,2.0\n")
+    (d / "worker.py").write_text(GUARD_WORKER)
+    return d
+
+
+@pytest.mark.parametrize("case", sorted(KEYED_CASES))
+def test_keyed_option_flag_config_precedence(keyed_inputs, tmp_path, monkeypatch, capsys, case):
+    command, opts = KEYED_CASES[case]
+    worker = shlex.join([sys.executable, str(keyed_inputs / "worker.py")])
+
+    def fill(value):
+        values = value if isinstance(value, list) else [value]
+        return [v.format(d=keyed_inputs, worker=worker) for v in values]
+
+    monkeypatch.delenv("GVENDI_CONFIG", raising=False)
+    capsys.readouterr()
+    results = {}
+    for way in ("a", "b", "c"):
+        argv, lines = [], []
+        for flag, key, value, other in opts:
+            if way != "b":
+                argv += [flag, *fill(value)]
+            if way != "a":
+                lines.append(f"{key} = {','.join(fill(value if way == 'b' else other))}")
+        if lines:
+            cfg = tmp_path / f"{way}.cfg"
+            cfg.write_text("\n".join(lines) + "\n")
+            argv = ["--config", str(cfg), command, *argv]
+        else:
+            argv = [command, *argv]
+        work = tmp_path / way
+        work.mkdir()
+        monkeypatch.chdir(work)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 0, f"way {way}: {captured.err}"
+        files = {p.relative_to(work).as_posix(): p.read_bytes()
+                 for p in sorted(work.rglob("*")) if p.is_file()}
+        assert files, f"way {way} wrote no artifact"
+        results[way] = (captured.out, files)
+    assert results["b"] == results["a"], "config file value differs from the same flag"
+    assert results["c"] == results["a"], "config file value beat its flag"
