@@ -4,7 +4,8 @@ Every run is reproducible: all randomness flows from named seeds with
 documented defaults, flags override config-file keys which override
 defaults, and no command reads the clock. Config files are flat
 `key = value` text; the GVENDI_CONFIG environment variable names a default
-config path.
+config path. Each option is declared once (`_opt`) with its flag, config
+key, type and CLI default; `gvendi <command> --help` lists them.
 
 Exit codes: 0 success, 1 runtime failure (one-line `error: ...` on stderr),
 2 usage errors.
@@ -16,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cluster import dynamic_k, kmeans_fit
 from .corpus import Corpus, ingest_jsonl, write_jsonl
@@ -53,11 +54,6 @@ from .synthesis import (
 
 CONFIG_ENV = "GVENDI_CONFIG"
 
-# documented default seeds of the commands whose functions take no default;
-# every other default lives with the function or class it parameterizes
-DEFAULT_SAMPLE_SEED = 505
-DEFAULT_CLUSTER_SEED = 707
-
 
 def parse_config(path: str) -> dict[str, str]:
     """Flat `key = value` lines; '#' starts a comment; blank lines ignored."""
@@ -74,59 +70,76 @@ def parse_config(path: str) -> dict[str, str]:
     return out
 
 
-class Settings:
-    """Flag > config > default resolution for one invocation."""
+class _Keyed(NamedTuple):
+    """How a command option is read when its flag is absent."""
 
-    def __init__(self, args: argparse.Namespace, config: dict[str, str]):
-        self.args = args
-        self.config = config
+    flag: str
+    key: str  # config-file key
+    type: Callable[[str], object]
+    default: object  # None: no CLI default (required, or the library default applies)
+    many: bool  # a multi-valued flag; its config value is comma-separated
 
-    def get(self, flag: str, key: str, default=None, cast=str):
-        val = getattr(self.args, flag, None)
-        if val is not None:
-            return val
-        raw = self.config.get(key)
+
+def _opt(p: argparse.ArgumentParser, flag: str, key: str, type=str, default=None,
+         help: str | None = None, **kwargs) -> None:
+    """Declare option `flag` with its config key, type and CLI default.
+
+    The flag beats config key `key`, which beats `default` (see `_resolve`).
+    """
+    shown = f"config: {key}" if default is None else f"config: {key}; default: {default}"
+    action = p.add_argument(flag, type=type, help=f"{help} [{shown}]" if help else f"[{shown}]",
+                            **kwargs)
+    p.get_default("keyed")[action.dest] = _Keyed(flag, key, type, default, action.nargs == "+")
+
+
+def _resolve(args: argparse.Namespace, config: dict[str, str]) -> None:
+    """Give every keyed option its config value or default where no flag set it."""
+    for dest, opt in args.keyed.items():
+        if getattr(args, dest) is not None:
+            continue
+        raw = config.get(opt.key)
         if raw is None:
-            return default
+            setattr(args, dest, opt.default)
+            continue
         try:
-            return cast(raw)
+            value = [opt.type(v) for v in raw.split(",") if v] if opt.many else opt.type(raw)
         except ValueError:
             raise ValueError(
-                f"config key {key!r}: expected {cast.__name__}, got {raw!r}"
+                f"config key {opt.key!r}: expected {opt.type.__name__}, got {raw!r}"
             ) from None
-
-    def given(self, **specs) -> dict:
-        """Keyword arguments for the (flag, key, cast) specs a flag or config set."""
-        vals = {name: self.get(flag, key, None, cast) for name, (flag, key, cast) in specs.items()}
-        return {name: val for name, val in vals.items() if val is not None}
-
-    def require(self, flag: str, key: str, cast=str):
-        val = self.get(flag, key, None, cast)
-        if val is None:
-            raise ValueError(f"missing required setting {key!r} (flag --{flag.replace('_', '-')})")
-        return val
+        setattr(args, dest, value)
 
 
-def _proxy_from(settings: Settings) -> ProxyModel:
-    return ProxyModel.create(**settings.given(
-        vocab_size=("vocab_size", "proxy.vocab_size", int),
-        feature_dim=("feature_dim", "proxy.feature_dim", int),
-        hash_seed=("hash_seed", "proxy.hash_seed", int),
-        weight_seed=("weight_seed", "proxy.weight_seed", int),
-    ))
+def _need(args: argparse.Namespace, dest: str):
+    """The value of an option the command cannot run without."""
+    value = getattr(args, dest)
+    if value is None:
+        opt = args.keyed[dest]
+        raise ValueError(f"missing required setting {opt.key!r} (flag {opt.flag})")
+    return value
 
 
-def _gradient_from(settings: Settings) -> tuple[ProxyModel, ProjectionSpec]:
-    model = _proxy_from(settings)
-    return model, ProjectionSpec(model.n_params, **settings.given(
-        target_dim=("proj_dim", "projection.dim", int),
-        seed=("proj_seed", "projection.seed", int),
-    ))
+def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
+    """Keyword arguments for the options a flag or config key set. Each name
+    is both parameter and option; `renamed` maps parameter -> option."""
+    dests = {**dict(zip(names, names)), **renamed}
+    return {p: getattr(args, d) for p, d in dests.items() if getattr(args, d) is not None}
 
 
-def _embedding_from(settings: Settings) -> dict:
-    return settings.given(dim=("embed_dim", "embedding.dim", int),
-                          seed=("embed_seed", "embedding.seed", int))
+def _proxy_from(args: argparse.Namespace) -> ProxyModel:
+    return ProxyModel.create(
+        **_given(args, "vocab_size", "feature_dim", "hash_seed", "weight_seed")
+    )
+
+
+def _gradient_from(args: argparse.Namespace) -> tuple[ProxyModel, ProjectionSpec]:
+    model = _proxy_from(args)
+    return model, ProjectionSpec(model.n_params, **_given(args, target_dim="proj_dim",
+                                                          seed="proj_seed"))
+
+
+def _embedding_from(args: argparse.Namespace) -> dict:
+    return _given(args, dim="embed_dim", seed="embed_seed")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -138,23 +151,22 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def cmd_ingest(settings: Settings) -> None:
-    corpus = ingest_jsonl(settings.require("input", "corpus"))
-    out = settings.require("output", "output")
+def cmd_ingest(args: argparse.Namespace) -> None:
+    corpus = ingest_jsonl(_need(args, "input"))
+    out = _need(args, "output")
     write_jsonl(corpus, out)
     print(json.dumps({"samples": len(corpus), "output": out}, sort_keys=True))
 
 
-def cmd_featurize(settings: Settings) -> None:
-    corpus = ingest_jsonl(settings.require("input", "corpus"))
-    out = settings.require("output", "features")
-    kind = settings.get("featurizer", "featurizer", "gradient")
-    if kind == "gradient":
-        feats = featurize(*_gradient_from(settings), corpus)
-    elif kind == "embedding":
-        feats = embed_hashed_tfidf(corpus, **_embedding_from(settings))
+def cmd_featurize(args: argparse.Namespace) -> None:
+    corpus = ingest_jsonl(_need(args, "input"))
+    out = _need(args, "output")
+    if args.featurizer == "gradient":
+        feats = featurize(*_gradient_from(args), corpus)
+    elif args.featurizer == "embedding":
+        feats = embed_hashed_tfidf(corpus, **_embedding_from(args))
     else:
-        raise ValueError(f"unknown featurizer {kind!r} (expected gradient or embedding)")
+        raise ValueError(f"unknown featurizer {args.featurizer!r} (expected gradient or embedding)")
     store_features(feats, out)
     print(json.dumps({"rows": feats.rows, "dim": feats.dim, "output": out}, sort_keys=True))
 
@@ -172,100 +184,78 @@ def _load_selection(path: str, sample_ids: Sequence[str]) -> list[int]:
         raise ValueError(f"{path}: unknown sample id {e.args[0]!r}") from None
 
 
-def _ngram_report(settings: Settings, corpus: Corpus) -> DiversityReport:
-    order = settings.get("order", "ngram.order", 2, int)
-    value = ngram_entropy(corpus, order)
-    return DiversityReport("ngram_entropy", value, len(corpus), {"order": order})
-
-
-# metric -> (settings, corpus) -> report
+# metric -> (args, corpus) -> report
 _CORPUS_METRICS = {
-    "g_vendi": lambda st, corpus: g_vendi(*_gradient_from(st), corpus),
-    "embedding_vendi": lambda st, corpus: embedding_vendi(corpus, **_embedding_from(st)),
-    "embedding_dissim": lambda st, corpus: report_from_features(
-        "embedding_dissim", embed_hashed_tfidf(corpus, **_embedding_from(st)), {}
+    "g_vendi": lambda args, corpus: g_vendi(*_gradient_from(args), corpus),
+    "embedding_vendi": lambda args, corpus: embedding_vendi(corpus, **_embedding_from(args)),
+    "embedding_dissim": lambda args, corpus: report_from_features(
+        "embedding_dissim", embed_hashed_tfidf(corpus, **_embedding_from(args)), {}
     ),
-    "ngram_entropy": _ngram_report,
-    "tag_entropy": lambda st, corpus: DiversityReport(
+    "ngram_entropy": lambda args, corpus: DiversityReport(
+        "ngram_entropy", ngram_entropy(corpus, args.order), len(corpus), {"order": args.order}
+    ),
+    "tag_entropy": lambda args, corpus: DiversityReport(
         "tag_entropy", tag_entropy(corpus), len(corpus), {}
     ),
-    "mean_nll": lambda st, corpus: DiversityReport(
-        "mean_nll", mean_nll(_proxy_from(st), corpus), len(corpus), {}
+    "mean_nll": lambda args, corpus: DiversityReport(
+        "mean_nll", mean_nll(_proxy_from(args), corpus), len(corpus), {}
     ),
 }
 # metrics that can score a stored feature matrix (--features) instead
 _FEATURE_METRICS = ("g_vendi", "embedding_vendi", "embedding_dissim")
 
 
-def cmd_diversity(settings: Settings) -> None:
-    metric = settings.require("metric", "metric").replace("-", "_")
+def cmd_diversity(args: argparse.Namespace) -> None:
+    metric = _need(args, "metric").replace("-", "_")
     if metric not in _CORPUS_METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    features_path = settings.get("features_in", "features")
-    select_path = settings.get("select", "select")
-    if features_path and metric in _FEATURE_METRICS:
-        feats = load_features(features_path)
-        if select_path:
-            feats = feats.take(_load_selection(select_path, feats.sample_ids))
-        params = {"features": os.path.basename(features_path)}
+    if args.features and metric in _FEATURE_METRICS:
+        feats = load_features(args.features)
+        if args.select:
+            feats = feats.take(_load_selection(args.select, feats.sample_ids))
+        params = {"features": os.path.basename(args.features)}
         report = report_from_features(metric, feats, params)
     else:
-        corpus_path = settings.get("input", "corpus")
-        if corpus_path is None:
+        if args.corpus is None:
             alt = "or --features" if metric in _FEATURE_METRICS else "not scorable from a feature file"
             raise ValueError(f"metric {metric} needs --corpus ({alt})")
-        corpus = ingest_jsonl(corpus_path)
-        if select_path:
-            corpus = corpus.subset(_load_selection(select_path, corpus.ids()))
-        report = _CORPUS_METRICS[metric](settings, corpus)
-    _write_text(settings.get("output", "output"), report.to_json())
+        corpus = ingest_jsonl(args.corpus)
+        if args.select:
+            corpus = corpus.subset(_load_selection(args.select, corpus.ids()))
+        report = _CORPUS_METRICS[metric](args, corpus)
+    _write_text(args.output, report.to_json())
 
 
-def cmd_cluster(settings: Settings) -> None:
-    feats = load_features(settings.require("features_in", "features"))
-    k = settings.get("k", "cluster.k", None, int)
+def cmd_cluster(args: argparse.Namespace) -> None:
+    feats = load_features(_need(args, "features"))
+    k = args.k
     if k is None:
-        fraction = settings.given(fraction=("k_fraction", "cluster.k_fraction", float))
-        k = dynamic_k(feats.rows, **fraction)
-    model = kmeans_fit(feats, k, seed=settings.get("seed", "cluster.seed", DEFAULT_CLUSTER_SEED, int))
-    _write_text(settings.get("output", "output"), model.to_json())
+        k = dynamic_k(feats.rows, **_given(args, fraction="k_fraction"))
+    _write_text(args.output, kmeans_fit(feats, k, seed=args.seed).to_json())
 
 
-def cmd_sample(settings: Settings) -> None:
-    feats = load_features(settings.require("features_in", "features"))
-    strategy = settings.require("strategy", "sample.strategy")
-    n_target = settings.require("n", "sample.n", int)
-    seed = settings.get("seed", "sample.seed", DEFAULT_SAMPLE_SEED, int)
+def cmd_sample(args: argparse.Namespace) -> None:
+    feats = load_features(_need(args, "features"))
+    strategy = _need(args, "strategy")
+    n_target = _need(args, "n")
     if strategy == "random":
-        sel = sample_random(feats, n_target, seed)
+        sel = sample_random(feats, n_target, args.seed)
     elif strategy == "higher":
-        sel = sample_higher_diversity(
-            feats, settings.require("k", "sample.k", int), n_target, seed
-        )
+        sel = sample_higher_diversity(feats, _need(args, "k"), n_target, args.seed)
     elif strategy == "lower":
         sel = sample_lower_diversity(
-            feats,
-            settings.get("seed_size", "sample.seed_size", 5, int),
-            settings.get("batch_size", "sample.batch_size", 20, int),
-            n_target,
-            settings.get("tau", "sample.tau", 0.8, float),
-            seed,
+            feats, args.seed_size, args.batch_size, n_target, args.tau, args.seed
         )
     elif strategy == "mixture":
-        parent_paths = settings.require("parents", "sample.parents")
-        if isinstance(parent_paths, str):
-            parent_paths = [p for p in parent_paths.split(",") if p]
-        parents = [_load_selection(p, feats.sample_ids) for p in parent_paths]
-        weights_raw = settings.get("weights", "sample.weights", None)
-        if weights_raw is None:
+        parents = [_load_selection(p, feats.sample_ids) for p in _need(args, "parents")]
+        if args.weights is None:
             weights = [1.0] * len(parents)
         else:
-            weights = [_number("--weights", weights_raw, w) for w in str(weights_raw).split(",") if w]
-        sel = sample_mixture(parents, weights, n_target, seed)
+            weights = [_number("--weights", args.weights, w) for w in args.weights.split(",") if w]
+        sel = sample_mixture(parents, weights, n_target, args.seed)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    ids = [feats.sample_ids[i] for i in sel]
-    _write_text(settings.get("output", "output"), json.dumps(ids))
+    _write_text(args.output, json.dumps([feats.sample_ids[i] for i in sel]))
 
 
 def _number(flag: str, value: str, part: str) -> float:
@@ -329,28 +319,19 @@ class _DirLock:
         os.unlink(self.path)
 
 
-def cmd_synthesize(settings: Settings) -> None:
-    seed_corpus = ingest_jsonl(settings.require("input", "corpus"))
-    outdir = settings.require("outdir", "outdir")
-    protected_path = settings.get("protected", "protected")
-    protected = ingest_jsonl(protected_path) if protected_path else None
+def cmd_synthesize(args: argparse.Namespace) -> None:
+    seed_corpus = ingest_jsonl(_need(args, "corpus"))
+    outdir = _need(args, "outdir")
+    protected = ingest_jsonl(args.protected) if args.protected else None
     config = SynthesisConfig(
-        iterations=settings.require("iterations", "synthesis.iterations", int),
-        gen_batch=settings.require("gen_batch", "synthesis.gen_batch", int),
-        **settings.given(
-            vote_n=("vote_n", "synthesis.vote_n", int),
-            vote_tau=("vote_tau", "synthesis.vote_tau", int),
-            k_fraction=("k_fraction", "synthesis.k_fraction", float),
-            sparse_fraction=("sparse_fraction", "synthesis.sparse_fraction", float),
-            fewshot_count=("fewshot", "synthesis.fewshot", int),
-            decontam_ngram=("ngram", "synthesis.ngram", int),
-            seed=("seed", "synthesis.seed", int),
-            max_workers=("threads", "threads", int),
-        ),
+        iterations=_need(args, "iterations"),
+        gen_batch=_need(args, "gen_batch"),
+        **_given(args, "vote_n", "vote_tau", "k_fraction", "sparse_fraction", "seed",
+                 fewshot_count="fewshot", decontam_ngram="ngram", max_workers="threads"),
     )
-    generator = _make_generator(settings.get("generator", "synthesis.generator", "recombine"))
-    solver = _make_solver(settings.get("solver", "synthesis.solver", "echo"))
-    featurizer = gradient_featurizer(*_gradient_from(settings))
+    generator = _make_generator(args.generator)
+    solver = _make_solver(args.solver)
+    featurizer = gradient_featurizer(*_gradient_from(args))
     try:
         with _DirLock(outdir):
             state = run_synthesis(
@@ -375,17 +356,15 @@ def cmd_synthesize(settings: Settings) -> None:
     )
 
 
-def cmd_decontaminate(settings: Settings) -> None:
-    corpus = ingest_jsonl(settings.require("input", "corpus"))
-    protected = ingest_jsonl(settings.require("protected", "protected"))
-    ngram = settings.get("ngram", "decontaminate.ngram", 10, int)
-    kept, flagged = decontaminate(list(corpus), protected, ngram)
-    out = settings.require("output", "output")
-    write_jsonl(Corpus(tuple(kept), name=corpus.name), out)
-    flagged_path = settings.get("flagged", "decontaminate.flagged")
-    if flagged_path:
-        write_jsonl(Corpus(tuple(flagged), name=corpus.name), flagged_path)
-    print(json.dumps({"kept": len(kept), "flagged": len(flagged), "ngram": ngram}, sort_keys=True))
+def cmd_decontaminate(args: argparse.Namespace) -> None:
+    corpus = ingest_jsonl(_need(args, "corpus"))
+    protected = ingest_jsonl(_need(args, "protected"))
+    kept, flagged = decontaminate(list(corpus), protected, args.ngram)
+    write_jsonl(Corpus(tuple(kept), name=corpus.name), _need(args, "output"))
+    if args.flagged:
+        write_jsonl(Corpus(tuple(flagged), name=corpus.name), args.flagged)
+    print(json.dumps({"kept": len(kept), "flagged": len(flagged), "ngram": args.ngram},
+                     sort_keys=True))
 
 
 def _diversity_map(path: str) -> dict[str, float]:
@@ -410,36 +389,29 @@ def _diversity_map(path: str) -> dict[str, float]:
     return out
 
 
-def cmd_evaluate(settings: Settings) -> None:
-    table = AccuracyTable.from_csv(
-        settings.require("table", "evaluate.table"),
-        settings.require("reference", "evaluate.reference"),
-    )
+def cmd_evaluate(args: argparse.Namespace) -> None:
+    table = AccuracyTable.from_csv(_need(args, "table"), _need(args, "reference"))
     result: dict = {
         "reference": table.reference_model,
         "perf": {m: relative_perf(table, m) for m in table.models},
     }
-    diversity_path = settings.get("diversity", "evaluate.diversity")
-    if diversity_path:
-        dmap = _diversity_map(diversity_path)
+    if args.diversity:
+        dmap = _diversity_map(args.diversity)
         pairs = [(dmap[m], result["perf"][m]) for m in table.models if m in dmap]
         if len(pairs) < 3:
             raise ValueError("need diversity values for at least 3 models")
         report = correlation_study(pairs)
         result["correlation"] = json.loads(report.to_json())
-    _write_text(settings.get("output", "output"), json.dumps(result, sort_keys=True))
+    _write_text(args.output, json.dumps(result, sort_keys=True))
 
 
-def cmd_report(settings: Settings) -> None:
-    table = AccuracyTable.from_csv(
-        settings.require("table", "evaluate.table"),
-        settings.require("reference", "evaluate.reference"),
-    )
-    dmap = _diversity_map(settings.require("diversity", "evaluate.diversity"))
+def cmd_report(args: argparse.Namespace) -> None:
+    table = AccuracyTable.from_csv(_need(args, "table"), _need(args, "reference"))
+    dmap = _diversity_map(_need(args, "diversity"))
     rows = sorted((dmap[m], relative_perf(table, m), m) for m in table.models if m in dmap)
     lines = ["diversity\tperf\tmodel"]
     lines += [f"{d!r}\t{p!r}\t{m}" for d, p, m in rows]
-    _write_text(settings.get("output", "output"), "\n".join(lines))
+    _write_text(args.output, "\n".join(lines))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,106 +420,108 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gradient-entropy diversity metrics and diversity-targeted synthesis.",
     )
     parser.add_argument("--config", help=f"config file (default: ${CONFIG_ENV})")
-    parser.add_argument("--threads", type=int, help="max request parallelism (synthesize)")
+    parser.set_defaults(keyed={})
+    _opt(parser, "--threads", "threads", int, help="max request parallelism (synthesize)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+        # each command's table starts with the top-level keyed options
+        p.set_defaults(fn=fn, keyed=dict(parser.get_default("keyed")))
         return p
 
     p = add("ingest", cmd_ingest, help="normalize a JSONL corpus (assign ids, dedup)")
-    p.add_argument("--input", help="input JSONL corpus")
-    p.add_argument("--output", help="normalized JSONL output")
+    _opt(p, "--input", "corpus", help="input JSONL corpus")
+    _opt(p, "--output", "output", help="normalized JSONL output")
 
     p = add("featurize", cmd_featurize, help="corpus -> binary feature matrix")
-    p.add_argument("--input", help="input JSONL corpus")
-    p.add_argument("--output", help="feature file to write")
-    p.add_argument("--featurizer", choices=["gradient", "embedding"])
+    _opt(p, "--input", "corpus", help="input JSONL corpus")
+    _opt(p, "--output", "features", help="feature file to write")
+    _opt(p, "--featurizer", "featurizer", default="gradient", choices=["gradient", "embedding"])
     _add_proxy_flags(p)
     _add_embedding_flags(p)
 
     p = add("diversity", cmd_diversity, help="compute a diversity metric")
-    p.add_argument("--metric", choices=[m.replace("_", "-") for m in _CORPUS_METRICS])
-    p.add_argument("--corpus", dest="input")
-    p.add_argument("--features", dest="features_in")
-    p.add_argument("--select", help="id-list JSON restricting the metric to a subset")
-    p.add_argument("--order", type=int, help="n-gram order (ngram-entropy)")
-    p.add_argument("--output")
+    _opt(p, "--metric", "metric", choices=[m.replace("_", "-") for m in _CORPUS_METRICS])
+    _opt(p, "--corpus", "corpus")
+    _opt(p, "--features", "features")
+    _opt(p, "--select", "select", help="id-list JSON restricting the metric to a subset")
+    _opt(p, "--order", "ngram.order", int, 2, help="n-gram order (ngram-entropy)")
+    _opt(p, "--output", "output")
     _add_proxy_flags(p)
     _add_embedding_flags(p)
 
     p = add("cluster", cmd_cluster, help="k-means over a feature matrix")
-    p.add_argument("--features", dest="features_in")
-    p.add_argument("--k", type=int)
-    p.add_argument("--k-fraction", dest="k_fraction", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output")
+    _opt(p, "--features", "features")
+    _opt(p, "--k", "cluster.k", int)
+    _opt(p, "--k-fraction", "cluster.k_fraction", float)
+    _opt(p, "--seed", "cluster.seed", int, 707)
+    _opt(p, "--output", "output")
 
     p = add("sample", cmd_sample, help="select a subset of rows")
-    p.add_argument("--features", dest="features_in")
-    p.add_argument("--strategy", choices=["random", "higher", "lower", "mixture"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int, help="clusters (higher)")
-    p.add_argument("--seed-size", dest="seed_size", type=int, help="initial members (lower)")
-    p.add_argument("--batch-size", dest="batch_size", type=int, help="growth batch (lower)")
-    p.add_argument("--tau", type=float, help="similarity threshold (lower)")
-    p.add_argument("--parents", nargs="+", help="parent id-list JSON files (mixture)")
-    p.add_argument("--weights", help="comma-separated parent weights (mixture)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output")
+    _opt(p, "--features", "features")
+    _opt(p, "--strategy", "sample.strategy", choices=["random", "higher", "lower", "mixture"])
+    _opt(p, "--n", "sample.n", int)
+    _opt(p, "--k", "sample.k", int, help="clusters (higher)")
+    _opt(p, "--seed-size", "sample.seed_size", int, 5, help="initial members (lower)")
+    _opt(p, "--batch-size", "sample.batch_size", int, 20, help="growth batch (lower)")
+    _opt(p, "--tau", "sample.tau", float, 0.8, help="similarity threshold (lower)")
+    _opt(p, "--parents", "sample.parents", nargs="+", help="parent id-list JSON files (mixture)")
+    _opt(p, "--weights", "sample.weights", help="comma-separated parent weights (mixture)")
+    _opt(p, "--seed", "sample.seed", int, 505)
+    _opt(p, "--output", "output")
 
     p = add("synthesize", cmd_synthesize, help="run the cluster-and-filter growth loop")
-    p.add_argument("--corpus", dest="input")
-    p.add_argument("--outdir")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--gen-batch", dest="gen_batch", type=int)
-    p.add_argument("--vote-n", dest="vote_n", type=int)
-    p.add_argument("--vote-tau", dest="vote_tau", type=int)
-    p.add_argument("--k-fraction", dest="k_fraction", type=float)
-    p.add_argument("--sparse-fraction", dest="sparse_fraction", type=float)
-    p.add_argument("--fewshot", type=int)
-    p.add_argument("--ngram", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--generator", help="recombine | cmd:<argv> | http(s)://...")
-    p.add_argument("--solver", help="echo[:rate] | cmd:<argv> | http(s)://...")
-    p.add_argument("--protected", help="JSONL corpus to decontaminate against")
+    _opt(p, "--corpus", "corpus")
+    _opt(p, "--outdir", "outdir")
+    _opt(p, "--iterations", "synthesis.iterations", int)
+    _opt(p, "--gen-batch", "synthesis.gen_batch", int)
+    _opt(p, "--vote-n", "synthesis.vote_n", int)
+    _opt(p, "--vote-tau", "synthesis.vote_tau", int)
+    _opt(p, "--k-fraction", "synthesis.k_fraction", float)
+    _opt(p, "--sparse-fraction", "synthesis.sparse_fraction", float)
+    _opt(p, "--fewshot", "synthesis.fewshot", int)
+    _opt(p, "--ngram", "synthesis.ngram", int)
+    _opt(p, "--seed", "synthesis.seed", int)
+    _opt(p, "--generator", "synthesis.generator", default="recombine",
+         help="recombine | cmd:<argv> | http(s)://...")
+    _opt(p, "--solver", "synthesis.solver", default="echo",
+         help="echo[:rate] | cmd:<argv> | http(s)://...")
+    _opt(p, "--protected", "protected", help="JSONL corpus to decontaminate against")
     _add_proxy_flags(p)
 
     p = add("decontaminate", cmd_decontaminate, help="drop samples overlapping a protected set")
-    p.add_argument("--corpus", dest="input")
-    p.add_argument("--protected")
-    p.add_argument("--ngram", type=int)
-    p.add_argument("--output")
-    p.add_argument("--flagged", help="also write flagged samples here")
+    _opt(p, "--corpus", "corpus")
+    _opt(p, "--protected", "protected")
+    _opt(p, "--ngram", "decontaminate.ngram", int, 10)
+    _opt(p, "--output", "output")
+    _opt(p, "--flagged", "decontaminate.flagged", help="also write flagged samples here")
 
-    p = add("evaluate", cmd_evaluate, help="relative performance and correlations from CSV")
-    p.add_argument("--table", help="accuracy CSV: model,<benchmark>,...")
-    p.add_argument("--reference", help="reference model name")
-    p.add_argument("--diversity", help="CSV model,diversity for correlation")
-    p.add_argument("--output")
-
-    p = add("report", cmd_report, help="tab-separated (diversity, perf) table")
-    p.add_argument("--table")
-    p.add_argument("--reference")
-    p.add_argument("--diversity")
-    p.add_argument("--output")
+    for name, fn, text in (
+        ("evaluate", cmd_evaluate, "relative performance and correlations from CSV"),
+        ("report", cmd_report, "tab-separated (diversity, perf) table"),
+    ):
+        p = add(name, fn, help=text)
+        _opt(p, "--table", "evaluate.table", help="accuracy CSV: model,<benchmark>,...")
+        _opt(p, "--reference", "evaluate.reference", help="reference model name")
+        _opt(p, "--diversity", "evaluate.diversity", help="CSV model,diversity")
+        _opt(p, "--output", "output")
 
     return parser
 
 
 def _add_proxy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--hash-seed", dest="hash_seed", type=int)
-    p.add_argument("--weight-seed", dest="weight_seed", type=int)
-    p.add_argument("--proj-dim", dest="proj_dim", type=int)
-    p.add_argument("--proj-seed", dest="proj_seed", type=int)
+    _opt(p, "--vocab-size", "proxy.vocab_size", int)
+    _opt(p, "--feature-dim", "proxy.feature_dim", int)
+    _opt(p, "--hash-seed", "proxy.hash_seed", int)
+    _opt(p, "--weight-seed", "proxy.weight_seed", int)
+    _opt(p, "--proj-dim", "projection.dim", int)
+    _opt(p, "--proj-seed", "projection.seed", int)
 
 
 def _add_embedding_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--embed-seed", dest="embed_seed", type=int)
+    _opt(p, "--embed-dim", "embedding.dim", int)
+    _opt(p, "--embed-seed", "embedding.seed", int)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -555,8 +529,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     config_path = args.config or os.environ.get(CONFIG_ENV)
     try:
-        config = parse_config(config_path) if config_path else {}
-        args.fn(Settings(args, config))
+        _resolve(args, parse_config(config_path) if config_path else {})
+        args.fn(args)
     except (ValueError, OSError, KeyError, EndpointError) as e:
         msg = str(e).replace("\n", " ")
         print(f"error: {type(e).__name__}: {msg}", file=sys.stderr)

@@ -9,7 +9,7 @@ loop preferentially fills the underrepresented regions of gradient space.
 
 Generators and solvers are pluggable: in-process built-ins for testing
 (RecombinationGenerator, EchoSolver), child processes speaking
-newline-delimited JSON over stdio, or HTTP targets receiving the same
+newline-delimited UTF-8 JSON over stdio, or HTTP targets receiving the same
 objects via POST. Wire protocol:
 
     {"type": "generate", "exemplars": [sample...], "count": n, "seed": s}
@@ -20,6 +20,7 @@ objects via POST. Wire protocol:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import shlex
@@ -203,7 +204,7 @@ class JsonLinesProcess:
                 self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
+                encoding="utf-8",
                 bufsize=1,
             )
         return self._proc
@@ -215,7 +216,7 @@ class JsonLinesProcess:
                 proc.stdin.write(json.dumps(obj, ensure_ascii=False) + "\n")
                 proc.stdin.flush()
                 line = proc.stdout.readline()
-            except (BrokenPipeError, OSError) as e:
+            except (OSError, UnicodeDecodeError) as e:  # a non-UTF-8 line spoils the decoder
                 self._drop()
                 raise EndpointError(f"worker pipe failed: {e}") from e
             if not line:
@@ -281,7 +282,7 @@ class HttpJson:
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 payload = resp.read()
-        except OSError as e:
+        except (OSError, http.client.HTTPException) as e:
             raise EndpointError(f"http request to {self.url} failed: {e}") from e
         try:
             out = json.loads(payload)

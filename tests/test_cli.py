@@ -194,6 +194,27 @@ def test_synthesize_bad_echo_rate_names_flag(toy, capsys):
     assert capsys.readouterr().err == "error: ValueError: --solver 'echo:x': 'x' is not a number\n"
 
 
+@pytest.mark.parametrize(
+    "argv, key, flag",
+    [
+        (["cluster", "--k", "2"], "features", "--features"),
+        (["sample", "--strategy", "random", "--n", "5"], "features", "--features"),
+        (["synthesize", "--outdir", "{tmp}/run", "--iterations", "1", "--gen-batch", "1"],
+         "corpus", "--corpus"),
+        (["decontaminate", "--protected", "{pool}", "--output", "{tmp}/kept.jsonl"],
+         "corpus", "--corpus"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_missing_setting_names_the_real_flag(toy, capsys, monkeypatch, argv, key, flag):
+    tmp_path, pool = toy
+    monkeypatch.delenv("GVENDI_CONFIG", raising=False)
+    assert run_cli(*(a.format(tmp=tmp_path, pool=pool) for a in argv)) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: missing required setting {key!r} (flag {flag})\n"
+    )
+
+
 def test_diversity_select_subset(toy, capsys):
     tmp_path, pool = toy
     feats = str(tmp_path / "pool.gvfm")

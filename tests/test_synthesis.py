@@ -1,6 +1,8 @@
+import contextlib
 import gc
 import http.server
 import json
+import socketserver
 import sys
 import threading
 import textwrap
@@ -482,6 +484,21 @@ def test_solver_length_mismatch_rejected(tmp_path):
         solver.close()
 
 
+def test_process_non_utf8_line_counts_as_failure(tmp_path, small_pool):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    sys.stdout.buffer.write(b'\\xff\\xfe{}\\n')\n"
+        "    sys.stdout.buffer.flush()\n"
+    )
+    gen = RemoteEndpoint(JsonLinesProcess([sys.executable, str(bad)]))
+    try:
+        assert generate_candidates(gen, small_pool, 3, 2, rng_seed=2) == ([], 2)
+    finally:
+        gen.close()
+
+
 @pytest.mark.parametrize("script", [WORKER, "import sys; sys.exit(0)\n"],
                          ids=["close-live-worker", "drop-exited-worker"])
 def test_process_transport_releases_pipes(tmp_path, script):
@@ -546,3 +563,42 @@ def test_http_connection_refused_is_endpoint_error():
     gen = RemoteEndpoint(HttpJson("http://127.0.0.1:9/", timeout=0.5))
     with pytest.raises(EndpointError):
         gen.generate([Sample(id="a", input="x", output="")], 1, seed=1)
+
+
+class _RawReply(socketserver.StreamRequestHandler):
+    """Reads one HTTP request and answers with the server's raw `reply` bytes."""
+
+    def handle(self):
+        length = 0
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            if line.lower().startswith(b"content-length:"):
+                length = int(line.split(b":", 1)[1])
+        self.rfile.read(length)
+        self.wfile.write(self.server.reply)
+
+
+@contextlib.contextmanager
+def _raw_http_server(reply: bytes):
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _RawReply)
+    server.daemon_threads = True
+    server.reply = reply
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [b"garbage\r\n\r\n", b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}"],
+    ids=["bad-status-line", "incomplete-read"],
+)
+def test_http_non_http_reply_is_endpoint_error(reply, small_pool):
+    with _raw_http_server(reply) as url:
+        gen = RemoteEndpoint(HttpJson(url, timeout=5.0))
+        with pytest.raises(EndpointError, match="failed"):
+            gen.generate(list(small_pool)[:1], 1, seed=1)
+        assert generate_candidates(gen, small_pool, 3, 2, rng_seed=2, max_attempts=2) == ([], 2)
