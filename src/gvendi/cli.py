@@ -5,7 +5,8 @@ documented defaults, flags override config-file keys which override
 defaults, and no command reads the clock. Config files are flat
 `key = value` text; the GVENDI_CONFIG environment variable names a default
 config path. Each option is declared once (`_opt`) with its flag, config
-key, type and CLI default; `gvendi <command> --help` lists them.
+key, type and either a CLI default or the library parameter whose default
+applies; `gvendi <command> --help` lists them.
 
 Exit codes: 0 success, 1 runtime failure (one-line `error: ...` on stderr),
 2 usage errors.
@@ -14,6 +15,7 @@ Exit codes: 0 success, 1 runtime failure (one-line `error: ...` on stderr),
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -78,18 +80,27 @@ class _Keyed(NamedTuple):
     type: Callable[[str], object]
     default: object  # None: no CLI default (required, or the library default applies)
     many: bool  # a multi-valued flag; its config value is comma-separated
+    library: tuple[Callable, str] | None  # (callable, parameter) the value is passed to
 
 
 def _opt(p: argparse.ArgumentParser, flag: str, key: str, type=str, default=None,
-         help: str | None = None, **kwargs) -> None:
+         help: str | None = None, library: tuple[Callable, str] | None = None,
+         **kwargs) -> None:
     """Declare option `flag` with its config key, type and CLI default.
 
     The flag beats config key `key`, which beats `default` (see `_resolve`).
+    An option with `library` = (callable, parameter) has no CLI default: it
+    is passed as that keyword argument when set (see `_given`), and its help
+    shows the default from the callable's signature.
     """
-    shown = f"config: {key}" if default is None else f"config: {key}; default: {default}"
+    shown = default
+    if library is not None:
+        shown = inspect.signature(library[0]).parameters[library[1]].default
+    shown = f"config: {key}" if shown is None else f"config: {key}; default: {shown}"
     action = p.add_argument(flag, type=type, help=f"{help} [{shown}]" if help else f"[{shown}]",
                             **kwargs)
-    p.get_default("keyed")[action.dest] = _Keyed(flag, key, type, default, action.nargs == "+")
+    p.get_default("keyed")[action.dest] = _Keyed(flag, key, type, default, action.nargs == "+",
+                                                  library)
 
 
 def _resolve(args: argparse.Namespace, config: dict[str, str]) -> None:
@@ -119,27 +130,27 @@ def _need(args: argparse.Namespace, dest: str):
     return value
 
 
-def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
-    """Keyword arguments for the options a flag or config key set. Each name
-    is both parameter and option; `renamed` maps parameter -> option."""
-    dests = {**dict(zip(names, names)), **renamed}
-    return {p: getattr(args, d) for p, d in dests.items() if getattr(args, d) is not None}
+def _given(args: argparse.Namespace, fn: Callable) -> dict:
+    """Keyword arguments for `fn` from the options declared with it as their
+    library callable that a flag or config key set."""
+    return {
+        opt.library[1]: getattr(args, dest)
+        for dest, opt in args.keyed.items()
+        if opt.library is not None and opt.library[0] == fn and getattr(args, dest) is not None
+    }
 
 
 def _proxy_from(args: argparse.Namespace) -> ProxyModel:
-    return ProxyModel.create(
-        **_given(args, "vocab_size", "feature_dim", "hash_seed", "weight_seed")
-    )
+    return ProxyModel.create(**_given(args, ProxyModel.create))
 
 
 def _gradient_from(args: argparse.Namespace) -> tuple[ProxyModel, ProjectionSpec]:
     model = _proxy_from(args)
-    return model, ProjectionSpec(model.n_params, **_given(args, target_dim="proj_dim",
-                                                          seed="proj_seed"))
+    return model, ProjectionSpec(model.n_params, **_given(args, ProjectionSpec))
 
 
 def _embedding_from(args: argparse.Namespace) -> dict:
-    return _given(args, dim="embed_dim", seed="embed_seed")
+    return _given(args, embed_hashed_tfidf)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -230,7 +241,7 @@ def cmd_cluster(args: argparse.Namespace) -> None:
     feats = load_features(_need(args, "features"))
     k = args.k
     if k is None:
-        k = dynamic_k(feats.rows, **_given(args, fraction="k_fraction"))
+        k = dynamic_k(feats.rows, **_given(args, dynamic_k))
     _write_text(args.output, kmeans_fit(feats, k, seed=args.seed).to_json())
 
 
@@ -326,8 +337,7 @@ def cmd_synthesize(args: argparse.Namespace) -> None:
     config = SynthesisConfig(
         iterations=_need(args, "iterations"),
         gen_batch=_need(args, "gen_batch"),
-        **_given(args, "vote_n", "vote_tau", "k_fraction", "sparse_fraction", "seed",
-                 fewshot_count="fewshot", decontam_ngram="ngram", max_workers="threads"),
+        **_given(args, SynthesisConfig),
     )
     generator = _make_generator(args.generator)
     solver = _make_solver(args.solver)
@@ -421,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help=f"config file (default: ${CONFIG_ENV})")
     parser.set_defaults(keyed={})
-    _opt(parser, "--threads", "threads", int, help="max request parallelism (synthesize)")
+    _opt(parser, "--threads", "threads", int, help="max request parallelism (synthesize)",
+         library=(SynthesisConfig, "max_workers"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -454,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cluster", cmd_cluster, help="k-means over a feature matrix")
     _opt(p, "--features", "features")
     _opt(p, "--k", "cluster.k", int)
-    _opt(p, "--k-fraction", "cluster.k_fraction", float)
+    _opt(p, "--k-fraction", "cluster.k_fraction", float, library=(dynamic_k, "fraction"))
     _opt(p, "--seed", "cluster.seed", int, 707)
     _opt(p, "--output", "output")
 
@@ -476,13 +487,15 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(p, "--outdir", "outdir")
     _opt(p, "--iterations", "synthesis.iterations", int)
     _opt(p, "--gen-batch", "synthesis.gen_batch", int)
-    _opt(p, "--vote-n", "synthesis.vote_n", int)
-    _opt(p, "--vote-tau", "synthesis.vote_tau", int)
-    _opt(p, "--k-fraction", "synthesis.k_fraction", float)
-    _opt(p, "--sparse-fraction", "synthesis.sparse_fraction", float)
-    _opt(p, "--fewshot", "synthesis.fewshot", int)
-    _opt(p, "--ngram", "synthesis.ngram", int)
-    _opt(p, "--seed", "synthesis.seed", int)
+    cfg = SynthesisConfig
+    _opt(p, "--vote-n", "synthesis.vote_n", int, library=(cfg, "vote_n"))
+    _opt(p, "--vote-tau", "synthesis.vote_tau", int, library=(cfg, "vote_tau"))
+    _opt(p, "--k-fraction", "synthesis.k_fraction", float, library=(cfg, "k_fraction"))
+    _opt(p, "--sparse-fraction", "synthesis.sparse_fraction", float,
+         library=(cfg, "sparse_fraction"))
+    _opt(p, "--fewshot", "synthesis.fewshot", int, library=(cfg, "fewshot_count"))
+    _opt(p, "--ngram", "synthesis.ngram", int, library=(cfg, "decontam_ngram"))
+    _opt(p, "--seed", "synthesis.seed", int, library=(cfg, "seed"))
     _opt(p, "--generator", "synthesis.generator", default="recombine",
          help="recombine | cmd:<argv> | http(s)://...")
     _opt(p, "--solver", "synthesis.solver", default="echo",
@@ -511,17 +524,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_proxy_flags(p: argparse.ArgumentParser) -> None:
-    _opt(p, "--vocab-size", "proxy.vocab_size", int)
-    _opt(p, "--feature-dim", "proxy.feature_dim", int)
-    _opt(p, "--hash-seed", "proxy.hash_seed", int)
-    _opt(p, "--weight-seed", "proxy.weight_seed", int)
-    _opt(p, "--proj-dim", "projection.dim", int)
-    _opt(p, "--proj-seed", "projection.seed", int)
+    create = ProxyModel.create
+    _opt(p, "--vocab-size", "proxy.vocab_size", int, library=(create, "vocab_size"))
+    _opt(p, "--feature-dim", "proxy.feature_dim", int, library=(create, "feature_dim"))
+    _opt(p, "--hash-seed", "proxy.hash_seed", int, library=(create, "hash_seed"))
+    _opt(p, "--weight-seed", "proxy.weight_seed", int, library=(create, "weight_seed"))
+    _opt(p, "--proj-dim", "projection.dim", int, library=(ProjectionSpec, "target_dim"))
+    _opt(p, "--proj-seed", "projection.seed", int, library=(ProjectionSpec, "seed"))
 
 
 def _add_embedding_flags(p: argparse.ArgumentParser) -> None:
-    _opt(p, "--embed-dim", "embedding.dim", int)
-    _opt(p, "--embed-seed", "embedding.seed", int)
+    _opt(p, "--embed-dim", "embedding.dim", int, library=(embed_hashed_tfidf, "dim"))
+    _opt(p, "--embed-seed", "embedding.seed", int, library=(embed_hashed_tfidf, "seed"))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ _CTX_START = 0x02  # prepended so every context yields at least one bigram
 _CTX_SEP = 0x1E  # record separator between input and output prefix
 
 _PROJECT_BLOCK_ROWS = 8192
+_CHUNK_ROWS = 128  # samples per featurize chunk; its logits outweigh its gradient rows
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,9 @@ class ProxyModel:
 class ProjectionSpec:
     """Sign (+-1) random projection from gradient space down to `target_dim`.
 
-    Entries are a pure function of (seed, row, column); no matrix is stored.
+    Entries are a pure function of (seed, row, column) and nothing is
+    stored between calls: `project` generates the matrix block by block,
+    `featurize` builds it whole once per call.
     """
 
     source_dim: int
@@ -124,8 +128,11 @@ def _context_features(model: ProxyModel, sample: Sample) -> tuple[np.ndarray, np
     """
     if not sample.output:
         raise ValueError(f"sample {sample.id!r}: output is empty, no target tokens")
-    x = sample.input.encode("utf-8")
-    y = sample.output.encode("utf-8")
+    try:
+        x = sample.input.encode("utf-8")
+        y = sample.output.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise ValueError(f"sample {sample.id!r}: {e}") from None
     targets = np.frombuffer(y, dtype=np.uint8).astype(np.int64)
     if targets.max() >= model.vocab_size:
         raise ValueError(
@@ -149,10 +156,49 @@ def _context_features(model: ProxyModel, sample: Sample) -> tuple[np.ndarray, np
     return counts / norms[:, None], targets
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _gradient_rows(model: ProxyModel, samples: Sequence[Sample], out: np.ndarray,
+                   unit: bool) -> None:
+    """Write each sample's flattened loss gradient into the matching row of `out`.
+
+    One logits GEMM covers every token of `samples`; each sample's gradient
+    is then its own (softmax - onehot)^T @ phi product, written straight
+    into its row. With `unit` each nonzero row is divided by its norm while
+    it is still in cache. Errors name the first failing sample in order,
+    even when a later one fails at an earlier stage.
+    """
+    contexts = []
+    pending = None
+    for sample in samples:
+        try:
+            contexts.append(_context_features(model, sample))
+        except ValueError as e:
+            pending = e  # raised once the samples before it have passed
+            break
+    if contexts:
+        phi = np.concatenate([c[0] for c in contexts])
+        probs = phi @ model.weights.T
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        start = 0
+        for i, (_, targets) in enumerate(contexts):
+            stop = start + len(targets)
+            delta = probs[start:stop]
+            delta[np.arange(len(targets)), targets] -= 1.0
+            row = out[i]
+            np.matmul(delta.T, phi[start:stop],
+                      out=row.reshape(model.vocab_size, model.feature_dim))
+            if not np.all(np.isfinite(row)):
+                raise ValueError(
+                    f"sample {samples[i].id!r}: non-finite gradient (corrupt weights?)"
+                )
+            if unit:
+                norm = np.linalg.norm(row)
+                if norm > 0.0:
+                    row /= norm
+            start = stop
+    if pending is not None:
+        raise pending
 
 
 def loss_gradient(model: ProxyModel, sample: Sample) -> np.ndarray:
@@ -160,15 +206,12 @@ def loss_gradient(model: ProxyModel, sample: Sample) -> np.ndarray:
 
     Summed over target tokens, flattened row-major to a vector of length
     vocab_size * feature_dim. Matches central finite differences of
-    sample_nll to relative error <= 1e-4.
+    sample_nll to relative error <= 1e-4. The same kernel as `featurize`,
+    run on one sample and left un-normalised.
     """
-    phi, targets = _context_features(model, sample)
-    probs = _softmax_rows(phi @ model.weights.T)
-    probs[np.arange(len(targets)), targets] -= 1.0
-    grad = probs.T @ phi
-    if not np.all(np.isfinite(grad)):
-        raise ValueError(f"sample {sample.id!r}: non-finite gradient (corrupt weights?)")
-    return grad.reshape(-1)
+    out = np.empty((1, model.n_params), dtype=np.float64)
+    _gradient_rows(model, (sample,), out, unit=False)
+    return out[0]
 
 
 def sample_nll(model: ProxyModel, sample: Sample) -> tuple[float, int]:
@@ -180,23 +223,52 @@ def sample_nll(model: ProxyModel, sample: Sample) -> tuple[float, int]:
     return float(-log_probs[np.arange(len(targets)), targets].sum()), len(targets)
 
 
+def _project(sign_rows: Callable[[int, int], np.ndarray], vecs: np.ndarray,
+             target_dim: int) -> np.ndarray:
+    """vecs @ S for the target_dim-column sign matrix S; sign_rows(start, stop)
+    gives rows [start, stop) of S.
+
+    Adds one product per _PROJECT_BLOCK_ROWS rows of S, in row order, to a
+    zero-initialised float64 result, so a zero row stays exactly +0.0.
+    """
+    out = np.zeros((vecs.shape[0], target_dim), dtype=np.float64)
+    for start in range(0, vecs.shape[1], _PROJECT_BLOCK_ROWS):
+        stop = min(start + _PROJECT_BLOCK_ROWS, vecs.shape[1])
+        out += vecs[:, start:stop] @ sign_rows(start, stop)
+    return out
+
+
 def project(spec: ProjectionSpec, vectors: np.ndarray) -> np.ndarray:
     """Apply the sign projection to vectors given as rows; linear, float64.
 
-    Streams the sign matrix in row blocks so the full source_dim x target_dim
-    matrix never exists in memory.
+    Generates the sign matrix one block of _PROJECT_BLOCK_ROWS rows at a
+    time, so any source_dim fits in memory; `featurize` sums in the same
+    block order over a matrix it builds once per call, a chunk of rows at a
+    time. A row's result does not depend on the other rows passed with it,
+    except that a single row takes the BLAS matrix-vector path, whose low
+    bits can differ; that is why `featurize` never projects a 1-row chunk
+    of a longer corpus.
     """
     vecs = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     if vecs.shape[1] != spec.source_dim:
         raise ValueError(
             f"vector dimension {vecs.shape[1]} != projection source_dim {spec.source_dim}"
         )
-    out = np.zeros((vecs.shape[0], spec.target_dim), dtype=np.float64)
-    for start in range(0, spec.source_dim, _PROJECT_BLOCK_ROWS):
-        stop = min(start + _PROJECT_BLOCK_ROWS, spec.source_dim)
-        signs = sign_block(spec.seed, start, stop, spec.target_dim)
-        out += vecs[:, start:stop] @ signs
-    return out
+    return _project(lambda start, stop: sign_block(spec.seed, start, stop, spec.target_dim),
+                    vecs, spec.target_dim)
+
+
+def _chunk_bounds(n: int) -> list[int]:
+    """Chunk boundaries [0, ..., n] of at most _CHUNK_ROWS rows, no 1-row tail.
+
+    A 1-row product takes the BLAS matrix-vector path, whose low bits differ
+    from the matrix-matrix path every other row takes, so a 1-row tail is
+    folded into the chunk before it. Only a 1-row corpus has a 1-row chunk.
+    """
+    bounds = list(range(0, n, _CHUNK_ROWS)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds
 
 
 def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> FeatureMatrix:
@@ -204,27 +276,35 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
 
     Zero-gradient samples map to the zero row (flagged degenerate) rather
     than being dropped, keeping row/id alignment intact.
+
+    The corpus streams through in chunks of _CHUNK_ROWS samples (a 1-row
+    tail joins the chunk before it): gradients for one chunk, normalised,
+    projected and normalised again, land as float32 rows in the output. The
+    sign matrix is built once per call (source_dim x target_dim float64,
+    128 MB at the defaults), so memory is flat in the corpus size apart from
+    the output itself.
     """
     if proj.source_dim != model.n_params:
         raise ValueError(
             f"projection source_dim {proj.source_dim} != model parameter count "
             f"{model.n_params}"
         )
-    grads = np.zeros((len(corpus), model.n_params), dtype=np.float64)
-    for i, sample in enumerate(corpus):
-        try:
-            g = loss_gradient(model, sample)
-        except ValueError as e:
-            raise ValueError(f"featurize failed on sample {sample.id!r}: {e}") from e
-        norm = np.linalg.norm(g)
-        if norm > 0.0:
-            grads[i] = g / norm
-    # a zero gradient row projects to exactly +0.0 and stays zero
-    projected = project(proj, grads)
-    norms = np.linalg.norm(projected, axis=1)
-    projected /= np.where(norms == 0.0, 1.0, norms)[:, None]
+    bounds = _chunk_bounds(len(corpus))
+    chunks = list(zip(bounds, bounds[1:]))
+    signs = sign_block(proj.seed, 0, proj.source_dim, proj.target_dim)
+    grads = np.empty((max((b - a for a, b in chunks), default=0), model.n_params),
+                     dtype=np.float64)
+    out = np.empty((len(corpus), proj.target_dim), dtype=np.float32)
+    for start, stop in chunks:
+        rows = grads[: stop - start]
+        _gradient_rows(model, corpus.samples[start:stop], rows, unit=True)
+        # a zero gradient row projects to exactly +0.0 and stays zero
+        projected = _project(lambda a, b: signs[a:b], rows, proj.target_dim)
+        norms = np.linalg.norm(projected, axis=1)
+        projected /= np.where(norms == 0.0, 1.0, norms)[:, None]
+        out[start:stop] = projected
     return FeatureMatrix(
-        projected.astype(np.float32),
+        out,
         tuple(corpus.ids()),
         Provenance("proxy_gradient", fingerprint=model.fingerprint(), seed=proj.seed),
     )

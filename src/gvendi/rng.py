@@ -61,8 +61,10 @@ def sign_block(seed: int, row_start: int, row_stop: int, dim: int) -> np.ndarray
     """Rows [row_start, row_stop) of a {-1,+1} matrix with `dim` columns.
 
     Entry (i, j) is a pure function of (seed, i, j): bit (j mod 64) of the
-    splitmix64 word at coordinate (i, j // 64). The full matrix is never
-    stored; any block is reproducible on demand.
+    splitmix64 word at coordinate (i, j // 64), so any block is reproducible
+    on demand. `proxy.project` asks for blocks of rows; `proxy.featurize`
+    asks for the whole matrix once per call. The float64 result is built in
+    place, so its temporaries are about an eighth of its size.
     """
     n_rows = row_stop - row_start
     n_words = (dim + 63) // 64
@@ -74,4 +76,7 @@ def sign_block(seed: int, row_start: int, row_stop: int, dim: int) -> np.ndarray
         words = _splitmix64(row_h[:, None] ^ ((cols[None, :] + np.uint64(1)) * _MIX1))
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")
     bits = bits.reshape(n_rows, n_words * 64)[:, :dim]
-    return bits.astype(np.float64) * 2.0 - 1.0
+    signs = bits.astype(np.float64)
+    signs *= 2.0
+    signs -= 1.0
+    return signs

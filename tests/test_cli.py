@@ -215,6 +215,15 @@ def test_missing_setting_names_the_real_flag(toy, capsys, monkeypatch, argv, key
     )
 
 
+def test_help_shows_library_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["featurize", "--help"])
+    # argparse wraps help text; compare it with the wrapping undone
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--feature-dim FEATURE_DIM [config: proxy.feature_dim; default: 64]" in text
+    assert "--proj-dim PROJ_DIM [config: projection.dim; default: 1024]" in text
+
+
 def test_diversity_select_subset(toy, capsys):
     tmp_path, pool = toy
     feats = str(tmp_path / "pool.gvfm")

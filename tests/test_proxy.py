@@ -20,7 +20,9 @@ from gvendi import (
     store_features,
     template_corpus,
 )
-from gvendi.rng import rng_from
+from gvendi import proxy
+from gvendi.proxy import _context_features
+from gvendi.rng import _MIX1, _STREAM_SALT, _splitmix64, mix64, rng_from, sign_block
 
 
 def finite_difference_gradient(model, sample, h=1e-4):
@@ -144,6 +146,111 @@ def test_featurize_error_names_sample():
     corpus = Corpus((Sample(id="bad-one", input="x", output=""),), name="t")
     with pytest.raises(ValueError, match="bad-one"):
         featurize(model, proj, corpus)
+
+
+EMPTY = "output is empty, no target tokens"
+NON_FINITE = "non-finite gradient (corrupt weights?)"
+
+
+@pytest.mark.parametrize(
+    "samples, weight, message",
+    [
+        ([("a", "x", "ok"), ("bad", "x", "")], 0.01, f"sample 'bad': {EMPTY}"),
+        ([("a", "x", "ok"), ("v", "x", "\u00ff")], 0.01,
+         "sample 'v': output byte 195 outside vocab of size 128"),
+        ([("u", "\ud800", "ok")], 0.01,
+         "sample 'u': 'utf-8' codec can't encode character '\\ud800' in position 0: "
+         "surrogates not allowed"),
+        # +-1.7e308 weights overflow the logits, so every softmax is nan; the
+        # empty output fails first, yet the sample before it is the one named
+        ([("a", "hello", "world"), ("bad", "x", "")], 1.7e308, f"sample 'a': {NON_FINITE}"),
+        ([("bad", "x", ""), ("a", "hello", "world")], 1.7e308, f"sample 'bad': {EMPTY}"),
+    ],
+    ids=["empty", "vocab", "encode", "non-finite-first", "empty-first"],
+)
+def test_featurize_error_names_first_failing_sample_once(samples, weight, message):
+    weights = np.full((128, 2), weight)
+    weights[::2] *= -1.0
+    model = ProxyModel(128, 2, weights, hash_seed=1)
+    corpus = Corpus(tuple(Sample(id=i, input=x, output=y) for i, x, y in samples), name="t")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as excinfo:
+        featurize(model, ProjectionSpec(model.n_params, 8, seed=1), corpus)
+    assert str(excinfo.value) == message
+    named = corpus.by_id(message.split("'")[1])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as excinfo:
+        loss_gradient(model, named)
+    assert str(excinfo.value) == message
+
+
+def _per_sample_gradient(model, sample):
+    """The loss gradient from a logits product of its own: the per-sample reference."""
+    phi, targets = _context_features(model, sample)
+    logits = phi @ model.weights.T
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    probs[np.arange(len(targets)), targets] -= 1.0
+    return (probs.T @ phi).reshape(-1)
+
+
+def _per_sample_featurize(model, proj, corpus):
+    """featurize as one n x n_params buffer of per-sample unit gradients and
+    one projection over 8192-row sign blocks: the chunked rows must equal it."""
+    grads = np.zeros((len(corpus), model.n_params), dtype=np.float64)
+    for i, sample in enumerate(corpus):
+        g = _per_sample_gradient(model, sample)
+        norm = np.linalg.norm(g)
+        if norm > 0.0:
+            grads[i] = g / norm
+    projected = np.zeros((len(corpus), proj.target_dim), dtype=np.float64)
+    for start in range(0, proj.source_dim, 8192):
+        stop = min(start + 8192, proj.source_dim)
+        projected += grads[:, start:stop] @ sign_block(proj.seed, start, stop, proj.target_dim)
+    norms = np.linalg.norm(projected, axis=1)
+    projected /= np.where(norms == 0.0, 1.0, norms)[:, None]
+    return projected.astype(np.float32)
+
+
+def _short_and_long_outputs(n):
+    # 1-4-byte outputs take another BLAS kernel in a per-sample logits product
+    rng = rng_from(31)
+    lengths = [1, 150, 2, 3, 90, 4, 1, 200, 2]
+    return Corpus(
+        tuple(
+            Sample(
+                id=f"s{i}",
+                input=random_bytes_text(rng, int(rng.integers(0, 40)), 128),
+                output=random_bytes_text(rng, lengths[i % len(lengths)], 128),
+            )
+            for i in range(n)
+        ),
+        name="t",
+    )
+
+
+def test_chunked_featurize_matches_per_sample_reference(monkeypatch):
+    monkeypatch.setattr(proxy, "_CHUNK_ROWS", 4)
+    chunk_rows = []
+    project_chunk = proxy._project
+
+    def recording(sign_rows, vecs, target_dim):
+        chunk_rows.append(vecs.shape[0])
+        return project_chunk(sign_rows, vecs, target_dim)
+
+    monkeypatch.setattr(proxy, "_project", recording)
+    model = ProxyModel.create()
+    proj = ProjectionSpec(model.n_params)
+    for n in (0, 1, 2, 3, 4, 5, 9):
+        corpus = _short_and_long_outputs(n)
+        chunk_rows.clear()
+        feats = featurize(model, proj, corpus)
+        reference = _per_sample_featurize(model, proj, corpus)
+        assert feats.data.tobytes() == reference.tobytes(), n
+        assert sum(chunk_rows) == n and max(chunk_rows, default=0) <= 5, (n, chunk_rows)
+        assert n == 1 or 1 not in chunk_rows, (n, chunk_rows)
+    for sample in _short_and_long_outputs(9):
+        reference = _per_sample_gradient(model, sample)
+        assert loss_gradient(model, sample).tobytes() == reference.tobytes(), sample.id
 
 
 def test_projection_linearity():
@@ -283,6 +390,38 @@ def test_featurize_peak_memory_is_one_gradient_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f}x the gradient buffer"
+
+
+def test_featurize_peak_is_flat_in_n():
+    model = ProxyModel.create()
+    proj = ProjectionSpec(model.n_params, 16, seed=1)
+    small, large = template_corpus(5, 60, 3), template_corpus(5, 400, 3)
+    _, small_peak = _traced_peak(lambda: featurize(model, proj, small))
+    _, large_peak = _traced_peak(lambda: featurize(model, proj, large))
+    output_growth = (len(large) - len(small)) * proj.target_dim * 4
+    assert large_peak <= 1.1 * small_peak + output_growth, (
+        f"peak {large_peak / small_peak:.2f}x from {len(small)} to {len(large)} rows"
+    )
+
+
+def _sign_reference(seed, row_start, row_stop, dim):
+    """Entry (i, j): bit j % 64 of the splitmix64 word at (i, j // 64), as +-1."""
+    rows = np.arange(row_start, row_stop, dtype=np.uint64)
+    cols = np.arange(dim, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        row_h = _splitmix64((rows * _STREAM_SALT) ^ np.uint64(mix64(seed)))
+        words = _splitmix64(row_h[:, None] ^ ((cols // np.uint64(64) + np.uint64(1)) * _MIX1))
+    bits = (words >> (cols % np.uint64(64))) & np.uint64(1)
+    return bits.astype(np.float64) * 2.0 - 1.0
+
+
+def test_sign_block_builds_in_place():
+    for dim in (1, 63, 64, 65, 1024):
+        signs = sign_block(9, 5, 300, dim)
+        assert signs.dtype == np.float64 and signs.shape == (295, dim)
+        assert signs.tobytes() == _sign_reference(9, 5, 300, dim).tobytes(), dim
+    signs, peak = _traced_peak(lambda: sign_block(9, 0, 4096, 1024))
+    assert peak <= 1.25 * signs.nbytes, f"peak {peak / signs.nbytes:.2f}x the output"
 
 
 @pytest.mark.parametrize(
