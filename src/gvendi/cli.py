@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 runtime failure (one-line `error: ...` on stderr),
 from __future__ import annotations
 
 import argparse
+import fcntl
 import inspect
 import json
 import os
@@ -31,6 +32,7 @@ from .metrics import (
     mean_nll,
     ngram_entropy,
     report_from_features,
+    report_from_tfidf,
     tag_entropy,
 )
 from .evalstats import AccuracyTable, correlation_study, relative_perf
@@ -199,8 +201,8 @@ def _load_selection(path: str, sample_ids: Sequence[str]) -> list[int]:
 _CORPUS_METRICS = {
     "g_vendi": lambda args, corpus: g_vendi(*_gradient_from(args), corpus),
     "embedding_vendi": lambda args, corpus: embedding_vendi(corpus, **_embedding_from(args)),
-    "embedding_dissim": lambda args, corpus: report_from_features(
-        "embedding_dissim", embed_hashed_tfidf(corpus, **_embedding_from(args)), {}
+    "embedding_dissim": lambda args, corpus: report_from_tfidf(
+        "embedding_dissim", corpus, {}, **_embedding_from(args)
     ),
     "ngram_entropy": lambda args, corpus: DiversityReport(
         "ngram_entropy", ngram_entropy(corpus, args.order), len(corpus), {"order": args.order}
@@ -309,7 +311,11 @@ def _make_solver(spec: str):
 
 
 class _DirLock:
-    """Single writer per output directory; stale locks must be removed by hand."""
+    """Single writer per output directory: an exclusive flock on its `.lock`.
+
+    The kernel drops the flock when the holder dies, so a `.lock` left by a
+    killed run does not block a resume. A clean exit removes the file.
+    """
 
     def __init__(self, directory: str):
         os.makedirs(directory, exist_ok=True)
@@ -317,17 +323,21 @@ class _DirLock:
         self.fd: int | None = None
 
     def __enter__(self):
-        try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ValueError(f"output directory is locked by {self.path}; remove it if stale") from None
-        os.write(self.fd, str(os.getpid()).encode())
-        return self
+        while True:
+            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise ValueError(f"output directory is locked: {self.path} is held") from None
+            if os.fstat(fd).st_nlink:  # else a holder unlinked it on exit: open afresh
+                self.fd = fd
+                return self
+            os.close(fd)
 
     def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
         os.unlink(self.path)
+        os.close(self.fd)
 
 
 def cmd_synthesize(args: argparse.Namespace) -> None:

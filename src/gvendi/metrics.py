@@ -19,8 +19,17 @@ from collections import Counter
 import numpy as np
 
 from .corpus import Corpus
-from .featmat import FeatureMatrix
-from .proxy import ProjectionSpec, ProxyModel, embed_hashed_tfidf, featurize, sample_nll
+from .featmat import FeatureMatrix, zero_rows
+from .proxy import (
+    TFIDF_DIM,
+    TFIDF_SEED,
+    ProjectionSpec,
+    ProxyModel,
+    TfidfRows,
+    _tfidf_rows,
+    featurize,
+    sample_nll,
+)
 
 METRICS = (
     "g_vendi",
@@ -80,19 +89,32 @@ def effective_rank_entropy(eigenvalues: np.ndarray) -> float:
     return float(-(lam * np.log(lam)).sum())
 
 
+def _vendi(mat: np.ndarray) -> float:
+    """Vendi score of float64 unit rows given over their u used columns.
+
+    exp of the eigenvalue entropy of G G^T / n, computed on the smaller Gram
+    side: n x n when n <= u, else u x u. Both share the nonzero spectrum, so
+    cost is O(min(n,u)^2 * max(n,u)) instead of O(n^3).
+    """
+    n, u = mat.shape
+    gram = (mat @ mat.T if n <= u else mat.T @ mat) / n
+    lam = np.linalg.eigvalsh(gram)
+    return float(np.exp(effective_rank_entropy(lam)))
+
+
 def vendi_score(features: FeatureMatrix) -> float:
     """Effective number of distinct directions among unit-norm rows.
 
-    exp of the eigenvalue entropy of G G^T / n; computed on whichever Gram
-    side is smaller (n x n or d x d share the same nonzero spectrum), so cost
-    is O(min(n,d)^2 * max(n,d)) instead of O(n^3).
+    Columns that are zero in every row add only zero eigenvalues, so they
+    are dropped before the float64 Gram; when every column is used, as for
+    gradient features, no column is gathered.
     """
     _check_nondegenerate(features, "vendi_score")
-    mat = features.data.astype(np.float64)
-    n, d = mat.shape
-    gram = (mat @ mat.T if n <= d else mat.T @ mat) / n
-    lam = np.linalg.eigvalsh(gram)
-    return float(np.exp(effective_rank_entropy(lam)))
+    data = features.data
+    used = np.flatnonzero(data.any(axis=0))
+    if used.size < features.dim:
+        data = data[:, used]
+    return _vendi(data.astype(np.float64))
 
 
 def drop_degenerate(features: FeatureMatrix) -> tuple[FeatureMatrix, int]:
@@ -128,10 +150,42 @@ def g_vendi(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Diversit
     return report_from_features("g_vendi", feats, {"projection_dim": proj.target_dim})
 
 
-def embedding_vendi(corpus: Corpus, dim: int = 32768, seed: int = 404) -> DiversityReport:
-    """Same score over built-in hashed TF-IDF embeddings."""
-    feats = embed_hashed_tfidf(corpus, dim=dim, seed=seed)
-    return report_from_features("embedding_vendi", feats, {"dim": dim})
+def report_from_tfidf(
+    metric: str, corpus: Corpus, params: dict, dim: int = TFIDF_DIM, seed: int = TFIDF_SEED
+) -> DiversityReport:
+    """`report_from_features(metric, embed_hashed_tfidf(corpus, dim, seed),
+    params)`, bit for bit, from the sparse TF-IDF rows: the n x dim matrix is
+    never built.
+
+    Vendi takes the n x u float64 matrix over the u distinct buckets;
+    `embedding_dissim` sums each column in row order, as the dense sum does.
+    """
+    rows = _tfidf_rows(corpus, dim, seed)
+    n = len(corpus)
+    nnz = np.diff(rows.indptr)
+    weight = rows.weight.astype(np.float64)
+    zero = zero_rows(
+        np.sqrt(np.bincount(np.repeat(np.arange(n), nnz), weights=weight * weight, minlength=n))
+    )
+    op = "embedding_dissimilarity" if metric == "embedding_dissim" else "vendi_score"
+    if n == 0:
+        raise ValueError(f"{op}: empty feature matrix")
+    if zero.all():
+        raise ValueError("all feature rows are degenerate (zero vectors)")
+    used = n - int(zero.sum())
+    if metric == "embedding_dissim":
+        value = _mean_dissimilarity(np.bincount(rows.bucket, weights=weight, minlength=dim), used)
+    else:
+        kept = TfidfRows(np.r_[0, rows.indptr[1:][~zero]], rows.bucket, rows.weight)
+        value = _vendi(kept.scatter(np.unique(rows.bucket), np.float64))
+    return DiversityReport(metric, value, used, {**params, "degenerate_dropped": n - used})
+
+
+def embedding_vendi(
+    corpus: Corpus, dim: int = TFIDF_DIM, seed: int = TFIDF_SEED
+) -> DiversityReport:
+    """Same score over built-in hashed TF-IDF embeddings, from their sparse rows."""
+    return report_from_tfidf("embedding_vendi", corpus, {"dim": dim}, dim, seed)
 
 
 def embedding_dissimilarity(features: FeatureMatrix) -> float:
@@ -141,10 +195,13 @@ def embedding_dissimilarity(features: FeatureMatrix) -> float:
     with no pairwise matrix.
     """
     _check_nondegenerate(features, "embedding_dissimilarity")
-    n = features.rows
+    return _mean_dissimilarity(features.data.sum(axis=0, dtype=np.float64), features.rows)
+
+
+def _mean_dissimilarity(total: np.ndarray, n: int) -> float:
+    """Mean (1 - cosine) of n unit rows from their float64 column sums."""
     if n < 2:
         raise ValueError("embedding_dissimilarity needs at least 2 rows")
-    total = features.data.sum(axis=0, dtype=np.float64)
     mean_cos = (float(total @ total) - n) / (n * (n - 1))
     return 1.0 - mean_cos
 

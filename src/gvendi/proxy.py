@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +32,10 @@ _CTX_SEP = 0x1E  # record separator between input and output prefix
 
 _PROJECT_BLOCK_ROWS = 8192
 _CHUNK_ROWS = 128  # samples per featurize chunk; its logits outweigh its gradient rows
+
+# embed_hashed_tfidf's defaults, shared by the metrics that score its rows
+TFIDF_DIM = 32768
+TFIDF_SEED = 404
 
 
 @dataclass(frozen=True)
@@ -310,35 +314,86 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
     )
 
 
-def embed_hashed_tfidf(corpus: Corpus, dim: int = 32768, seed: int = 404) -> FeatureMatrix:
+class TfidfRows(NamedTuple):
+    """Hashed TF-IDF rows in CSR (compressed sparse row) form.
+
+    Row i's nonzeros sit at columns bucket[indptr[i]:indptr[i + 1]], in
+    ascending order, with float32 values weight[indptr[i]:indptr[i + 1]]; a
+    row with no entries is the zero row.
+    """
+
+    indptr: np.ndarray  # (n + 1,) int64
+    bucket: np.ndarray  # (nnz,) int64
+    weight: np.ndarray  # (nnz,) float32
+
+    def scatter(self, columns: np.ndarray, dtype) -> np.ndarray:
+        """The rows as a dense matrix over the sorted `columns`, which must
+        hold every bucket."""
+        n = len(self.indptr) - 1
+        out = np.zeros((n, len(columns)), dtype=dtype)
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        out[rows, np.searchsorted(columns, self.bucket)] = self.weight
+        return out
+
+
+def _tfidf_rows(corpus: Corpus, dim: int, seed: int) -> TfidfRows:
+    """The rows of `embed_hashed_tfidf`, kept sparse.
+
+    Each distinct bigram is hashed once per call. A row's weights are
+    count * idf over its dense `dim`-long row, divided by that row's norm
+    taken with the same pairwise sum as norm(axis=1); a reused float64
+    scratch row does this, so the values equal the dense row's bit for bit.
+    """
+    if dim < 2:
+        raise ValueError("embedding dim must be >= 2")
+    memo: dict[tuple[str, str], int] = {}
+    cols: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    for s in corpus:
+        tokens = (s.input + " " + s.output).lower().split()
+        buckets = []
+        for pair in zip(tokens, tokens[1:]):
+            b = memo.get(pair)
+            if b is None:
+                b = memo[pair] = _tfidf_bucket(*pair, seed, dim)
+            buckets.append(b)
+        c, k = np.unique(np.array(buckets, dtype=np.int64), return_counts=True)
+        cols.append(c)
+        counts.append(k)
+    n = len(corpus)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([c.size for c in cols], dtype=np.int64)
+    bucket = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
+    df = np.bincount(bucket, minlength=dim).astype(np.float64)
+    idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
+    weight = np.empty(bucket.size, dtype=np.float32)
+    row = np.zeros(dim, dtype=np.float64)
+    square = np.empty(dim, dtype=np.float64)
+    for i, (c, k) in enumerate(zip(cols, counts)):
+        if c.size:
+            row[c] = k * idf[c]
+            np.multiply(row, row, out=square)
+            weight[indptr[i] : indptr[i + 1]] = row[c] / np.sqrt(np.add.reduce(square))
+            row[c] = 0.0
+    return TfidfRows(indptr, bucket, weight)
+
+
+def embed_hashed_tfidf(
+    corpus: Corpus, dim: int = TFIDF_DIM, seed: int = TFIDF_SEED
+) -> FeatureMatrix:
     """Hashed word-bigram TF-IDF embeddings, unit-normalized per row.
 
     Bigrams are taken over case-folded whitespace tokens of input + output.
     Samples with no bigram (fewer than two tokens) get the zero row.
+
+    This is the dense n x dim float32 form of the sparse rows (about 27
+    nonzeros per row), needed only where a dense matrix is the product, as
+    in a stored `.gvfm`; the metrics and the paraphrase stage score a corpus
+    from the sparse rows and never build it.
     """
-    if dim < 2:
-        raise ValueError("embedding dim must be >= 2")
-    bucket_lists: list[np.ndarray] = []
-    df = np.zeros(dim, dtype=np.float64)
-    for s in corpus:
-        tokens = (s.input + " " + s.output).lower().split()
-        buckets = np.array(
-            [_tfidf_bucket(tokens[i], tokens[i + 1], seed, dim) for i in range(len(tokens) - 1)],
-            dtype=np.int64,
-        )
-        bucket_lists.append(buckets)
-        if buckets.size:
-            df[np.unique(buckets)] += 1.0
-    n = len(corpus)
-    idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
-    data = np.zeros((n, dim), dtype=np.float32)
-    for i, buckets in enumerate(bucket_lists):
-        if buckets.size:
-            row = np.bincount(buckets, minlength=dim) * idf
-            # the same pairwise sum as norm(axis=1); norm(row) would use BLAS dot
-            data[i] = row / np.sqrt(np.add.reduce(row * row))
+    rows = _tfidf_rows(corpus, dim, seed)
     return FeatureMatrix(
-        data,
+        rows.scatter(np.arange(dim), np.float32),
         tuple(corpus.ids()),
         Provenance("embedding", fingerprint=0, seed=seed),
     )

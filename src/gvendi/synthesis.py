@@ -38,7 +38,7 @@ from .cluster import dynamic_k, kmeans_fit, sparse_clusters
 from .corpus import Corpus, Sample, content_id, ingest_jsonl, write_jsonl
 from .featmat import FeatureMatrix, load_features, store_features
 from .metrics import drop_degenerate, vendi_score
-from .proxy import ProjectionSpec, ProxyModel, featurize
+from .proxy import ProjectionSpec, ProxyModel, _tfidf_rows, featurize
 from .rng import mix64, rng_from
 
 
@@ -523,12 +523,12 @@ def decontaminate(
 def _paraphrase_stage(
     kept: list[Sample], protected: Corpus, hook: ParaphraseHook
 ) -> tuple[list[Sample], list[Sample]]:
-    from .proxy import embed_hashed_tfidf
-
-    cand_corpus = Corpus(tuple(kept), name="candidates")
-    cand_emb = embed_hashed_tfidf(cand_corpus, dim=4096, seed=0xDECAF).data.astype(np.float64)
-    prot_emb = embed_hashed_tfidf(protected, dim=4096, seed=0xDECAF).data.astype(np.float64)
-    nearest = np.argmax(cand_emb @ prot_emb.T, axis=1)
+    # cosines over the union of the used TF-IDF columns; the others add only zeros
+    cand_rows = _tfidf_rows(Corpus(tuple(kept), name="candidates"), 4096, 0xDECAF)
+    prot_rows = _tfidf_rows(protected, 4096, 0xDECAF)
+    cols = np.union1d(cand_rows.bucket, prot_rows.bucket)
+    cand_emb = cand_rows.scatter(cols, np.float64)
+    nearest = np.argmax(cand_emb @ prot_rows.scatter(cols, np.float64).T, axis=1)
     still_kept: list[Sample] = []
     flagged: list[Sample] = []
     for cand, j in zip(kept, nearest):

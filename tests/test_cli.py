@@ -1,3 +1,5 @@
+import fcntl
+import inspect
 import json
 import os
 import shlex
@@ -8,8 +10,18 @@ import pytest
 
 import numpy as np
 
-from gvendi import FeatureMatrix, Provenance, store_features, template_corpus, write_jsonl
+from gvendi import (
+    FeatureMatrix,
+    Provenance,
+    embed_hashed_tfidf,
+    embedding_vendi,
+    store_features,
+    template_corpus,
+    write_jsonl,
+)
 from gvendi.cli import main, parse_config
+from gvendi.metrics import report_from_tfidf
+from gvendi.proxy import TFIDF_DIM, TFIDF_SEED
 
 
 @pytest.fixture()
@@ -224,6 +236,17 @@ def test_help_shows_library_defaults(capsys):
     assert "--proj-dim PROJ_DIM [config: projection.dim; default: 1024]" in text
 
 
+def test_tfidf_defaults_have_one_source(capsys):
+    for fn in (embed_hashed_tfidf, embedding_vendi, report_from_tfidf):
+        params = inspect.signature(fn).parameters
+        assert (params["dim"].default, params["seed"].default) == (TFIDF_DIM, TFIDF_SEED), fn
+    with pytest.raises(SystemExit):
+        main(["diversity", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--embed-dim EMBED_DIM [config: embedding.dim; default: {TFIDF_DIM}]" in text
+    assert f"--embed-seed EMBED_SEED [config: embedding.seed; default: {TFIDF_SEED}]" in text
+
+
 def test_diversity_select_subset(toy, capsys):
     tmp_path, pool = toy
     feats = str(tmp_path / "pool.gvfm")
@@ -273,12 +296,30 @@ def test_synthesize_lock_conflict(toy, capsys):
     tmp_path, pool = toy
     outdir = tmp_path / "locked"
     outdir.mkdir()
-    (outdir / ".lock").write_text("999")
+    # a second open file description holding the flock is a live holder
+    fd = os.open(outdir / ".lock", os.O_CREAT | os.O_WRONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        rc = run_cli("synthesize", "--corpus", pool, "--outdir", str(outdir),
+                     "--iterations", "1", "--gen-batch", "4",
+                     "--feature-dim", "32", "--proj-dim", "32")
+    finally:
+        os.close(fd)
+    assert rc == 1
+    assert "lock" in capsys.readouterr().err
+    assert not (outdir / "state.json").exists()
+
+
+def test_synthesize_ignores_a_lock_file_nobody_holds(toy, capsys):
+    tmp_path, pool = toy
+    outdir = tmp_path / "stale"
+    outdir.mkdir()
+    (outdir / ".lock").write_text("999")  # left by a killed run
     rc = run_cli("synthesize", "--corpus", pool, "--outdir", str(outdir),
                  "--iterations", "1", "--gen-batch", "4",
                  "--feature-dim", "32", "--proj-dim", "32")
-    assert rc == 1
-    assert "lock" in capsys.readouterr().err
+    assert rc == 0, capsys.readouterr().err
+    assert (outdir / "state.json").exists() and not (outdir / ".lock").exists()
 
 
 def test_decontaminate_command(toy, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,22 @@ from gvendi import (
     Provenance,
     ProxyModel,
     Sample,
+    embed_hashed_tfidf,
     embedding_dissimilarity,
     embedding_vendi,
+    featurize,
     g_vendi,
     mean_nll,
     ngram_entropy,
     tag_entropy,
+    template_corpus,
     vendi_score,
+)
+from gvendi.metrics import (
+    drop_degenerate,
+    effective_rank_entropy,
+    report_from_features,
+    report_from_tfidf,
 )
 from gvendi.rng import rng_from
 
@@ -152,6 +162,104 @@ def test_embedding_vendi_runs_on_text():
     report = embedding_vendi(corpus, dim=512, seed=7)
     assert report.metric == "embedding_vendi"
     assert 1.0 <= report.value <= 3.0
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _full_width_vendi(data):
+    """vendi_score as it was before unused columns were dropped: the float64
+    Gram over every column, n x n when n <= d."""
+    mat = np.asarray(data, dtype=np.float64)
+    n, d = mat.shape
+    gram = (mat @ mat.T if n <= d else mat.T @ mat) / n
+    return float(np.exp(effective_rank_entropy(np.linalg.eigvalsh(gram))))
+
+
+def _with_zero_rows(corpus):
+    zero = (Sample(id="empty", input="", output=""), Sample(id="one-token", input="solo", output=""))
+    return Corpus(corpus.samples + zero, name=corpus.name)
+
+
+@pytest.mark.parametrize(
+    "corpus, dim, n_above_u",
+    [
+        (template_corpus(6, 20, 1), 32768, False),
+        (template_corpus(5, 40, 3), 64, True),
+        (_with_zero_rows(template_corpus(4, 15, 2)), 2048, False),
+    ],
+    ids=["n-at-most-u", "n-above-u", "degenerate-rows"],
+)
+def test_sparse_tfidf_reports_match_dense_path(corpus, dim, n_above_u):
+    dense = embed_hashed_tfidf(corpus, dim=dim)
+    used, _ = drop_degenerate(dense)
+    assert (used.rows > int(used.data.any(axis=0).sum())) == n_above_u
+    assert embedding_vendi(corpus, dim=dim).to_json() == report_from_features(
+        "embedding_vendi", dense, {"dim": dim}
+    ).to_json()
+    assert report_from_tfidf("embedding_dissim", corpus, {}, dim=dim).to_json() == (
+        report_from_features("embedding_dissim", dense, {}).to_json()
+    )
+
+
+@pytest.mark.parametrize(
+    "metric, texts",
+    [
+        ("embedding_vendi", []),
+        ("embedding_vendi", ["", "solo"]),
+        ("embedding_dissim", []),
+        ("embedding_dissim", ["", "solo"]),
+        ("embedding_dissim", ["two words", "solo"]),
+    ],
+)
+def test_sparse_tfidf_errors_match_dense_path(metric, texts):
+    corpus = Corpus(tuple(Sample(id=f"s{i}", input=t, output="") for i, t in enumerate(texts)), name="t")
+    with pytest.raises(ValueError) as dense:
+        report_from_features(metric, embed_hashed_tfidf(corpus, dim=64), {})
+    with pytest.raises(ValueError) as sparse:
+        report_from_tfidf(metric, corpus, {}, dim=64)
+    assert str(sparse.value) == str(dense.value)
+
+
+@pytest.mark.parametrize("dim", [512, 4096, 32768])
+def test_vendi_score_drops_unused_tfidf_columns_keeping_bits(dim):
+    feats, _ = drop_degenerate(embed_hashed_tfidf(template_corpus(5, 30, 4), dim=dim))
+    assert not feats.data.any(axis=0).all()
+    assert vendi_score(feats) == _full_width_vendi(feats.data)
+
+
+def test_vendi_score_drops_unused_dense_columns():
+    # dense rows sum each Gram entry in another grouping once columns go, so
+    # only the low bits may move
+    rng = rng_from(31)
+    data = rng.normal(size=(40, 300))
+    data[:, rng.choice(300, 120, replace=False)] = 0.0
+    feats = fm(unit_rows(data))
+    assert vendi_score(feats) == pytest.approx(_full_width_vendi(feats.data), rel=1e-12)
+
+
+def test_vendi_score_gathers_no_column_of_gradient_features():
+    model = ProxyModel.create()
+    feats = featurize(model, ProjectionSpec(model.n_params), template_corpus(5, 60, 3))
+    assert feats.data.any(axis=0).all()
+    # the float64 copy is 2x the float32 rows and the 300 x 300 Gram 0.6x;
+    # a column gather would add a float32 copy, 1x more
+    _, peak = _traced_peak(lambda: vendi_score(feats))
+    assert peak <= 3.0 * feats.data.nbytes, f"peak {peak / feats.data.nbytes:.2f}x the rows"
+
+
+def test_embedding_vendi_never_builds_the_dense_rows():
+    corpus = template_corpus(10, 60, 3)
+    dense_bytes = len(corpus) * 32768 * 4
+    _, peak = _traced_peak(lambda: embedding_vendi(corpus, dim=32768))
+    assert peak <= 0.5 * dense_bytes, f"peak {peak / dense_bytes:.2f}x the dense rows"
 
 
 def test_dissimilarity_identical_rows():

@@ -321,6 +321,63 @@ def test_tfidf_provenance():
     assert embed_hashed_tfidf(c, dim=64, seed=9).provenance.featurizer == "embedding"
 
 
+def _dense_tfidf_reference(corpus, dim, seed):
+    """embed_hashed_tfidf's rows as they were built before the sparse rows:
+    one dense bincount row per sample, idf-weighted, normalised whole."""
+    bucket_lists = []
+    df = np.zeros(dim, dtype=np.float64)
+    for s in corpus:
+        tokens = (s.input + " " + s.output).lower().split()
+        buckets = np.array(
+            [proxy._tfidf_bucket(tokens[i], tokens[i + 1], seed, dim) for i in range(len(tokens) - 1)],
+            dtype=np.int64,
+        )
+        bucket_lists.append(buckets)
+        if buckets.size:
+            df[np.unique(buckets)] += 1.0
+    n = len(corpus)
+    idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
+    data = np.zeros((n, dim), dtype=np.float32)
+    for i, buckets in enumerate(bucket_lists):
+        if buckets.size:
+            row = np.bincount(buckets, minlength=dim) * idf
+            data[i] = row / np.sqrt(np.add.reduce(row * row))
+    return data
+
+
+def _with_edge_samples(corpus):
+    """The corpus plus an empty and a one-token sample (zero rows) and one
+    that repeats a bigram."""
+    edges = (
+        Sample(id="empty", input="", output=""),
+        Sample(id="one-token", input="word", output=""),
+        Sample(id="repeat", input="a b a b a b", output="c d a b"),
+    )
+    return Corpus(corpus.samples + edges, name=corpus.name)
+
+
+@pytest.mark.parametrize(
+    "corpus, dim",
+    [
+        (_with_edge_samples(template_corpus(3, 10, 5)), 1024),
+        (template_corpus(4, 20, 2), 64),
+        (_with_edge_samples(template_corpus(5, 30, 3)), 32768),
+    ],
+    ids=["edge-rows", "collisions-dim-64", "dim-32768"],
+)
+def test_tfidf_rows_match_dense_reference(corpus, dim):
+    feats = embed_hashed_tfidf(corpus, dim=dim, seed=404)
+    assert feats.data.tobytes() == _dense_tfidf_reference(corpus, dim, 404).tobytes()
+    if "empty" in corpus.ids():
+        assert feats.degenerate_mask()[-3:].tolist() == [True, True, False]
+    if dim == 64:  # more distinct bigrams than buckets, so some collide
+        bigrams = set()
+        for s in corpus:
+            tokens = (s.input + " " + s.output).lower().split()
+            bigrams.update(zip(tokens, tokens[1:]))
+        assert len(bigrams) > dim
+
+
 def test_store_load_roundtrip_bitwise(tmp_path):
     rng = rng_from(4)
     data = rng.normal(size=(10, 8))
