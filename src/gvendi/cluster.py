@@ -46,7 +46,7 @@ class ClusterModel:
     def nearest_centroid(self, rows: np.ndarray) -> np.ndarray:
         """Index of the closest centroid for each given row."""
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        return _assign(rows, (rows * rows).sum(axis=1), self.centroids)[0]
+        return _assign(rows, _sq_norms(rows), self.centroids)[0]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -62,9 +62,48 @@ class ClusterModel:
         )
 
 
+_BLOCK_BYTES = 1 << 20  # float64 bytes per row block of a direct-difference pass
+
+
+def _direct_sqdist(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(m, n) squared distances from each of m points to every row, exact.
+
+    Takes the differences a block of about _BLOCK_BYTES of rows at a time in
+    one reused buffer and sums each row along axis 1. A row's pairwise sum
+    does not depend on the block it sits in, so row j of the result equals
+    ((rows - points[j]) ** 2).sum(axis=1) bit for bit, without its n x d
+    temporary.
+    """
+    n, dim = rows.shape
+    out = np.empty((points.shape[0], n))
+    step = max(1, _BLOCK_BYTES // (8 * max(dim, 1)))
+    buf = np.empty((min(step, n), dim))
+    for start in range(0, n, step):
+        block = rows[start : start + step]
+        diff = buf[: block.shape[0]]
+        for j, point in enumerate(points):
+            np.subtract(block, point, out=diff)
+            np.square(diff, out=diff)
+            diff.sum(axis=1, out=out[j, start : start + step])
+    return out
+
+
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """||x||^2 per row, as (rows * rows).sum(axis=1) but blocked: x - 0 is x."""
+    return _direct_sqdist(rows, np.zeros((1, rows.shape[1])))[0]
+
+
 def _sqdist(rows: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, m) squared distances ||x||^2 - 2 x.c + ||c||^2; sq holds ||x||^2."""
-    return sq[:, None] - 2.0 * rows @ centers.T + (centers * centers).sum(axis=1)[None, :]
+    """(n, m) squared distances ||x||^2 - 2 x.c + ||c||^2; sq holds ||x||^2.
+
+    Doubles the product rather than the rows: doubling is exact, so this is
+    bit-equal to (2 * rows) @ centers.T and allocates only n x m.
+    """
+    d2 = rows @ centers.T
+    d2 *= -2.0
+    d2 += sq[:, None]
+    d2 += _sq_norms(centers)[None, :]
+    return d2
 
 
 def _assign(
@@ -100,6 +139,7 @@ def _kmeanspp(rows: np.ndarray, sq: np.ndarray, k: int, rng: np.random.Generator
     within its rounding bound of the best from direct differences, so exact
     ties keep the first trial. The running distance d2 is the winner's direct
     column, exact: duplicates of a chosen row sit at 0 and draw no mass.
+    Direct columns come from _direct_sqdist, so no step allocates n x d.
     """
     n, dim = rows.shape
     trials = 2 + int(math.log(k)) if k > 1 else 1
@@ -107,7 +147,7 @@ def _kmeanspp(rows: np.ndarray, sq: np.ndarray, k: int, rng: np.random.Generator
     slack = 16 * n * (n + dim + 2) * np.finfo(np.float64).eps * float(sq.max())
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(0, n)
-    d2 = ((rows - rows[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _direct_sqdist(rows, rows[chosen[:1]])[0]
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -118,7 +158,7 @@ def _kmeanspp(rows: np.ndarray, sq: np.ndarray, k: int, rng: np.random.Generator
         candidates = rng.choice(n, size=trials, p=d2 / total)
         pots = np.minimum(d2[:, None], _sqdist(rows, sq, rows[candidates])).sum(axis=0)
         near = candidates[pots <= pots.min() + slack]
-        cols = np.minimum(d2, ((rows - rows[near][:, None, :]) ** 2).sum(axis=2))
+        cols = np.minimum(d2, _direct_sqdist(rows, rows[near]))
         best = int(np.argmin(cols.sum(axis=1)))
         chosen[i], d2 = near[best], cols[best]
     return rows[chosen].copy()
@@ -137,7 +177,10 @@ def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> C
     centroid, so exactly k clusters survive. With n_init > 1, the best of
     n_init seeded runs (lowest inertia, ties to the earliest run) is returned.
     Row norms are computed once per fit. k-means++ scores each step's trials
-    in one product and keeps its running distance exact.
+    in one product and keeps its running distance exact. Apart from its
+    float64 copy of the rows, a fit allocates no n x d array: direct
+    differences and row norms go a block of rows at a time, products are
+    n x k, and a centroid update gathers one cluster's rows.
     """
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
@@ -146,7 +189,7 @@ def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> C
     if k > features.rows:
         raise ValueError(f"k={k} exceeds number of rows {features.rows}")
     rows = features.data.astype(np.float64)
-    sq = (rows * rows).sum(axis=1)  # shared by every seeding and assignment below
+    sq = _sq_norms(rows)  # shared by every seeding and assignment below
     best: ClusterModel | None = None
     for trial in range(n_init):
         init_seed = seed if n_init == 1 else mix64(seed, 0xC17, trial)

@@ -95,9 +95,9 @@ class ProxyModel:
 class ProjectionSpec:
     """Sign (+-1) random projection from gradient space down to `target_dim`.
 
-    Entries are a pure function of (seed, row, column) and nothing is
-    stored between calls: `project` generates the matrix block by block,
-    `featurize` builds it whole once per call.
+    Entries are a pure function of (seed, row, column) and the spec stores
+    none of them: `project` generates the matrix block by block, `featurize`
+    builds it whole once per call unless the caller passes it in.
     """
 
     source_dim: int
@@ -111,6 +111,11 @@ class ProjectionSpec:
             raise ValueError(
                 f"target_dim {self.target_dim} exceeds source_dim {self.source_dim}"
             )
+
+    def matrix(self) -> np.ndarray:
+        """The whole source_dim x target_dim sign matrix, float64 (128 MB at
+        the default sizes)."""
+        return sign_block(self.seed, 0, self.source_dim, self.target_dim)
 
 
 @lru_cache(maxsize=32)
@@ -275,7 +280,9 @@ def _chunk_bounds(n: int) -> list[int]:
     return bounds
 
 
-def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> FeatureMatrix:
+def featurize(
+    model: ProxyModel, proj: ProjectionSpec, corpus: Corpus, *, signs: np.ndarray | None = None
+) -> FeatureMatrix:
     """Unit-norm projected loss gradients, one row per sample in corpus order.
 
     Zero-gradient samples map to the zero row (flagged degenerate) rather
@@ -284,9 +291,10 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
     The corpus streams through in chunks of _CHUNK_ROWS samples (a 1-row
     tail joins the chunk before it): gradients for one chunk, normalised,
     projected and normalised again, land as float32 rows in the output. The
-    sign matrix is built once per call (source_dim x target_dim float64,
-    128 MB at the defaults), so memory is flat in the corpus size apart from
-    the output itself.
+    sign matrix is `proj.matrix()` (source_dim x target_dim float64, 128 MB at
+    the defaults), built once per call unless a caller that featurizes many
+    batches passes it as `signs`; memory is flat in the corpus size apart
+    from the output itself.
     """
     if proj.source_dim != model.n_params:
         raise ValueError(
@@ -295,7 +303,13 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
         )
     bounds = _chunk_bounds(len(corpus))
     chunks = list(zip(bounds, bounds[1:]))
-    signs = sign_block(proj.seed, 0, proj.source_dim, proj.target_dim)
+    if signs is None:
+        signs = proj.matrix()
+    elif signs.shape != (proj.source_dim, proj.target_dim):
+        raise ValueError(
+            f"signs shape {signs.shape} != projection shape "
+            f"{(proj.source_dim, proj.target_dim)}"
+        )
     grads = np.empty((max((b - a for a, b in chunks), default=0), model.n_params),
                      dtype=np.float64)
     out = np.empty((len(corpus), proj.target_dim), dtype=np.float32)

@@ -594,10 +594,18 @@ Featurizer = Callable[[Corpus], FeatureMatrix]
 
 
 def gradient_featurizer(model: ProxyModel, proj: ProjectionSpec) -> Featurizer:
-    """Featurizer closure for the loop: corpus -> projected gradient matrix."""
+    """Featurizer closure for the loop: corpus -> projected gradient matrix.
+
+    Builds the sign matrix on its first call and hands it to every
+    `featurize` call after, so a run builds it once, not once per step.
+    """
+    signs = None
 
     def run(corpus: Corpus) -> FeatureMatrix:
-        return featurize(model, proj, corpus)
+        nonlocal signs
+        if signs is None:
+            signs = proj.matrix()
+        return featurize(model, proj, corpus, signs=signs)
 
     return run
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,3 +246,95 @@ def test_seeding_matches_per_trial_reference(monkeypatch, make, n_init):
             ref = kmeans_fit(feats, k, seed=seed, n_init=n_init).to_json()
         same = fit == ref  # a bool, so a failure does not diff two long JSON strings
         assert same, f"seed {seed}"
+
+
+# The kernels as first written, unblocked: each builds n x d temporaries.
+def _reference_sqdist(rows, sq, centers):
+    return sq[:, None] - 2.0 * rows @ centers.T + (centers * centers).sum(axis=1)[None, :]
+
+
+def _reference_sq_norms(rows):
+    return (rows * rows).sum(axis=1)
+
+
+def _reference_kmeanspp(rows, sq, k, rng):
+    n, dim = rows.shape
+    trials = 2 + int(math.log(k)) if k > 1 else 1
+    slack = 16 * n * (n + dim + 2) * np.finfo(np.float64).eps * float(sq.max())
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(0, n)
+    d2 = ((rows - rows[chosen[0]]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            pool = np.setdiff1d(np.arange(n), chosen[:i])
+            chosen[i] = rng.choice(pool) if pool.size else chosen[0]
+            continue
+        candidates = rng.choice(n, size=trials, p=d2 / total)
+        pots = np.minimum(d2[:, None], _reference_sqdist(rows, sq, rows[candidates])).sum(axis=0)
+        near = candidates[pots <= pots.min() + slack]
+        cols = np.minimum(d2, ((rows - rows[near][:, None, :]) ** 2).sum(axis=2))
+        best = int(np.argmin(cols.sum(axis=1)))
+        chosen[i], d2 = near[best], cols[best]
+    return rows[chosen].copy()
+
+
+def _k_one(seed):
+    return _blobs(seed)[0], 1
+
+
+def _three_blocks(seed):
+    # 300 rows at dim 1024: two full 128-row blocks and a 44-row tail
+    return blob_features(6, 50, dim=1024, center_seed=seed, point_seed=seed + 1, spread=0.3), 6
+
+
+def _odd_dim(seed):
+    # 1000 columns do not divide the block size
+    return blob_features(4, 60, dim=1000, center_seed=seed, point_seed=seed + 1, spread=0.3), 5
+
+
+_SMALL_BLOCK = 20000  # 2 rows per block at dim 1000 or 1024, 39 at dim 64
+
+
+@pytest.mark.parametrize("block_bytes", [None, _SMALL_BLOCK], ids=["default", "small"])
+@pytest.mark.parametrize("n_init", [1, 4])
+@pytest.mark.parametrize(
+    "make",
+    [_blobs, _duplicate_heavy, _k_one, _three_blocks, _odd_dim],
+    ids=["blobs", "duplicates", "k1", "three-blocks", "odd-dim"],
+)
+def test_blocked_kernels_match_unblocked_reference(monkeypatch, make, n_init, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_bytes)
+    for seed in range(2000, 2003):
+        feats, k = make(seed)
+        rows = feats.data.astype(np.float64)
+        sq = cluster._sq_norms(rows)
+        assert sq.tobytes() == _reference_sq_norms(rows).tobytes()
+        points = rows[[0, rows.shape[0] // 2, rows.shape[0] - 1]]
+        direct = ((rows - points[:, None, :]) ** 2).sum(axis=2)
+        assert cluster._direct_sqdist(rows, points).tobytes() == direct.tobytes()
+        assert (cluster._sqdist(rows, sq, points).tobytes()
+                == _reference_sqdist(rows, sq, points).tobytes())
+        model = kmeans_fit(feats, k, seed=seed, n_init=n_init)
+        with monkeypatch.context() as m:
+            m.setattr(cluster, "_sqdist", _reference_sqdist)
+            m.setattr(cluster, "_kmeanspp", _reference_kmeanspp)
+            m.setattr(cluster, "_sq_norms", _reference_sq_norms)
+            ref = kmeans_fit(feats, k, seed=seed, n_init=n_init)
+            ref_nearest = ref.nearest_centroid(rows[::7])
+        same = model.to_json() == ref.to_json()
+        assert same, f"seed {seed}"
+        np.testing.assert_array_equal(model.nearest_centroid(rows[::7]), ref_nearest)
+
+
+def test_kmeans_peak_memory_is_the_float64_rows():
+    feats = blob_features(20, 150, dim=1024, center_seed=1, point_seed=2, spread=0.3)
+    rows_bytes = feats.rows * feats.data.shape[1] * 8
+    tracemalloc.start()
+    try:
+        kmeans_fit(feats, 20, seed=3, n_init=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * rows_bytes, peak / rows_bytes

@@ -129,8 +129,9 @@ def test_featurize_deterministic_bitwise():
     proj = ProjectionSpec(model.n_params, 32, seed=13)
     a = featurize(model, proj, corpus)
     b = featurize(model, proj, corpus)
-    assert a.data.tobytes() == b.data.tobytes()
-    assert a.provenance == b.provenance
+    c = featurize(model, proj, corpus, signs=proj.matrix())
+    assert a.data.tobytes() == b.data.tobytes() == c.data.tobytes()
+    assert a.provenance == b.provenance == c.provenance
 
 
 def test_featurize_dimension_mismatch():
@@ -138,6 +139,9 @@ def test_featurize_dimension_mismatch():
     model = ProxyModel.create(vocab_size=16, feature_dim=4)
     with pytest.raises(ValueError, match="source_dim"):
         featurize(model, ProjectionSpec(63, 8, seed=1), corpus)
+    proj = ProjectionSpec(model.n_params, 8, seed=1)
+    with pytest.raises(ValueError, match="signs shape"):
+        featurize(model, proj, corpus, signs=proj.matrix()[:, :4])
 
 
 def test_featurize_error_names_sample():

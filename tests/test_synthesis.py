@@ -26,6 +26,7 @@ from gvendi import (
     SynthesisState,
     decontaminate,
     extract_answer,
+    featurize,
     generate_candidates,
     gradient_featurizer,
     majority_vote_filter,
@@ -34,6 +35,7 @@ from gvendi import (
     run_synthesis,
     template_corpus,
 )
+from gvendi import proxy
 from gvendi.synthesis import VerifiedCandidate, _paraphrase_stage, load_checkpoint
 
 
@@ -391,6 +393,39 @@ def test_run_synthesis_resume_matches_uninterrupted(tmp_path):
     assert resumed.pool.ids() == full.pool.ids()
     assert resumed.pool_features.data.tobytes() == full.pool_features.data.tobytes()
     assert list(resumed.history) == list(full.history)
+
+
+def test_gradient_featurizer_builds_one_sign_matrix_per_run(tmp_path, monkeypatch):
+    pool, _, _ = loop_fixture()
+    model = ProxyModel.create(vocab_size=256, feature_dim=64, hash_seed=101, weight_seed=202)
+    proj = ProjectionSpec(model.n_params, 64, seed=303)
+    calls = []
+    real_sign_block = proxy.sign_block
+
+    def counting_sign_block(*args):
+        calls.append(args)
+        return real_sign_block(*args)
+
+    monkeypatch.setattr(proxy, "sign_block", counting_sign_block)
+
+    def run(directory, featurizer, iterations=3):
+        config = SynthesisConfig(iterations=iterations, gen_batch=10, vote_n=3, vote_tau=2,
+                                 k_fraction=0.1, seed=11)
+        run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), featurizer,
+                      checkpoint_dir=str(tmp_path / directory))
+        return {name: (tmp_path / directory / name).read_bytes()
+                for name in ("pool.jsonl", "features.gvfm", "state.json")}
+
+    once = run("once", gradient_featurizer(model, proj))
+    assert len(calls) == 1
+    plain = run("plain", lambda corpus: featurize(model, proj, corpus))
+    assert len(calls) == 1 + 4  # the seed pool and one batch per step
+    assert once == plain
+
+    run("resumed", gradient_featurizer(model, proj), iterations=1)
+    del calls[:]
+    assert run("resumed", gradient_featurizer(model, proj)) == plain
+    assert len(calls) == 1
 
 
 def test_checkpoint_roundtrip(tmp_path):
