@@ -151,10 +151,6 @@ def _gradient_from(args: argparse.Namespace) -> tuple[ProxyModel, ProjectionSpec
     return model, ProjectionSpec(model.n_params, **_given(args, ProjectionSpec))
 
 
-def _embedding_from(args: argparse.Namespace) -> dict:
-    return _given(args, embed_hashed_tfidf)
-
-
 def _write_text(path: str | None, text: str) -> None:
     text = text if text.endswith("\n") else text + "\n"
     if path is None:
@@ -177,7 +173,7 @@ def cmd_featurize(args: argparse.Namespace) -> None:
     if args.featurizer == "gradient":
         feats = featurize(*_gradient_from(args), corpus)
     elif args.featurizer == "embedding":
-        feats = embed_hashed_tfidf(corpus, **_embedding_from(args))
+        feats = embed_hashed_tfidf(corpus, **_given(args, embed_hashed_tfidf))
     else:
         raise ValueError(f"unknown featurizer {args.featurizer!r} (expected gradient or embedding)")
     store_features(feats, out)
@@ -185,24 +181,31 @@ def cmd_featurize(args: argparse.Namespace) -> None:
 
 
 def _load_selection(path: str, sample_ids: Sequence[str]) -> list[int]:
-    """Row indices, in file order, of the ids in a JSON id-list file."""
+    """Row indices, in file order, of the ids in a JSON id-list file; an
+    unknown or repeated id is an error that names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         ids = json.load(fh)
     if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
         raise ValueError(f"{path}: expected a JSON array of sample ids")
     index = {sid: i for i, sid in enumerate(sample_ids)}
-    try:
-        return [index[sid] for sid in ids]
-    except KeyError as e:
-        raise ValueError(f"{path}: unknown sample id {e.args[0]!r}") from None
+    seen: set[str] = set()
+    for sid in ids:
+        if sid not in index:
+            raise ValueError(f"{path}: unknown sample id {sid!r}")
+        if sid in seen:
+            raise ValueError(f"{path}: repeated sample id {sid!r}")
+        seen.add(sid)
+    return [index[sid] for sid in ids]
 
 
 # metric -> (args, corpus) -> report
 _CORPUS_METRICS = {
     "g_vendi": lambda args, corpus: g_vendi(*_gradient_from(args), corpus),
-    "embedding_vendi": lambda args, corpus: embedding_vendi(corpus, **_embedding_from(args)),
+    "embedding_vendi": lambda args, corpus: embedding_vendi(
+        corpus, **_given(args, embed_hashed_tfidf)
+    ),
     "embedding_dissim": lambda args, corpus: report_from_tfidf(
-        "embedding_dissim", corpus, {}, **_embedding_from(args)
+        "embedding_dissim", corpus, {}, **_given(args, embed_hashed_tfidf)
     ),
     "ngram_entropy": lambda args, corpus: DiversityReport(
         "ngram_entropy", ngram_entropy(corpus, args.order), len(corpus), {"order": args.order}

@@ -13,7 +13,7 @@ All metrics are pure functions of their inputs and permutation invariant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections import Counter
 
 import numpy as np
@@ -26,6 +26,7 @@ from .proxy import (
     ProjectionSpec,
     ProxyModel,
     TfidfRows,
+    _sample_tokens,
     _tfidf_rows,
     featurize,
     sample_nll,
@@ -146,7 +147,7 @@ def g_vendi(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Diversit
     Degenerate (zero-gradient) rows are excluded from the score; their count
     is reported in params.
     """
-    feats = featurize(model, proj, corpus)
+    feats = featurize(model, replace(proj), corpus)  # own copy: signs freed before scoring
     return report_from_features("g_vendi", feats, {"projection_dim": proj.target_dim})
 
 
@@ -206,10 +207,6 @@ def _mean_dissimilarity(total: np.ndarray, n: int) -> float:
     return 1.0 - mean_cos
 
 
-def _sample_tokens(sample) -> list[str]:
-    return (sample.input + " " + sample.output).lower().split()
-
-
 def ngram_entropy(corpus: Corpus, order: int = 2) -> float:
     """Shannon entropy (nats) of word n-grams pooled over the corpus.
 
@@ -254,8 +251,5 @@ def mean_nll(model: ProxyModel, corpus: Corpus) -> float:
     """
     if len(corpus) == 0:
         raise ValueError("mean_nll: empty corpus")
-    vals = []
-    for s in corpus:
-        nll, tokens = sample_nll(model, s)
-        vals.append(nll / tokens)
-    return float(np.mean(vals))
+    totals = [sample_nll(model, s) for s in corpus]
+    return float(np.mean([nll / tokens for nll, tokens in totals]))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -95,9 +95,10 @@ class ProxyModel:
 class ProjectionSpec:
     """Sign (+-1) random projection from gradient space down to `target_dim`.
 
-    Entries are a pure function of (seed, row, column) and the spec stores
-    none of them: `project` generates the matrix block by block, `featurize`
-    builds it whole once per call unless the caller passes it in.
+    Entries are a pure function of (seed, row, column). `project` generates
+    the matrix block by block and keeps none of it; `featurize` uses the
+    whole matrix, `signs`, which the spec builds on first use and keeps, so
+    every featurize call on one spec shares one build.
     """
 
     source_dim: int
@@ -112,10 +113,13 @@ class ProjectionSpec:
                 f"target_dim {self.target_dim} exceeds source_dim {self.source_dim}"
             )
 
-    def matrix(self) -> np.ndarray:
+    @cached_property
+    def signs(self) -> np.ndarray:
         """The whole source_dim x target_dim sign matrix, float64 (128 MB at
-        the default sizes)."""
-        return sign_block(self.seed, 0, self.source_dim, self.target_dim)
+        the default sizes), read-only."""
+        signs = sign_block(self.seed, 0, self.source_dim, self.target_dim)
+        signs.flags.writeable = False
+        return signs
 
 
 @lru_cache(maxsize=32)
@@ -165,15 +169,15 @@ def _context_features(model: ProxyModel, sample: Sample) -> tuple[np.ndarray, np
     return counts / norms[:, None], targets
 
 
-def _gradient_rows(model: ProxyModel, samples: Sequence[Sample], out: np.ndarray,
-                   unit: bool) -> None:
-    """Write each sample's flattened loss gradient into the matching row of `out`.
+def _token_pass(model: ProxyModel, samples: Sequence[Sample], out: np.ndarray | None = None,
+                unit: bool = False) -> list[tuple[float, int]]:
+    """Each sample's total negative log-likelihood and token count, from one
+    logits GEMM over every token of `samples`.
 
-    One logits GEMM covers every token of `samples`; each sample's gradient
-    is then its own (softmax - onehot)^T @ phi product, written straight
-    into its row. With `unit` each nonzero row is divided by its norm while
-    it is still in cache. Errors name the first failing sample in order,
-    even when a later one fails at an earlier stage.
+    Given `out`, each sample's gradient, (softmax - onehot)^T @ phi, also
+    lands in its row of `out`; with `unit` each nonzero row is divided by
+    its norm while it is still in cache. Errors name the first failing
+    sample in order, even when a later one fails at an earlier stage.
     """
     contexts = []
     pending = None
@@ -183,31 +187,38 @@ def _gradient_rows(model: ProxyModel, samples: Sequence[Sample], out: np.ndarray
         except ValueError as e:
             pending = e  # raised once the samples before it have passed
             break
+    totals = []
     if contexts:
         phi = np.concatenate([c[0] for c in contexts])
+        tokens = (np.arange(len(phi)), np.concatenate([c[1] for c in contexts]))
         probs = phi @ model.weights.T
         probs -= probs.max(axis=1, keepdims=True)
+        target_logits = probs[tokens]  # log p = shifted logit - log(sum of exps)
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
+        sums = probs.sum(axis=1, keepdims=True)
+        log_probs = target_logits - np.log(sums[:, 0])
+        probs /= sums
+        probs[tokens] -= 1.0
         start = 0
         for i, (_, targets) in enumerate(contexts):
             stop = start + len(targets)
-            delta = probs[start:stop]
-            delta[np.arange(len(targets)), targets] -= 1.0
-            row = out[i]
-            np.matmul(delta.T, phi[start:stop],
-                      out=row.reshape(model.vocab_size, model.feature_dim))
-            if not np.all(np.isfinite(row)):
-                raise ValueError(
-                    f"sample {samples[i].id!r}: non-finite gradient (corrupt weights?)"
-                )
-            if unit:
-                norm = np.linalg.norm(row)
-                if norm > 0.0:
-                    row /= norm
+            totals.append((float(-log_probs[start:stop].sum()), len(targets)))
+            if out is not None:
+                row = out[i]
+                np.matmul(probs[start:stop].T, phi[start:stop],
+                          out=row.reshape(model.vocab_size, model.feature_dim))
+                if not np.all(np.isfinite(row)):
+                    raise ValueError(
+                        f"sample {samples[i].id!r}: non-finite gradient (corrupt weights?)"
+                    )
+                if unit:
+                    norm = np.linalg.norm(row)
+                    if norm > 0.0:
+                        row /= norm
             start = stop
     if pending is not None:
         raise pending
+    return totals
 
 
 def loss_gradient(model: ProxyModel, sample: Sample) -> np.ndarray:
@@ -219,17 +230,14 @@ def loss_gradient(model: ProxyModel, sample: Sample) -> np.ndarray:
     run on one sample and left un-normalised.
     """
     out = np.empty((1, model.n_params), dtype=np.float64)
-    _gradient_rows(model, (sample,), out, unit=False)
+    _token_pass(model, (sample,), out)
     return out[0]
 
 
 def sample_nll(model: ProxyModel, sample: Sample) -> tuple[float, int]:
-    """Total negative log-likelihood of the output and its token count."""
-    phi, targets = _context_features(model, sample)
-    logits = phi @ model.weights.T
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return float(-log_probs[np.arange(len(targets)), targets].sum()), len(targets)
+    """Total negative log-likelihood of the output and its token count: the
+    token pass of `loss_gradient`, run on one sample."""
+    return _token_pass(model, (sample,))[0]
 
 
 def _project(sign_rows: Callable[[int, int], np.ndarray], vecs: np.ndarray,
@@ -251,12 +259,12 @@ def project(spec: ProjectionSpec, vectors: np.ndarray) -> np.ndarray:
     """Apply the sign projection to vectors given as rows; linear, float64.
 
     Generates the sign matrix one block of _PROJECT_BLOCK_ROWS rows at a
-    time, so any source_dim fits in memory; `featurize` sums in the same
-    block order over a matrix it builds once per call, a chunk of rows at a
-    time. A row's result does not depend on the other rows passed with it,
-    except that a single row takes the BLAS matrix-vector path, whose low
-    bits can differ; that is why `featurize` never projects a 1-row chunk
-    of a longer corpus.
+    time, so any source_dim fits in memory and the spec keeps none of it;
+    `featurize` sums in the same block order over `spec.signs`, a chunk of
+    rows at a time. A row's result does not depend on the other rows passed
+    with it, except that a single row takes the BLAS matrix-vector path,
+    whose low bits can differ; that is why `featurize` never projects a
+    1-row chunk of a longer corpus.
     """
     vecs = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     if vecs.shape[1] != spec.source_dim:
@@ -280,9 +288,7 @@ def _chunk_bounds(n: int) -> list[int]:
     return bounds
 
 
-def featurize(
-    model: ProxyModel, proj: ProjectionSpec, corpus: Corpus, *, signs: np.ndarray | None = None
-) -> FeatureMatrix:
+def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> FeatureMatrix:
     """Unit-norm projected loss gradients, one row per sample in corpus order.
 
     Zero-gradient samples map to the zero row (flagged degenerate) rather
@@ -291,10 +297,9 @@ def featurize(
     The corpus streams through in chunks of _CHUNK_ROWS samples (a 1-row
     tail joins the chunk before it): gradients for one chunk, normalised,
     projected and normalised again, land as float32 rows in the output. The
-    sign matrix is `proj.matrix()` (source_dim x target_dim float64, 128 MB at
-    the defaults), built once per call unless a caller that featurizes many
-    batches passes it as `signs`; memory is flat in the corpus size apart
-    from the output itself.
+    sign matrix is `proj.signs` (source_dim x target_dim float64, 128 MB at
+    the defaults), built on the first call with `proj` and kept by it; memory
+    is flat in the corpus size apart from the output itself.
     """
     if proj.source_dim != model.n_params:
         raise ValueError(
@@ -303,21 +308,14 @@ def featurize(
         )
     bounds = _chunk_bounds(len(corpus))
     chunks = list(zip(bounds, bounds[1:]))
-    if signs is None:
-        signs = proj.matrix()
-    elif signs.shape != (proj.source_dim, proj.target_dim):
-        raise ValueError(
-            f"signs shape {signs.shape} != projection shape "
-            f"{(proj.source_dim, proj.target_dim)}"
-        )
     grads = np.empty((max((b - a for a, b in chunks), default=0), model.n_params),
                      dtype=np.float64)
     out = np.empty((len(corpus), proj.target_dim), dtype=np.float32)
     for start, stop in chunks:
         rows = grads[: stop - start]
-        _gradient_rows(model, corpus.samples[start:stop], rows, unit=True)
+        _token_pass(model, corpus.samples[start:stop], rows, unit=True)
         # a zero gradient row projects to exactly +0.0 and stays zero
-        projected = _project(lambda a, b: signs[a:b], rows, proj.target_dim)
+        projected = _project(lambda a, b: proj.signs[a:b], rows, proj.target_dim)
         norms = np.linalg.norm(projected, axis=1)
         projected /= np.where(norms == 0.0, 1.0, norms)[:, None]
         out[start:stop] = projected
@@ -350,6 +348,11 @@ class TfidfRows(NamedTuple):
         return out
 
 
+def _sample_tokens(sample: Sample) -> list[str]:
+    """Case-folded whitespace tokens of input + output."""
+    return (sample.input + " " + sample.output).lower().split()
+
+
 def _tfidf_rows(corpus: Corpus, dim: int, seed: int) -> TfidfRows:
     """The rows of `embed_hashed_tfidf`, kept sparse.
 
@@ -364,7 +367,7 @@ def _tfidf_rows(corpus: Corpus, dim: int, seed: int) -> TfidfRows:
     cols: list[np.ndarray] = []
     counts: list[np.ndarray] = []
     for s in corpus:
-        tokens = (s.input + " " + s.output).lower().split()
+        tokens = _sample_tokens(s)
         buckets = []
         for pair in zip(tokens, tokens[1:]):
             b = memo.get(pair)

@@ -594,20 +594,12 @@ Featurizer = Callable[[Corpus], FeatureMatrix]
 
 
 def gradient_featurizer(model: ProxyModel, proj: ProjectionSpec) -> Featurizer:
-    """Featurizer closure for the loop: corpus -> projected gradient matrix.
+    """Featurizer for the loop: corpus -> projected gradient matrix.
 
-    Builds the sign matrix on its first call and hands it to every
-    `featurize` call after, so a run builds it once, not once per step.
+    Every call shares `proj`, which builds its sign matrix on the first call
+    and keeps it, so a run builds it once, not once per step.
     """
-    signs = None
-
-    def run(corpus: Corpus) -> FeatureMatrix:
-        nonlocal signs
-        if signs is None:
-            signs = proj.matrix()
-        return featurize(model, proj, corpus, signs=signs)
-
-    return run
+    return lambda corpus: featurize(model, proj, corpus)
 
 
 def prismatic_step(
@@ -725,16 +717,23 @@ def load_checkpoint(directory) -> SynthesisState | None:
     if not os.path.exists(state_path):
         return None
     with open(state_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except ValueError as e:
+            raise ValueError(f"{state_path}: {e}") from None
+    if not (isinstance(meta, dict) and type(meta.get("iteration")) is int
+            and isinstance(meta.get("history"), list) and type(meta.get("pool_size")) is int):
+        raise ValueError(f"{state_path}: expected an object with an int 'iteration', "
+                         "a list 'history' and an int 'pool_size'")
     pool = ingest_jsonl(os.path.join(directory, POOL_FILE))
     pool = Corpus(pool.samples, name=meta.get("pool_name", pool.name))
     features = load_features(os.path.join(directory, FEATURES_FILE))
-    if len(pool) != meta.get("pool_size"):
+    if len(pool) != meta["pool_size"]:
         raise ValueError(f"{directory}: checkpoint pool size mismatch; delete and rerun")
     return SynthesisState(
         pool=pool,
         pool_features=features,
-        iteration=int(meta["iteration"]),
+        iteration=meta["iteration"],
         history=tuple(meta["history"]),
     )
 

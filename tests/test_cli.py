@@ -183,6 +183,30 @@ def test_sample_mixture_bad_parents_file(toy, capsys, content):
     assert f"{bad}: expected a JSON array of sample ids" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diversity", "--metric", "g-vendi", "--features", "{feats}", "--select", "{sel}"],
+        ["diversity", "--metric", "embedding-vendi", "--corpus", "{pool}", "--select", "{sel}"],
+        ["sample", "--features", "{feats}", "--strategy", "mixture", "--parents", "{sel}",
+         "--n", "2"],
+    ],
+    ids=["diversity-features", "diversity-corpus", "sample-parents"],
+)
+def test_selection_file_repeating_an_id_names_the_file(toy, capsys, argv):
+    tmp_path, pool = toy
+    feats = str(tmp_path / "pool.gvfm")
+    run_cli("featurize", "--input", pool, "--output", feats,
+            "--feature-dim", "32", "--proj-dim", "32")
+    first, second = [json.loads(line)["id"] for line in Path(pool).read_text().splitlines()[:2]]
+    sel = tmp_path / "sel.json"
+    sel.write_text(json.dumps([first, second, first]))
+    capsys.readouterr()
+    rc = run_cli(*[a.format(feats=feats, sel=sel, pool=pool) for a in argv])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: ValueError: {sel}: repeated sample id {first!r}\n"
+
+
 def test_sample_mixture_bad_weight_names_flag(toy, capsys):
     tmp_path, pool = toy
     feats = str(tmp_path / "pool.gvfm")
@@ -290,6 +314,29 @@ def test_synthesize_and_resume_idempotent(toy, capsys):
     second = json.loads(capsys.readouterr().out)
     assert first == second
     assert Path(outdir, "pool.jsonl").read_text() == snapshot
+
+
+def test_synthesize_corrupt_state_names_the_file(toy, capsys):
+    tmp_path, pool = toy
+    outdir = tmp_path / "run"
+    args = ["synthesize", "--corpus", pool, "--outdir", str(outdir),
+            "--iterations", "1", "--gen-batch", "4",
+            "--feature-dim", "32", "--proj-dim", "32"]
+    assert run_cli(*args) == 0
+    state = outdir / "state.json"
+    good = json.loads(state.read_text())
+    expected = (f"error: ValueError: {state}: expected an object with an int 'iteration', "
+                "a list 'history' and an int 'pool_size'\n")
+    no_iteration = {k: v for k, v in good.items() if k != "iteration"}
+    for corrupt in ([good], no_iteration, {**good, "history": 5}):
+        state.write_text(json.dumps(corrupt))
+        capsys.readouterr()
+        assert run_cli(*args) == 1, corrupt
+        assert capsys.readouterr().err == expected, corrupt
+    state.write_text("{")
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err.startswith(f"error: ValueError: {state}: Expecting")
 
 
 def test_synthesize_lock_conflict(toy, capsys):

@@ -128,6 +128,16 @@ def test_g_vendi_single_sample_is_one():
     assert report.n == 1
 
 
+def test_g_vendi_frees_its_sign_matrix_before_scoring():
+    # the caller's spec keeps no matrix, so none is held through the Gram
+    corpus = Corpus((Sample(id="a", input="hi", output="there"),
+                     Sample(id="b", input="yo", output="where")), name="t")
+    model = ProxyModel.create(vocab_size=256, feature_dim=16)
+    proj = ProjectionSpec(model.n_params, 8, seed=2)
+    assert g_vendi(model, proj, corpus).n == 2
+    assert "signs" not in proj.__dict__
+
+
 def test_g_vendi_duplicated_corpus_matches_and_permutes():
     texts = ["alpha beta", "gamma delta", "tiny epsilon", "zeta eta theta"]
     samples = tuple(Sample(id=f"s{i}", input=t, output=t.upper()) for i, t in enumerate(texts))

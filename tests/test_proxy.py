@@ -129,7 +129,7 @@ def test_featurize_deterministic_bitwise():
     proj = ProjectionSpec(model.n_params, 32, seed=13)
     a = featurize(model, proj, corpus)
     b = featurize(model, proj, corpus)
-    c = featurize(model, proj, corpus, signs=proj.matrix())
+    c = featurize(model, ProjectionSpec(model.n_params, 32, seed=13), corpus)
     assert a.data.tobytes() == b.data.tobytes() == c.data.tobytes()
     assert a.provenance == b.provenance == c.provenance
 
@@ -139,9 +139,6 @@ def test_featurize_dimension_mismatch():
     model = ProxyModel.create(vocab_size=16, feature_dim=4)
     with pytest.raises(ValueError, match="source_dim"):
         featurize(model, ProjectionSpec(63, 8, seed=1), corpus)
-    proj = ProjectionSpec(model.n_params, 8, seed=1)
-    with pytest.raises(ValueError, match="signs shape"):
-        featurize(model, proj, corpus, signs=proj.matrix()[:, :4])
 
 
 def test_featurize_error_names_sample():
@@ -255,6 +252,61 @@ def test_chunked_featurize_matches_per_sample_reference(monkeypatch):
     for sample in _short_and_long_outputs(9):
         reference = _per_sample_gradient(model, sample)
         assert loss_gradient(model, sample).tobytes() == reference.tobytes(), sample.id
+
+
+def _per_sample_nll(model, sample):
+    """The total NLL from a logits product and log-softmax of its own: the
+    per-sample reference."""
+    phi, targets = _context_features(model, sample)
+    logits = phi @ model.weights.T
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(len(targets)), targets].sum()), len(targets)
+
+
+def test_sample_nll_matches_per_sample_reference():
+    corpus = _short_and_long_outputs(18)
+    assert {len(s.output) for s in corpus} >= {1, 2, 3, 4, 90, 150, 200}
+    for model in (ProxyModel.create(), ProxyModel.create(feature_dim=24, weight_seed=9)):
+        for sample in corpus:
+            nll, tokens = sample_nll(model, sample)
+            ref_nll, ref_tokens = _per_sample_nll(model, sample)
+            assert np.float64(nll).tobytes() == np.float64(ref_nll).tobytes(), sample.id
+            assert tokens == ref_tokens
+    model = ProxyModel.create(vocab_size=4, feature_dim=2)
+    with pytest.raises(ValueError) as excinfo:
+        sample_nll(model, Sample(id="t", input="x", output=""))
+    assert str(excinfo.value) == f"sample 't': {EMPTY}"
+    with pytest.raises(ValueError) as excinfo:
+        sample_nll(model, Sample(id="t", input="x", output="z"))
+    assert str(excinfo.value) == "sample 't': output byte 122 outside vocab of size 4"
+
+
+def test_projection_spec_builds_its_signs_once(monkeypatch):
+    calls = []
+    real_sign_block = proxy.sign_block
+
+    def counting_sign_block(seed, start, stop, dim):
+        calls.append(stop - start)
+        return real_sign_block(seed, start, stop, dim)
+
+    monkeypatch.setattr(proxy, "sign_block", counting_sign_block)
+    corpus = corpus_of(["one two", "three four five", "six"])
+    model = ProxyModel.create(vocab_size=256, feature_dim=24, hash_seed=11, weight_seed=12)
+    proj = ProjectionSpec(model.n_params, 32, seed=13)
+    a = featurize(model, proj, corpus)
+    b = featurize(model, proj, corpus)
+    assert calls == [model.n_params]
+    assert not proj.signs.flags.writeable
+    fresh = featurize(model, ProjectionSpec(model.n_params, 32, seed=13), corpus)
+    assert a.data.tobytes() == b.data.tobytes() == fresh.data.tobytes()
+    assert len(calls) == 2
+
+    del calls[:]
+    spec = ProjectionSpec(20000, 8, seed=3)
+    project(spec, rng_from(5).normal(size=(2, 20000)))
+    assert calls == [8192, 8192, 3616]
+    assert "signs" not in spec.__dict__
 
 
 def test_projection_linearity():

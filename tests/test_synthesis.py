@@ -398,7 +398,6 @@ def test_run_synthesis_resume_matches_uninterrupted(tmp_path):
 def test_gradient_featurizer_builds_one_sign_matrix_per_run(tmp_path, monkeypatch):
     pool, _, _ = loop_fixture()
     model = ProxyModel.create(vocab_size=256, feature_dim=64, hash_seed=101, weight_seed=202)
-    proj = ProjectionSpec(model.n_params, 64, seed=303)
     calls = []
     real_sign_block = proxy.sign_block
 
@@ -416,15 +415,19 @@ def test_gradient_featurizer_builds_one_sign_matrix_per_run(tmp_path, monkeypatc
         return {name: (tmp_path / directory / name).read_bytes()
                 for name in ("pool.jsonl", "features.gvfm", "state.json")}
 
-    once = run("once", gradient_featurizer(model, proj))
+    def spec():
+        return ProjectionSpec(model.n_params, 64, seed=303)
+
+    once = run("once", gradient_featurizer(model, spec()))
     assert len(calls) == 1
-    plain = run("plain", lambda corpus: featurize(model, proj, corpus))
+    # a fresh spec per batch builds the matrix once per batch
+    plain = run("plain", lambda corpus: featurize(model, spec(), corpus))
     assert len(calls) == 1 + 4  # the seed pool and one batch per step
     assert once == plain
 
-    run("resumed", gradient_featurizer(model, proj), iterations=1)
+    run("resumed", gradient_featurizer(model, spec()), iterations=1)
     del calls[:]
-    assert run("resumed", gradient_featurizer(model, proj)) == plain
+    assert run("resumed", gradient_featurizer(model, spec())) == plain
     assert len(calls) == 1
 
 
