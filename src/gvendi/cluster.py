@@ -65,21 +65,28 @@ class ClusterModel:
 _BLOCK_BYTES = 1 << 20  # float64 bytes per row block of a direct-difference pass
 
 
-def _direct_sqdist(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _direct_sqdist(rows: np.ndarray, points: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
     """(m, n) squared distances from each of m points to every row, exact.
 
     Takes the differences a block of about _BLOCK_BYTES of rows at a time in
     one reused buffer and sums each row along axis 1. A row's pairwise sum
     does not depend on the block it sits in, so row j of the result equals
     ((rows - points[j]) ** 2).sum(axis=1) bit for bit, without its n x d
-    temporary.
+    temporary. Given idx, the result is (m, len(idx)) for rows[idx] alone,
+    gathered a block at a time into a second reused buffer.
     """
-    n, dim = rows.shape
+    n, dim = rows.shape if idx is None else (idx.size, rows.shape[1])
     out = np.empty((points.shape[0], n))
     step = max(1, _BLOCK_BYTES // (8 * max(dim, 1)))
     buf = np.empty((min(step, n), dim))
+    gathered = None if idx is None else np.empty_like(buf)
     for start in range(0, n, step):
-        block = rows[start : start + step]
+        if idx is None:
+            block = rows[start : start + step]
+        else:
+            # idx is in range; mode "clip" writes straight to out, "raise" buffers
+            block = np.take(rows, idx[start : start + step], axis=0,
+                            out=gathered[: min(step, n - start)], mode="clip")
         diff = buf[: block.shape[0]]
         for j, point in enumerate(points):
             np.subtract(block, point, out=diff)
@@ -93,8 +100,9 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
     return _direct_sqdist(rows, np.zeros((1, rows.shape[1])))[0]
 
 
-def _sqdist(rows: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, m) squared distances ||x||^2 - 2 x.c + ||c||^2; sq holds ||x||^2.
+def _sqdist(rows: np.ndarray, sq: np.ndarray, centers: np.ndarray, csq=None) -> np.ndarray:
+    """(n, m) squared distances ||x||^2 - 2 x.c + ||c||^2; sq holds ||x||^2
+    and csq, if given, ||c||^2.
 
     Doubles the product rather than the rows: doubling is exact, so this is
     bit-equal to (2 * rows) @ centers.T and allocates only n x m.
@@ -102,7 +110,7 @@ def _sqdist(rows: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np.ndarray
     d2 = rows @ centers.T
     d2 *= -2.0
     d2 += sq[:, None]
-    d2 += _sq_norms(centers)[None, :]
+    d2 += (_sq_norms(centers) if csq is None else csq)[None, :]
     return d2
 
 
@@ -132,14 +140,31 @@ def _repair_empty(rows, centroids, labels, d2, counts) -> None:
         d2[donor] = 0.0
 
 
+def _shrink(rows, sq, d2, points, prod) -> np.ndarray:
+    """np.minimum(d2, _direct_sqdist(rows, points)) bit for bit, given prod, the
+    (n, m) _sqdist distances to the points: a row whose product distance
+    exceeds its d2 by more than tol keeps d2; only the others are measured."""
+    # tol is four times the worst gap between a product and a direct distance.
+    # With u = eps/2 and norms at most top, ||x||^2 and ||c||^2 are off by at
+    # most dim*u*top each and 2 x.c by twice that; two additions of terms up
+    # to 4*top add 8*u*top: 4*(dim+2)*u*top in all. A direct sum of dim
+    # squared differences (up to 4*top in all) is off by (dim+2)*u*4*top.
+    tol = 16 * (rows.shape[1] + 2) * np.finfo(np.float64).eps * float(sq.max())
+    idx = np.flatnonzero((prod <= (d2 + tol)[:, None]).any(axis=1))
+    cols = np.tile(d2, (points.shape[0], 1))
+    cols[:, idx] = np.minimum(d2[idx], _direct_sqdist(rows, points, idx))
+    return cols
+
+
 def _kmeanspp(rows: np.ndarray, sq: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """D^2-weighted seeding with greedy local trials per step.
 
-    A step scores all its trials in one _sqdist product, then re-scores those
-    within its rounding bound of the best from direct differences, so exact
-    ties keep the first trial. The running distance d2 is the winner's direct
-    column, exact: duplicates of a chosen row sit at 0 and draw no mass.
-    Direct columns come from _direct_sqdist, so no step allocates n x d.
+    A step scores all its trials in one n x trials _sqdist product, then
+    re-scores those within its rounding bound of the best from direct
+    differences, so exact ties keep the first trial. The running distance d2
+    is the winner's direct column, exact (duplicates of a chosen row sit at 0
+    and draw no mass), though only the rows the product cannot rule out are
+    measured (_shrink), a block at a time: no step allocates n x d.
     """
     n, dim = rows.shape
     trials = 2 + int(math.log(k)) if k > 1 else 1
@@ -156,9 +181,11 @@ def _kmeanspp(rows: np.ndarray, sq: np.ndarray, k: int, rng: np.random.Generator
             chosen[i] = rng.choice(pool) if pool.size else chosen[0]
             continue
         candidates = rng.choice(n, size=trials, p=d2 / total)
-        pots = np.minimum(d2[:, None], _sqdist(rows, sq, rows[candidates])).sum(axis=0)
-        near = candidates[pots <= pots.min() + slack]
-        cols = np.minimum(d2, _direct_sqdist(rows, rows[near]))
+        prod = _sqdist(rows, sq, rows[candidates], sq[candidates])
+        pots = np.minimum(d2[:, None], prod).sum(axis=0)
+        close = pots <= pots.min() + slack
+        near = candidates[close]
+        cols = _shrink(rows, sq, d2, rows[near], prod[:, close])
         best = int(np.argmin(cols.sum(axis=1)))
         chosen[i], d2 = near[best], cols[best]
     return rows[chosen].copy()
@@ -176,8 +203,9 @@ def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> C
     assignment step are refilled with the point farthest from its own
     centroid, so exactly k clusters survive. With n_init > 1, the best of
     n_init seeded runs (lowest inertia, ties to the earliest run) is returned.
-    Row norms are computed once per fit. k-means++ scores each step's trials
-    in one product and keeps its running distance exact. Apart from its
+    Row norms are computed once per fit. Each k-means++ step costs one
+    n x trials product plus direct differences on the rows that product
+    cannot rule out, and keeps its running distance exact. Apart from its
     float64 copy of the rows, a fit allocates no n x d array: direct
     differences and row norms go a block of rows at a time, products are
     n x k, and a centroid update gathers one cluster's rows.

@@ -405,8 +405,8 @@ def embed_hashed_tfidf(
 
     This is the dense n x dim float32 form of the sparse rows (about 27
     nonzeros per row), needed only where a dense matrix is the product, as
-    in a stored `.gvfm`; the metrics and the paraphrase stage score a corpus
-    from the sparse rows and never build it.
+    in a stored `.gvfm`; the metrics score a corpus from the sparse rows and
+    never build it.
     """
     rows = _tfidf_rows(corpus, dim, seed)
     return FeatureMatrix(

@@ -38,7 +38,7 @@ from .cluster import dynamic_k, kmeans_fit, sparse_clusters
 from .corpus import Corpus, Sample, content_id, ingest_jsonl, write_jsonl
 from .featmat import FeatureMatrix, load_features, store_features
 from .metrics import drop_degenerate, vendi_score
-from .proxy import ProjectionSpec, ProxyModel, _tfidf_rows, featurize
+from .proxy import ProjectionSpec, ProxyModel, featurize
 from .rng import mix64, rng_from
 
 
@@ -481,26 +481,16 @@ def _ngram_windows(text: str, n: int) -> set[str]:
     return {" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)}
 
 
-ParaphraseHook = Callable[[Sample, Sample], bool]
-
-
 def decontaminate(
     candidates: Sequence[Sample],
     protected: Corpus,
     ngram: int = 10,
-    paraphrase_hook: ParaphraseHook | None = None,
 ) -> tuple[list[Sample], list[Sample]]:
     """Split candidates into (kept, flagged) by exact n-gram overlap.
 
     A candidate is flagged iff its input shares any contiguous window of
     `ngram` case-folded word tokens with any protected input. All protected
     windows go into one set, so recall is exact.
-
-    `paraphrase_hook` is the attachment point for a second, semantic stage:
-    each survivor of the n-gram stage is paired with its nearest protected
-    sample (by built-in embedding cosine) and flagged when the hook returns
-    True. The hook itself -- typically an external model call -- is the
-    caller's business.
     """
     if ngram < 1:
         raise ValueError("ngram must be >= 1")
@@ -514,29 +504,7 @@ def decontaminate(
             flagged.append(c)
         else:
             kept.append(c)
-    if paraphrase_hook is not None and kept and len(protected) > 0:
-        kept, more_flagged = _paraphrase_stage(kept, protected, paraphrase_hook)
-        flagged.extend(more_flagged)
     return kept, flagged
-
-
-def _paraphrase_stage(
-    kept: list[Sample], protected: Corpus, hook: ParaphraseHook
-) -> tuple[list[Sample], list[Sample]]:
-    # cosines over the union of the used TF-IDF columns; the others add only zeros
-    cand_rows = _tfidf_rows(Corpus(tuple(kept), name="candidates"), 4096, 0xDECAF)
-    prot_rows = _tfidf_rows(protected, 4096, 0xDECAF)
-    cols = np.union1d(cand_rows.bucket, prot_rows.bucket)
-    cand_emb = cand_rows.scatter(cols, np.float64)
-    nearest = np.argmax(cand_emb @ prot_rows.scatter(cols, np.float64).T, axis=1)
-    still_kept: list[Sample] = []
-    flagged: list[Sample] = []
-    for cand, j in zip(kept, nearest):
-        if hook(cand, protected[int(j)]):
-            flagged.append(cand)
-        else:
-            still_kept.append(cand)
-    return still_kept, flagged
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +693,9 @@ def load_checkpoint(directory) -> SynthesisState | None:
             and isinstance(meta.get("history"), list) and type(meta.get("pool_size")) is int):
         raise ValueError(f"{state_path}: expected an object with an int 'iteration', "
                          "a list 'history' and an int 'pool_size'")
+    if len(meta["history"]) != meta["iteration"]:
+        raise ValueError(f"{state_path}: history has {len(meta['history'])} entries, "
+                         f"iteration is {meta['iteration']}")
     pool = ingest_jsonl(os.path.join(directory, POOL_FILE))
     pool = Corpus(pool.samples, name=meta.get("pool_name", pool.name))
     features = load_features(os.path.join(directory, FEATURES_FILE))

@@ -339,6 +339,21 @@ def test_synthesize_corrupt_state_names_the_file(toy, capsys):
     assert capsys.readouterr().err.startswith(f"error: ValueError: {state}: Expecting")
 
 
+def test_synthesize_history_length_mismatch_names_the_file(toy, capsys):
+    tmp_path, pool = toy
+    outdir = tmp_path / "run"
+    args = ["synthesize", "--corpus", pool, "--outdir", str(outdir),
+            "--iterations", "1", "--gen-batch", "4",
+            "--feature-dim", "32", "--proj-dim", "32"]
+    assert run_cli(*args) == 0
+    state = outdir / "state.json"
+    state.write_text(json.dumps({**json.loads(state.read_text()), "history": []}))
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == (f"error: ValueError: {state}: history has 0 entries, "
+                                       "iteration is 1\n")
+
+
 def test_synthesize_lock_conflict(toy, capsys):
     tmp_path, pool = toy
     outdir = tmp_path / "locked"

@@ -5,7 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gvendi import FeatureMatrix, Provenance, blob_features, dynamic_k, kmeans_fit, sparse_clusters
+from gvendi import (
+    FeatureMatrix,
+    ProjectionSpec,
+    Provenance,
+    ProxyModel,
+    blob_features,
+    dynamic_k,
+    featurize,
+    kmeans_fit,
+    sparse_clusters,
+    template_corpus,
+)
 from gvendi import cluster
 from gvendi.cluster import ClusterModel
 from gvendi.rng import rng_from
@@ -326,6 +337,73 @@ def test_blocked_kernels_match_unblocked_reference(monkeypatch, make, n_init, bl
         same = model.to_json() == ref.to_json()
         assert same, f"seed {seed}"
         np.testing.assert_array_equal(model.nearest_centroid(rows[::7]), ref_nearest)
+
+
+@pytest.fixture(scope="module")
+def gradient_features():
+    # proxy gradients of a templated corpus: their distances concentrate, so
+    # many rows sit near the bound that decides which rows are re-measured
+    model = ProxyModel.create()
+    return featurize(model, ProjectionSpec(model.n_params), template_corpus(15, 100, 21))
+
+
+@pytest.mark.parametrize("n_init", [1, 4])
+@pytest.mark.parametrize(
+    "reference", [_per_trial_kmeanspp, _reference_kmeanspp], ids=["per-trial", "unblocked"]
+)
+def test_seeding_on_gradient_features_matches_references(
+    monkeypatch, gradient_features, reference, n_init
+):
+    feats = gradient_features
+    k = dynamic_k(feats.rows)
+    for seed in range(3000, 3004):
+        fit = kmeans_fit(feats, k, seed=seed, n_init=n_init).to_json()
+        with monkeypatch.context() as m:
+            m.setattr(cluster, "_kmeanspp", reference)
+            ref = kmeans_fit(feats, k, seed=seed, n_init=n_init).to_json()
+        same = fit == ref
+        assert same, f"seed {seed}"
+
+
+def test_shrink_matches_full_direct_column_on_near_ties(monkeypatch):
+    rng = rng_from(77)
+    dim = 1024
+    a, w, b = rng.normal(size=(3, dim)) / math.sqrt(dim)
+
+    def equidistant(p, q, count):
+        # p-q's perpendicular bisector: as far from p as from q, up to rounding
+        axis = (q - p) / np.linalg.norm(q - p)
+        t = rng.normal(size=(count, dim)) / math.sqrt(dim)
+        t -= np.outer(t @ axis, axis)
+        return (p + q) / 2 + 0.3 * t
+
+    rows = np.vstack([
+        a, w, b,
+        np.repeat(w[None, :], 4, axis=0),  # duplicates of the winner
+        equidistant(a, w, 200),
+        equidistant(a, b, 200),
+        a + 0.01 * rng.normal(size=(50, dim)) / math.sqrt(dim),  # ruled out by the product
+    ])
+    sq = cluster._sq_norms(rows)
+    d2 = cluster._direct_sqdist(rows, rows[:1])[0]  # row a is the one chosen row
+    direct = cluster._direct_sqdist
+    measured = []
+
+    def counting(rows, points, idx=None):
+        measured.append(idx.size)
+        return direct(rows, points, idx)
+
+    for near in ([1], [1, 2]):
+        points = rows[near]
+        prod = cluster._sqdist(rows, sq, points)
+        full = np.minimum(d2, direct(rows, points))
+        with monkeypatch.context() as m:
+            m.setattr(cluster, "_direct_sqdist", counting)
+            shrunk = cluster._shrink(rows, sq, d2, points, prod)
+        assert shrunk.tobytes() == full.tobytes()
+    # w, its duplicates and a-w's bisector, then b and a-b's bisector too;
+    # a and the rows beside it are never measured
+    assert measured == [1 + 4 + 200, 1 + 4 + 200 + 1 + 200]
 
 
 def test_kmeans_peak_memory_is_the_float64_rows():

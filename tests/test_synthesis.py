@@ -8,7 +8,6 @@ import threading
 import textwrap
 import warnings
 
-import numpy as np
 import pytest
 
 from gvendi import (
@@ -31,12 +30,11 @@ from gvendi import (
     gradient_featurizer,
     majority_vote_filter,
     prismatic_step,
-    embed_hashed_tfidf,
     run_synthesis,
     template_corpus,
 )
 from gvendi import proxy
-from gvendi.synthesis import VerifiedCandidate, _paraphrase_stage, load_checkpoint
+from gvendi.synthesis import VerifiedCandidate, load_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -253,56 +251,6 @@ def test_decontaminate_case_folds():
     cand = Sample(id="c", input=f"lead {span}", output="")
     _, flagged = decontaminate([cand], protected, ngram=10)
     assert flagged == [cand]
-
-
-def test_decontaminate_paraphrase_hook_pairs_with_nearest():
-    protected = Corpus(
-        (
-            Sample(id="p0", input="the quick brown fox jumps over dogs", output=""),
-            Sample(id="p1", input="integrals of rational functions by parts", output=""),
-        ),
-        name="prot",
-    )
-    # paraphrase of p1 with no shared 10-gram
-    cand = Sample(id="c", input="rational functions and their integrals done by parts", output="")
-    seen = []
-
-    def hook(candidate, nearest):
-        seen.append((candidate.id, nearest.id))
-        return True
-
-    kept, flagged = decontaminate([cand], protected, ngram=10, paraphrase_hook=hook)
-    assert kept == [] and flagged == [cand]
-    assert seen == [("c", "p1")]
-
-
-def test_decontaminate_paraphrase_hook_can_keep():
-    protected = Corpus((Sample(id="p0", input=words(12), output=""),), name="prot")
-    cand = Sample(id="c", input="entirely unrelated candidate text here", output="")
-    kept, flagged = decontaminate([cand], protected, ngram=10,
-                                  paraphrase_hook=lambda c, n: False)
-    assert kept == [cand] and flagged == []
-
-
-def test_paraphrase_stage_nearest_matches_dense_argmax():
-    protected = template_corpus(4, 25, 9, name="prot")
-    # a duplicate protected row makes a tie, which the first index wins
-    protected = Corpus(protected.samples + (Sample(id="dup", input=protected[3].input,
-                                                   output=protected[3].output),), name="prot")
-    kept = list(template_corpus(4, 10, 8)) + [Sample(id="blank", input="", output=""),
-                                              protected[3]]
-    dense = [embed_hashed_tfidf(c, dim=4096, seed=0xDECAF).data.astype(np.float64)
-             for c in (Corpus(tuple(kept), name="candidates"), protected)]
-    expected = np.argmax(dense[0] @ dense[1].T, axis=1)
-    seen = []
-
-    def hook(candidate, nearest):
-        seen.append(nearest.id)
-        return len(seen) % 3 == 0
-
-    still_kept, flagged = _paraphrase_stage(kept, protected, hook)
-    assert seen == [protected[int(j)].id for j in expected]
-    assert flagged == kept[2::3] and len(still_kept) + len(flagged) == len(kept)
 
 
 # ---------------------------------------------------------------------------
