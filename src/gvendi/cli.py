@@ -23,7 +23,7 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 from .cluster import dynamic_k, kmeans_fit
-from .corpus import Corpus, ingest_jsonl, write_jsonl
+from .corpus import Corpus, ingest_jsonl, open_text, write_jsonl
 from .featmat import load_features, store_features
 from .metrics import (
     DiversityReport,
@@ -62,7 +62,7 @@ CONFIG_ENV = "GVENDI_CONFIG"
 def parse_config(path: str) -> dict[str, str]:
     """Flat `key = value` lines; '#' starts a comment; blank lines ignored."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -183,8 +183,11 @@ def cmd_featurize(args: argparse.Namespace) -> None:
 def _load_selection(path: str, sample_ids: Sequence[str]) -> list[int]:
     """Row indices, in file order, of the ids in a JSON id-list file; an
     unknown or repeated id is an error that names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        ids = json.load(fh)
+    with open_text(path) as fh:
+        try:
+            ids = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: not JSON: {e}") from None
     if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
         raise ValueError(f"{path}: expected a JSON array of sample ids")
     index = {sid: i for i, sid in enumerate(sample_ids)}
@@ -395,7 +398,7 @@ def _diversity_map(path: str) -> dict[str, float]:
     import csv
 
     out: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) < 2:

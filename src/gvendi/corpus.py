@@ -10,8 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -150,6 +151,16 @@ class Corpus:
         return Corpus(tuple(picked), name=self.name)
 
 
+@contextmanager
+def open_text(path, newline: str | None = None) -> Iterator[TextIO]:
+    """`path` read as UTF-8 text; a byte that is not UTF-8 is a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 ({e.reason}: 0x{e.object[e.start]:02x})") from None
+
+
 def ingest_jsonl(path) -> Corpus:
     """Read a JSONL file into a Corpus, preserving line order.
 
@@ -159,7 +170,7 @@ def ingest_jsonl(path) -> Corpus:
     """
     samples: list[Sample] = []
     seen: dict[str, tuple[bool, dict]] = {}  # id -> (auto_generated, record)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

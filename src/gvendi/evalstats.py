@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import open_text
+
 
 @dataclass(frozen=True)
 class AccuracyTable:
@@ -42,7 +44,7 @@ class AccuracyTable:
     @classmethod
     def from_csv(cls, path, reference_model: str) -> "AccuracyTable":
         """CSV with header `model,<benchmark>,...`, one row per model."""
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open_text(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -42,22 +42,6 @@ class Provenance:
             raise ValueError(f"unknown featurizer {self.featurizer!r}")
 
 
-def zero_rows(norms: np.ndarray) -> np.ndarray:
-    """Mask of the exactly-zero rows, given each row's float64 norm; a
-    non-finite norm, or a nonzero one off 1 by more than UNIT_NORM_TOL, is a
-    ValueError naming the first such row."""
-    if not np.all(np.isfinite(norms)):
-        raise ValueError("feature data contains non-finite values")
-    zero = norms == 0.0
-    bad = ~zero & (np.abs(norms - 1.0) > UNIT_NORM_TOL)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"row {i} has norm {norms[i]:.6g}; rows must be unit-norm or exactly zero"
-        )
-    return zero
-
-
 @dataclass(frozen=True)
 class FeatureMatrix:
     """n x d float32 matrix of unit-norm (or exactly-zero) rows. A float32
@@ -79,7 +63,16 @@ class FeatureMatrix:
             raise ValueError("sample ids must be unique")
         # float32 squares neither overflow nor underflow in float64, so a row's
         # sum is non-finite iff an entry is, and zero iff every entry is zero
-        zero = zero_rows(np.sqrt(np.einsum("ij,ij->i", arr, arr, dtype=np.float64)))
+        norms = np.sqrt(np.einsum("ij,ij->i", arr, arr, dtype=np.float64))
+        if not np.all(np.isfinite(norms)):
+            raise ValueError("feature data contains non-finite values")
+        zero = norms == 0.0
+        bad = ~zero & (np.abs(norms - 1.0) > UNIT_NORM_TOL)
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"row {i} has norm {norms[i]:.6g}; rows must be unit-norm or exactly zero"
+            )
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "sample_ids", ids)

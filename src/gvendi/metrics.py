@@ -19,7 +19,7 @@ from collections import Counter
 import numpy as np
 
 from .corpus import Corpus
-from .featmat import FeatureMatrix, zero_rows
+from .featmat import FeatureMatrix
 from .proxy import (
     TFIDF_DIM,
     TFIDF_SEED,
@@ -163,11 +163,7 @@ def report_from_tfidf(
     """
     rows = _tfidf_rows(corpus, dim, seed)
     n = len(corpus)
-    nnz = np.diff(rows.indptr)
-    weight = rows.weight.astype(np.float64)
-    zero = zero_rows(
-        np.sqrt(np.bincount(np.repeat(np.arange(n), nnz), weights=weight * weight, minlength=n))
-    )
+    zero = np.diff(rows.indptr) == 0
     op = "embedding_dissimilarity" if metric == "embedding_dissim" else "vendi_score"
     if n == 0:
         raise ValueError(f"{op}: empty feature matrix")
@@ -175,7 +171,8 @@ def report_from_tfidf(
         raise ValueError("all feature rows are degenerate (zero vectors)")
     used = n - int(zero.sum())
     if metric == "embedding_dissim":
-        value = _mean_dissimilarity(np.bincount(rows.bucket, weights=weight, minlength=dim), used)
+        total = np.bincount(rows.bucket, weights=rows.weight, minlength=dim)
+        value = _mean_dissimilarity(total, used)
     else:
         kept = TfidfRows(np.r_[0, rows.indptr[1:][~zero]], rows.bucket, rows.weight)
         value = _vendi(kept.scatter(np.unique(rows.bucket), np.float64))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,10 +95,9 @@ class ProxyModel:
 class ProjectionSpec:
     """Sign (+-1) random projection from gradient space down to `target_dim`.
 
-    Entries are a pure function of (seed, row, column). `project` generates
-    the matrix block by block and keeps none of it; `featurize` uses the
-    whole matrix, `signs`, which the spec builds on first use and keeps, so
-    every featurize call on one spec shares one build.
+    Entries are a pure function of (seed, row, column). The whole matrix,
+    `signs`, is built on the first `project` or `featurize` call and kept by
+    the spec, so every call on one spec shares one build.
     """
 
     source_dim: int
@@ -240,39 +239,28 @@ def sample_nll(model: ProxyModel, sample: Sample) -> tuple[float, int]:
     return _token_pass(model, (sample,))[0]
 
 
-def _project(sign_rows: Callable[[int, int], np.ndarray], vecs: np.ndarray,
-             target_dim: int) -> np.ndarray:
-    """vecs @ S for the target_dim-column sign matrix S; sign_rows(start, stop)
-    gives rows [start, stop) of S.
-
-    Adds one product per _PROJECT_BLOCK_ROWS rows of S, in row order, to a
-    zero-initialised float64 result, so a zero row stays exactly +0.0.
-    """
-    out = np.zeros((vecs.shape[0], target_dim), dtype=np.float64)
-    for start in range(0, vecs.shape[1], _PROJECT_BLOCK_ROWS):
-        stop = min(start + _PROJECT_BLOCK_ROWS, vecs.shape[1])
-        out += vecs[:, start:stop] @ sign_rows(start, stop)
-    return out
-
-
 def project(spec: ProjectionSpec, vectors: np.ndarray) -> np.ndarray:
     """Apply the sign projection to vectors given as rows; linear, float64.
 
-    Generates the sign matrix one block of _PROJECT_BLOCK_ROWS rows at a
-    time, so any source_dim fits in memory and the spec keeps none of it;
-    `featurize` sums in the same block order over `spec.signs`, a chunk of
-    rows at a time. A row's result does not depend on the other rows passed
-    with it, except that a single row takes the BLAS matrix-vector path,
-    whose low bits can differ; that is why `featurize` never projects a
-    1-row chunk of a longer corpus.
+    Adds one product per _PROJECT_BLOCK_ROWS rows of `spec.signs`, in row
+    order, to a zero-initialised result, so a zero row stays exactly +0.0.
+    The spec builds its whole sign matrix on first use and keeps it, so
+    `featurize`, which projects each chunk through here, shares the build.
+    A row's result does not depend on the other rows passed with it, except
+    that a single row takes the BLAS matrix-vector path, whose low bits can
+    differ; that is why `featurize` never projects a 1-row chunk of a longer
+    corpus.
     """
     vecs = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     if vecs.shape[1] != spec.source_dim:
         raise ValueError(
             f"vector dimension {vecs.shape[1]} != projection source_dim {spec.source_dim}"
         )
-    return _project(lambda start, stop: sign_block(spec.seed, start, stop, spec.target_dim),
-                    vecs, spec.target_dim)
+    out = np.zeros((vecs.shape[0], spec.target_dim), dtype=np.float64)
+    for start in range(0, spec.source_dim, _PROJECT_BLOCK_ROWS):
+        stop = start + _PROJECT_BLOCK_ROWS
+        out += vecs[:, start:stop] @ spec.signs[start:stop]
+    return out
 
 
 def _chunk_bounds(n: int) -> list[int]:
@@ -315,7 +303,7 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
         rows = grads[: stop - start]
         _token_pass(model, corpus.samples[start:stop], rows, unit=True)
         # a zero gradient row projects to exactly +0.0 and stays zero
-        projected = _project(lambda a, b: proj.signs[a:b], rows, proj.target_dim)
+        projected = project(proj, rows)
         norms = np.linalg.norm(projected, axis=1)
         projected /= np.where(norms == 0.0, 1.0, norms)[:, None]
         out[start:stop] = projected
@@ -357,9 +345,10 @@ def _tfidf_rows(corpus: Corpus, dim: int, seed: int) -> TfidfRows:
     """The rows of `embed_hashed_tfidf`, kept sparse.
 
     Each distinct bigram is hashed once per call. A row's weights are
-    count * idf over its dense `dim`-long row, divided by that row's norm
-    taken with the same pairwise sum as norm(axis=1); a reused float64
-    scratch row does this, so the values equal the dense row's bit for bit.
+    count * idf over its nonzeros, divided by their norm. That float64 norm
+    may differ in its last bits from one taken over the dense `dim`-long
+    row, but the float32 weights have matched the dense row's bit for bit on
+    every corpus tried.
     """
     if dim < 2:
         raise ValueError("embedding dim must be >= 2")
@@ -384,14 +373,10 @@ def _tfidf_rows(corpus: Corpus, dim: int, seed: int) -> TfidfRows:
     df = np.bincount(bucket, minlength=dim).astype(np.float64)
     idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
     weight = np.empty(bucket.size, dtype=np.float32)
-    row = np.zeros(dim, dtype=np.float64)
-    square = np.empty(dim, dtype=np.float64)
     for i, (c, k) in enumerate(zip(cols, counts)):
         if c.size:
-            row[c] = k * idf[c]
-            np.multiply(row, row, out=square)
-            weight[indptr[i] : indptr[i + 1]] = row[c] / np.sqrt(np.add.reduce(square))
-            row[c] = 0.0
+            w = k * idf[c]
+            weight[indptr[i] : indptr[i + 1]] = w / np.sqrt(w @ w)
     return TfidfRows(indptr, bucket, weight)
 
 

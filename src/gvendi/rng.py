@@ -62,9 +62,9 @@ def sign_block(seed: int, row_start: int, row_stop: int, dim: int) -> np.ndarray
 
     Entry (i, j) is a pure function of (seed, i, j): bit (j mod 64) of the
     splitmix64 word at coordinate (i, j // 64), so any block is reproducible
-    on demand. `proxy.project` asks for blocks of rows; `proxy.featurize`
-    asks for the whole matrix once per call. The float64 result is built in
-    place, so its temporaries are about an eighth of its size.
+    on demand. `proxy.ProjectionSpec.signs` asks for the whole matrix once
+    per spec. The float64 result is built in place, so its temporaries are
+    about an eighth of its size.
     """
     n_rows = row_stop - row_start
     n_words = (dim + 63) // 64

@@ -145,6 +145,8 @@ def sample_mixture(
     if len(selections) != len(weights):
         raise ValueError("one weight per parent selection required")
     w = np.asarray(weights, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"weights must be finite, got {w.tolist()}")
     if np.any(w < 0) or w.sum() <= 0:
         raise ValueError("weights must be nonnegative with positive sum")
     union: set[int] = set()

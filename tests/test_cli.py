@@ -222,6 +222,33 @@ def test_sample_mixture_bad_weight_names_flag(toy, capsys):
     assert capsys.readouterr().err == "error: ValueError: --weights '1,x': 'x' is not a number\n"
 
 
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["ingest", "--input", "{bad}", "--output", "{d}/out.jsonl"], b"\xff\n", "not UTF-8"),
+        (["--config", "{bad}", "diversity", "--metric", "ngram-entropy", "--corpus", "{pool}"],
+         b"\xff\n", "not UTF-8"),
+        (["diversity", "--metric", "ngram-entropy", "--corpus", "{pool}", "--select", "{bad}"],
+         b"\xff\n", "not UTF-8"),
+        (["diversity", "--metric", "ngram-entropy", "--corpus", "{pool}", "--select", "{bad}"],
+         b"[x", "not JSON"),
+        (["evaluate", "--table", "{bad}", "--reference", "ref"], b"\xff\n", "not UTF-8"),
+        (["evaluate", "--table", "{d}/acc.csv", "--reference", "ref", "--diversity", "{bad}"],
+         b"\xff\n", "not UTF-8"),
+    ],
+    ids=["ingest", "config", "select", "select-not-json", "accuracy-csv", "diversity-csv"],
+)
+def test_unreadable_text_input_names_the_file(toy, capsys, argv, content, message):
+    tmp_path, pool = toy
+    (tmp_path / "acc.csv").write_text("model,b1\nref,0.8\nm1,0.4\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    rc = run_cli(*[a.format(bad=bad, d=tmp_path, pool=pool) for a in argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {bad}: {message}") and err.count("\n") == 1, err
+
+
 def test_synthesize_bad_echo_rate_names_flag(toy, capsys):
     tmp_path, pool = toy
     rc = run_cli("synthesize", "--corpus", pool, "--outdir", str(tmp_path / "run"),

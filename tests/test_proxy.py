@@ -232,13 +232,13 @@ def _short_and_long_outputs(n):
 def test_chunked_featurize_matches_per_sample_reference(monkeypatch):
     monkeypatch.setattr(proxy, "_CHUNK_ROWS", 4)
     chunk_rows = []
-    project_chunk = proxy._project
+    project_chunk = proxy.project
 
-    def recording(sign_rows, vecs, target_dim):
+    def recording(spec, vecs):
         chunk_rows.append(vecs.shape[0])
-        return project_chunk(sign_rows, vecs, target_dim)
+        return project_chunk(spec, vecs)
 
-    monkeypatch.setattr(proxy, "_project", recording)
+    monkeypatch.setattr(proxy, "project", recording)
     model = ProxyModel.create()
     proj = ProjectionSpec(model.n_params)
     for n in (0, 1, 2, 3, 4, 5, 9):
@@ -303,10 +303,23 @@ def test_projection_spec_builds_its_signs_once(monkeypatch):
     assert len(calls) == 2
 
     del calls[:]
+    spec = ProjectionSpec(model.n_params, 32, seed=13)
+    assert project(spec, rng_from(5).normal(size=(2, model.n_params))).shape == (2, 32)
+    assert featurize(model, spec, corpus).data.tobytes() == a.data.tobytes()
+    assert calls == [model.n_params]
+
+
+def test_project_matches_blockwise_sign_reference():
     spec = ProjectionSpec(20000, 8, seed=3)
-    project(spec, rng_from(5).normal(size=(2, 20000)))
-    assert calls == [8192, 8192, 3616]
-    assert "signs" not in spec.__dict__
+    vecs = rng_from(5).normal(size=(3, 20000))
+    vecs[1] = 0.0
+    reference = np.zeros((3, 8))
+    for start in range(0, 20000, 8192):
+        stop = min(start + 8192, 20000)
+        reference += vecs[:, start:stop] @ sign_block(3, start, stop, 8)
+    out = project(spec, vecs)
+    assert out.tobytes() == reference.tobytes()
+    assert not np.signbit(out[1]).any() and not out[1].any()
 
 
 def test_projection_linearity():

@@ -149,6 +149,12 @@ def test_mixture_insufficient_union():
         sample_mixture([[0, 1], [1, 2]], [1, 1], 4, rng_seed=1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_mixture_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="weights must be finite"):
+        sample_mixture([[0, 1], [2, 3]], [1.0, bad], 2, rng_seed=1)
+
+
 def test_mixture_largest_remainder_apportionment():
     # quotas 7*[2,1]/3 = [4.67, 2.33] -> [4, 2] plus one remainder to parent 0
     sel = sample_mixture([list(range(10)), list(range(10, 20))], [2, 1], 7, rng_seed=8)
