@@ -4,8 +4,8 @@ Each sample is represented by the loss gradient of a small fixed next-token
 model: a linear softmax over hashed byte-bigram context features. The model
 is deliberately tiny -- its job is not to predict well but to give every
 sample a closed-form gradient direction that genuinely depends on the
-input -> output mapping. Gradients are unit-normalized, sign-projected down
-to a small dimension, and re-normalized, yielding the rows of a
+input -> output mapping. Gradients are sign-projected down to a small
+dimension in float32 and unit-normalized, yielding the rows of a
 FeatureMatrix.
 
 A hashed word-bigram TF-IDF embedder is included as a built-in stand-in for
@@ -31,6 +31,9 @@ _CTX_START = 0x02  # prepended so every context yields at least one bigram
 _CTX_SEP = 0x1E  # record separator between input and output prefix
 
 _PROJECT_BLOCK_ROWS = 8192
+# mixed into featurize's provenance fingerprint; bumped whenever a change to
+# the kernel moves feature values, so rows of two revisions never append
+_FEATURIZE_REVISION = 1  # float32 projection of un-normalised gradients
 _CHUNK_ROWS = 128  # samples per featurize chunk; its logits outweigh its gradient rows
 
 # embed_hashed_tfidf's defaults, shared by the metrics that score its rows
@@ -97,7 +100,8 @@ class ProjectionSpec:
 
     Entries are a pure function of (seed, row, column). The whole matrix,
     `signs`, is built on the first `project` or `featurize` call and kept by
-    the spec, so every call on one spec shares one build.
+    the spec as float32, which holds +-1 exactly, so every call on one spec
+    shares one build.
     """
 
     source_dim: int
@@ -114,7 +118,7 @@ class ProjectionSpec:
 
     @cached_property
     def signs(self) -> np.ndarray:
-        """The whole source_dim x target_dim sign matrix, float64 (128 MB at
+        """The whole source_dim x target_dim sign matrix, float32 (64 MB at
         the default sizes), read-only."""
         signs = sign_block(self.seed, 0, self.source_dim, self.target_dim)
         signs.flags.writeable = False
@@ -168,15 +172,15 @@ def _context_features(model: ProxyModel, sample: Sample) -> tuple[np.ndarray, np
     return counts / norms[:, None], targets
 
 
-def _token_pass(model: ProxyModel, samples: Sequence[Sample], out: np.ndarray | None = None,
-                unit: bool = False) -> list[tuple[float, int]]:
+def _token_pass(model: ProxyModel, samples: Sequence[Sample],
+                out: np.ndarray | None = None) -> list[tuple[float, int]]:
     """Each sample's total negative log-likelihood and token count, from one
     logits GEMM over every token of `samples`.
 
     Given `out`, each sample's gradient, (softmax - onehot)^T @ phi, also
-    lands in its row of `out`; with `unit` each nonzero row is divided by
-    its norm while it is still in cache. Errors name the first failing
-    sample in order, even when a later one fails at an earlier stage.
+    lands un-normalised in its row of `out`: computed in float64, then
+    rounded once to `out`'s dtype. Errors name the first failing sample in
+    order, even when a later one fails at an earlier stage.
     """
     contexts = []
     pending = None
@@ -210,10 +214,6 @@ def _token_pass(model: ProxyModel, samples: Sequence[Sample], out: np.ndarray | 
                     raise ValueError(
                         f"sample {samples[i].id!r}: non-finite gradient (corrupt weights?)"
                     )
-                if unit:
-                    norm = np.linalg.norm(row)
-                    if norm > 0.0:
-                        row /= norm
             start = stop
     if pending is not None:
         raise pending
@@ -240,10 +240,14 @@ def sample_nll(model: ProxyModel, sample: Sample) -> tuple[float, int]:
 
 
 def project(spec: ProjectionSpec, vectors: np.ndarray) -> np.ndarray:
-    """Apply the sign projection to vectors given as rows; linear, float64.
+    """Apply the sign projection to vectors given as rows; linear.
 
-    Adds one product per _PROJECT_BLOCK_ROWS rows of `spec.signs`, in row
-    order, to a zero-initialised result, so a zero row stays exactly +0.0.
+    Computes in float32 for float32 rows (as `featurize` passes them) and in
+    float64 for any other input; a float64 product casts each block of the
+    float32 signs up, which is exact. Adds one product per
+    _PROJECT_BLOCK_ROWS rows of `spec.signs`, in row order, to a
+    zero-initialised result, so a zero row stays exactly +0.0.
+
     The spec builds its whole sign matrix on first use and keeps it, so
     `featurize`, which projects each chunk through here, shares the build.
     A row's result does not depend on the other rows passed with it, except
@@ -251,15 +255,16 @@ def project(spec: ProjectionSpec, vectors: np.ndarray) -> np.ndarray:
     differ; that is why `featurize` never projects a 1-row chunk of a longer
     corpus.
     """
-    vecs = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    vecs = np.atleast_2d(vectors)
+    vecs = vecs.astype(np.float32 if vecs.dtype == np.float32 else np.float64, copy=False)
     if vecs.shape[1] != spec.source_dim:
         raise ValueError(
             f"vector dimension {vecs.shape[1]} != projection source_dim {spec.source_dim}"
         )
-    out = np.zeros((vecs.shape[0], spec.target_dim), dtype=np.float64)
+    out = np.zeros((vecs.shape[0], spec.target_dim), dtype=vecs.dtype)
     for start in range(0, spec.source_dim, _PROJECT_BLOCK_ROWS):
         stop = start + _PROJECT_BLOCK_ROWS
-        out += vecs[:, start:stop] @ spec.signs[start:stop]
+        out += vecs[:, start:stop] @ spec.signs[start:stop].astype(vecs.dtype, copy=False)
     return out
 
 
@@ -283,11 +288,15 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
     than being dropped, keeping row/id alignment intact.
 
     The corpus streams through in chunks of _CHUNK_ROWS samples (a 1-row
-    tail joins the chunk before it): gradients for one chunk, normalised,
-    projected and normalised again, land as float32 rows in the output. The
-    sign matrix is `proj.signs` (source_dim x target_dim float64, 128 MB at
-    the defaults), built on the first call with `proj` and kept by it; memory
-    is flat in the corpus size apart from the output itself.
+    tail joins the chunk before it): gradients for one chunk, computed in
+    float64, are stored and projected in float32, then each row is
+    normalised in float64 and lands as float32 in the output. The sign
+    matrix is `proj.signs` (source_dim x target_dim float32, 64 MB at the
+    defaults), built on the first call with `proj` and kept by it; memory is
+    flat in the corpus size apart from the output itself.
+
+    The provenance fingerprint mixes the model's with _FEATURIZE_REVISION,
+    so rows from an earlier kernel never append to these.
     """
     if proj.source_dim != model.n_params:
         raise ValueError(
@@ -297,20 +306,21 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
     bounds = _chunk_bounds(len(corpus))
     chunks = list(zip(bounds, bounds[1:]))
     grads = np.empty((max((b - a for a, b in chunks), default=0), model.n_params),
-                     dtype=np.float64)
+                     dtype=np.float32)
     out = np.empty((len(corpus), proj.target_dim), dtype=np.float32)
     for start, stop in chunks:
         rows = grads[: stop - start]
-        _token_pass(model, corpus.samples[start:stop], rows, unit=True)
+        _token_pass(model, corpus.samples[start:stop], rows)
         # a zero gradient row projects to exactly +0.0 and stays zero
-        projected = project(proj, rows)
+        projected = project(proj, rows).astype(np.float64)
         norms = np.linalg.norm(projected, axis=1)
         projected /= np.where(norms == 0.0, 1.0, norms)[:, None]
         out[start:stop] = projected
     return FeatureMatrix(
         out,
         tuple(corpus.ids()),
-        Provenance("proxy_gradient", fingerprint=model.fingerprint(), seed=proj.seed),
+        Provenance("proxy_gradient", fingerprint=mix64(model.fingerprint(), _FEATURIZE_REVISION),
+                   seed=proj.seed),
     )
 
 

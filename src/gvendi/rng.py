@@ -63,10 +63,10 @@ def sign_block(seed: int, row_start: int, row_stop: int, dim: int) -> np.ndarray
     Entry (i, j) is a pure function of (seed, i, j): bit (j mod 64) of the
     splitmix64 word at coordinate (i, j // 64), so any block is reproducible
     on demand. `proxy.ProjectionSpec.signs` asks for the whole matrix once
-    per spec. The float64 result is built in place, so its temporaries are
-    about an eighth of its size.
+    per spec. The result is float32, which holds +-1 exactly. It is built
+    in place from the words a block of about 1 MiB of unpacked bits at a
+    time, so its temporaries are the words (1/32 of its size) and one block.
     """
-    n_rows = row_stop - row_start
     n_words = (dim + 63) // 64
     rows = np.arange(row_start, row_stop, dtype=np.uint64)
     cols = np.arange(n_words, dtype=np.uint64)
@@ -74,9 +74,12 @@ def sign_block(seed: int, row_start: int, row_stop: int, dim: int) -> np.ndarray
     with np.errstate(over="ignore"):
         row_h = _splitmix64((rows * _STREAM_SALT) ^ base)
         words = _splitmix64(row_h[:, None] ^ ((cols[None, :] + np.uint64(1)) * _MIX1))
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    bits = bits.reshape(n_rows, n_words * 64)[:, :dim]
-    signs = bits.astype(np.float64)
-    signs *= 2.0
-    signs -= 1.0
+    signs = np.empty((row_stop - row_start, dim), dtype=np.float32)
+    step = max(1, (1 << 20) // dim)
+    for a in range(0, len(signs), step):
+        block = signs[a : a + step]
+        block[...] = np.unpackbits(words[a : a + step].view(np.uint8), axis=1, count=dim,
+                                   bitorder="little")
+        block *= 2
+        block -= 1
     return signs

@@ -134,6 +134,16 @@ def test_featurize_deterministic_bitwise():
     assert a.provenance == b.provenance == c.provenance
 
 
+def test_featurize_provenance_names_the_kernel_revision():
+    # rows from the float64-projection kernel carried the bare model fingerprint
+    corpus = corpus_of(["one two", "three four five"])
+    model = ProxyModel.create(vocab_size=256, feature_dim=24)
+    prov = featurize(model, ProjectionSpec(model.n_params, 32, seed=13), corpus).provenance
+    assert prov.featurizer == "proxy_gradient" and prov.seed == 13
+    assert prov.fingerprint != model.fingerprint()
+    assert prov.fingerprint == mix64(model.fingerprint(), proxy._FEATURIZE_REVISION)
+
+
 def test_featurize_dimension_mismatch():
     corpus = corpus_of(["x"])
     model = ProxyModel.create(vocab_size=16, feature_dim=4)
@@ -195,18 +205,17 @@ def _per_sample_gradient(model, sample):
 
 
 def _per_sample_featurize(model, proj, corpus):
-    """featurize as one n x n_params buffer of per-sample unit gradients and
-    one projection over 8192-row sign blocks: the chunked rows must equal it."""
-    grads = np.zeros((len(corpus), model.n_params), dtype=np.float64)
+    """featurize as one n x n_params float32 buffer of per-sample float64
+    gradients, one float32 projection over 8192-row sign blocks and a float64
+    renormalisation: the chunked rows must equal it."""
+    grads = np.zeros((len(corpus), model.n_params), dtype=np.float32)
     for i, sample in enumerate(corpus):
-        g = _per_sample_gradient(model, sample)
-        norm = np.linalg.norm(g)
-        if norm > 0.0:
-            grads[i] = g / norm
-    projected = np.zeros((len(corpus), proj.target_dim), dtype=np.float64)
+        grads[i] = _per_sample_gradient(model, sample)
+    projected = np.zeros((len(corpus), proj.target_dim), dtype=np.float32)
     for start in range(0, proj.source_dim, 8192):
         stop = min(start + 8192, proj.source_dim)
         projected += grads[:, start:stop] @ sign_block(proj.seed, start, stop, proj.target_dim)
+    projected = projected.astype(np.float64)
     norms = np.linalg.norm(projected, axis=1)
     projected /= np.where(norms == 0.0, 1.0, norms)[:, None]
     return projected.astype(np.float32)
@@ -320,6 +329,26 @@ def test_project_matches_blockwise_sign_reference():
     out = project(spec, vecs)
     assert out.tobytes() == reference.tobytes()
     assert not np.signbit(out[1]).any() and not out[1].any()
+
+
+def test_project_float32_matches_blockwise_float32_reference():
+    spec = ProjectionSpec(20000, 8, seed=3)
+    vecs = rng_from(5).normal(size=(3, 20000)).astype(np.float32)
+    vecs[1] = 0.0
+    reference = np.zeros((3, 8), dtype=np.float32)
+    for start in range(0, 20000, 8192):
+        stop = min(start + 8192, 20000)
+        reference += vecs[:, start:stop] @ sign_block(3, start, stop, 8)
+    out = project(spec, vecs)
+    assert out.dtype == np.float32 and out.tobytes() == reference.tobytes()
+    assert not np.signbit(out[1]).any() and not out[1].any()
+
+
+def test_projection_spec_signs_are_float32_built_in_place():
+    spec = ProjectionSpec(16384, 1024)
+    signs, peak = _traced_peak(lambda: spec.signs)
+    assert signs.dtype == np.float32 and signs.nbytes == 64 * 2**20
+    assert peak <= 1.25 * signs.nbytes, f"peak {peak / signs.nbytes:.2f}x the signs"
 
 
 def test_projection_linearity():
@@ -544,8 +573,8 @@ def _sign_reference(seed, row_start, row_stop, dim):
 def test_sign_block_builds_in_place():
     for dim in (1, 63, 64, 65, 1024):
         signs = sign_block(9, 5, 300, dim)
-        assert signs.dtype == np.float64 and signs.shape == (295, dim)
-        assert signs.tobytes() == _sign_reference(9, 5, 300, dim).tobytes(), dim
+        assert signs.dtype == np.float32 and signs.shape == (295, dim)
+        assert signs.tobytes() == _sign_reference(9, 5, 300, dim).astype(np.float32).tobytes(), dim
     signs, peak = _traced_peak(lambda: sign_block(9, 0, 4096, 1024))
     assert peak <= 1.25 * signs.nbytes, f"peak {peak / signs.nbytes:.2f}x the output"
 
