@@ -56,11 +56,11 @@ WORKER = textwrap.dedent(
 
 GOLDEN = {
     "featurize/gradient.gvfm":
-        "f09bc9b1dbdce8898554d74e35c7b2581125f120bb51623c5068d69972a84b53",
+        "e57019d056a9c4ea69eff6271a16da6e9ee4dbff79486223215f8c06dd57a923",
     "featurize/embedding.gvfm":
         "dd05b997be2286240b34aa2c5adf2d76490860b30637c2ad4b7755b8a2418218",
     "cluster.json":
-        "4da4e29cf812e818c2bf9f76b5fa1ba73f44765af11760742267291ef326cb7b",
+        "9b340c60067d53ad122557beac02852ecb11ae06c78c3a3ad21fd0b0b6c6ce46",
     "sample/higher.json":
         "3c8b2744606ab6e58026418fa577b0de4cdea05684fecee31d43f17e568e434b",
     "sample/lower.json":
@@ -70,13 +70,13 @@ GOLDEN = {
     "sample/mixture.json":
         "01f2077ad04811d238a9357e0086d357586b9abef61eb4d80957c9f596165410",
     "diversity/g-vendi-features.json":
-        "db7fb5c7b308fecc3e4ef7336ea176887532772eacd16b4dd28cc5ddbf4da9ab",
+        "8547d2fc4edf83d23447d6ab80a038df3314675fa9173ffb023c98310013a603",
     "diversity/g-vendi-features-select.json":
-        "a418d92a752d4a8fa7d8cc521448bc7c22c3ae6ade5378ba7900f13650eb6f92",
+        "898fe6489af73d3133ecfef95c22904daae60756e5ca6791daf94a7521e3b998",
     "diversity/g-vendi-corpus.json":
-        "6aa822f1f41c4e472407f8f43820ee3f80154d1a3288f0edef27544b5c9caacd",
+        "8f4168e0295f8c78b18287acfdb851ffa1b84adfa4d14cd6688a6302f659b6db",
     "diversity/g-vendi-corpus-select.json":
-        "b5d82f2b05930c80becf59e04a764f0dda658a394faf349a8f3844420925b8cd",
+        "a76d070413fe49f8674644977e0ec5072db0766ebf2d8c35e7484a73d0382653",
     "diversity/embedding-vendi-features.json":
         "1ae6070a6a4b146a0e0abf1a2bdb2b9a543c950f859b3026f562a851934be3ff",
     "diversity/embedding-vendi-features-select.json":
@@ -106,15 +106,15 @@ GOLDEN = {
     "synth-builtin/pool.jsonl":
         "f2f9b159edb9c75741845e6359ab49f137f3b2438551424d3e937e9de22e4578",
     "synth-builtin/state.json":
-        "e84970ac5eda60ac1d76bad7c7113bf41a4e638a961f94c4069bd8456d3f7d9b",
+        "9ea43a2d633183e3c07bef85a463ac8f3244e3c5c3ba485fdd36f7df8dc9c8b2",
     "synth-builtin/features.gvfm":
-        "0951039ea793abe944d2dd8662f394fe4f281395e84d5f0d58e1cef7c1d41d17",
+        "41856444a36eea6443447634cdba20444c6ec80a12f8f210f999423407bf0bff",
     "synth-cmd/pool.jsonl":
         "dad44519b043a6718d264dd134f742473a7a0d1b15258aed8ebf9a45b7e20c57",
     "synth-cmd/state.json":
-        "a30e306721a8c9cc2547518565e9fd7e32c92fe56be4ddcfc5d3b1ca16e9ad46",
+        "1476298a755047fb44441dfe65fc8bd46a0aa72bec75e86076478fe562b76182",
     "synth-cmd/features.gvfm":
-        "008fdec415e463e6c5c5712c5d904a700489e46349ffbd65d8e3aee93225b6f5",
+        "03a17961041f679f92aea30ec3c1e285cb8dda0482938c7b70a9640ea93d10ae",
     "evaluate.json":
         "ae55f4b2b297d74bb5e54e761b19e569c68b24a6b79bfd4f5c20eb05f2519477",
     "report.tsv":
