@@ -147,8 +147,11 @@ def sample_mixture(
     w = np.asarray(weights, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise ValueError(f"weights must be finite, got {w.tolist()}")
-    if np.any(w < 0) or w.sum() <= 0:
+    if np.any(w < 0) or not w.any():
         raise ValueError("weights must be nonnegative with positive sum")
+    with np.errstate(over="ignore"):
+        if np.isinf(w.sum()) or np.isinf(n_target * w.max()):
+            w = w / w.max()  # too large to apportion as given; the ratios hold
     union: set[int] = set()
     for sel in selections:
         union.update(int(i) for i in sel)

@@ -723,8 +723,19 @@ def run_synthesis(
     With a checkpoint_dir, state is persisted after every step and a partial
     run resumes from the last completed step; seeds derive from (config.seed,
     iteration), so a resumed run reproduces an uninterrupted one exactly.
+    A checkpoint whose features carry another provenance than `featurizer`
+    gives (read from its output on an empty corpus) fails before any step.
     """
     state = load_checkpoint(checkpoint_dir) if checkpoint_dir is not None else None
+    if state is not None:
+        found = state.pool_features.provenance
+        made = featurizer(Corpus((), name=state.pool.name)).provenance
+        if found != made:
+            raise ValueError(
+                f"{os.path.join(checkpoint_dir, FEATURES_FILE)}: rows written with {found}, "
+                f"but this run featurizes with {made}; resume with the settings that "
+                "wrote it, or delete and rerun"
+            )
     if state is None:
         state = SynthesisState(
             pool=seed_corpus,

@@ -164,6 +164,11 @@ def test_sample_mixture_from_id_files(toy):
                    "--seed", "3", "--output", out) == 0
     ids = json.loads(Path(out).read_text())
     assert len(ids) == len(set(ids)) == 20
+    huge = str(tmp_path / "mix_huge.json")
+    assert run_cli("sample", "--features", feats, "--strategy", "mixture",
+                   "--parents", p1, p2, "--weights", "1e308,1e308", "--n", "20",
+                   "--seed", "3", "--output", huge) == 0
+    assert json.loads(Path(huge).read_text()) == ids
 
 
 @pytest.mark.parametrize("content", ["5", "null", '["a", 3]', '{"ids": []}'])
@@ -379,6 +384,30 @@ def test_synthesize_history_length_mismatch_names_the_file(toy, capsys):
     assert run_cli(*args) == 1
     assert capsys.readouterr().err == (f"error: ValueError: {state}: history has 0 entries, "
                                        "iteration is 1\n")
+
+
+def test_synthesize_resume_with_another_featurizer_names_the_features(toy, capsys):
+    tmp_path, pool = toy
+    outdir = tmp_path / "run"
+    args = ["synthesize", "--corpus", pool, "--outdir", str(outdir),
+            "--gen-batch", "4", "--feature-dim", "32", "--proj-dim", "32"]
+    assert run_cli(*args, "--iterations", "1", "--proj-seed", "7") == 0
+    files = ("state.json", "pool.jsonl", "features.gvfm")
+    before = [(outdir / f).read_bytes() for f in files]
+    log = tmp_path / "requests.log"
+    worker = tmp_path / "worker.py"
+    worker.write_text("import sys\nfor line in sys.stdin:\n"
+                      f"    open({str(log)!r}, 'a').write(line)\n"
+                      "    print('{\"samples\": []}', flush=True)\n")
+    capsys.readouterr()
+    rc = run_cli(*args, "--iterations", "2", "--proj-seed", "8",
+                 "--generator", "cmd:" + shlex.join([sys.executable, str(worker)]))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {outdir / 'features.gvfm'}: rows written with "), err
+    assert err.count("\n") == 1, err
+    assert not log.exists(), "an endpoint request ran before the check"
+    assert [(outdir / f).read_bytes() for f in files] == before
 
 
 def test_synthesize_lock_conflict(toy, capsys):

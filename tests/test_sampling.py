@@ -155,6 +155,18 @@ def test_mixture_rejects_non_finite_weights(bad):
         sample_mixture([[0, 1], [2, 3]], [1.0, bad], 2, rng_seed=1)
 
 
+@pytest.mark.parametrize(
+    "huge, plain, n_target",
+    [([1e308, 1e308], [1, 1], 2), ([1e308, 0], [1, 0], 2), ([2e307, 2e307], [1, 1], 10)],
+    ids=["sum-overflows", "one-parent", "scaled-weight-overflows"],
+)
+def test_mixture_weights_too_large_to_apportion(huge, plain, n_target):
+    parents = [list(range(5)), list(range(5, 10))]
+    for seed in range(4):
+        assert (sample_mixture(parents, huge, n_target, rng_seed=seed)
+                == sample_mixture(parents, plain, n_target, rng_seed=seed))
+
+
 def test_mixture_largest_remainder_apportionment():
     # quotas 7*[2,1]/3 = [4.67, 2.33] -> [4, 2] plus one remainder to parent 0
     sel = sample_mixture([list(range(10)), list(range(10, 20))], [2, 1], 7, rng_seed=8)
