@@ -63,9 +63,9 @@ def sign_block(seed: int, row_start: int, row_stop: int, dim: int) -> np.ndarray
     Entry (i, j) is a pure function of (seed, i, j): bit (j mod 64) of the
     splitmix64 word at coordinate (i, j // 64), so any block is reproducible
     on demand. `proxy.ProjectionSpec.signs` asks for the whole matrix once
-    per spec. The result is float32, which holds +-1 exactly. It is built
-    in place from the words a block of about 1 MiB of unpacked bits at a
-    time, so its temporaries are the words (1/32 of its size) and one block.
+    per spec. The result is float32, which holds +-1 exactly. The words are
+    unpacked straight into it, about 1 MiB of bits at a time, so its only
+    temporaries are the words (8 bytes per 64 columns) and one such block.
     """
     n_words = (dim + 63) // 64
     rows = np.arange(row_start, row_stop, dtype=np.uint64)

@@ -729,7 +729,7 @@ def run_synthesis(
     state = load_checkpoint(checkpoint_dir) if checkpoint_dir is not None else None
     if state is not None:
         found = state.pool_features.provenance
-        made = featurizer(Corpus((), name=state.pool.name)).provenance
+        made = featurizer(Corpus(())).provenance
         if found != made:
             raise ValueError(
                 f"{os.path.join(checkpoint_dir, FEATURES_FILE)}: rows written with {found}, "
