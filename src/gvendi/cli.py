@@ -18,6 +18,7 @@ import argparse
 import fcntl
 import inspect
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple, Sequence
@@ -406,12 +407,16 @@ def _diversity_map(path: str) -> dict[str, float]:
         for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
+            where = f"{path}: line {reader.line_num}"
             try:
-                out[row[0].strip()] = float(row[1])
+                model, value = row[0].strip(), float(row[1])
             except (IndexError, ValueError):
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected 'model,diversity'"
-                ) from None
+                raise ValueError(f"{where}: expected 'model,diversity'") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: diversity {row[1].strip()!r} is not finite")
+            if model in out:
+                raise ValueError(f"{where}: model {model!r} is listed twice")
+            out[model] = value
     return out
 
 

@@ -92,14 +92,22 @@ def _ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Rank correlation: Pearson correlation of fractional ranks."""
+def _paired(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float64 arrays, checked to be 1-D, paired, finite and >= 3 long."""
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ValueError("x and y must be 1-D of equal length")
     if len(xa) < 3:
         raise ValueError("need at least 3 points")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise ValueError("x and y must be finite")
+    return xa, ya
+
+
+def spearman(x: Sequence[float], y: Sequence[float]) -> float:
+    """Rank correlation: Pearson correlation of fractional ranks."""
+    xa, ya = _paired(x, y)
     if np.all(xa == xa[0]) or np.all(ya == ya[0]):
         raise ValueError("rank correlation undefined for constant input")
     rx = _ranks(xa) - _ranks(xa).mean()
@@ -149,12 +157,7 @@ def fit_r2(x: Sequence[float], y: Sequence[float]) -> CorrelationReport:
     The log-linear fit is skipped (reported R^2 falls back to linear) when
     any x is non-positive.
     """
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise ValueError("x and y must be 1-D of equal length")
-    if len(xa) < 3:
-        raise ValueError("need at least 3 points")
+    xa, ya = _paired(x, y)
     if np.all(ya == ya[0]):
         raise ValueError("y is constant; R^2 undefined")
     r2_lin = _ols_r2(xa, ya)

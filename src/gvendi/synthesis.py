@@ -188,8 +188,20 @@ class EchoSolver:
 # external endpoints
 
 
+def _json_object(text: str | bytes, source: str) -> dict:
+    """The JSON object in a reply from `source`; anything else is EndpointError."""
+    try:
+        out = json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError on bytes
+        raise EndpointError(f"invalid JSON from {source}: {e}") from e
+    if not isinstance(out, dict):
+        raise EndpointError(f"{source}: response is not a JSON object")
+    return out
+
+
 class JsonLinesProcess:
-    """One request/response JSON line pair per call to a child process."""
+    """One request/response JSON line pair per call to a child process, which
+    serves one request at a time and is respawned when it has died."""
 
     def __init__(self, command: str | Sequence[str]):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
@@ -222,13 +234,7 @@ class JsonLinesProcess:
             if not line:
                 self._drop()
                 raise EndpointError("worker closed its output stream")
-        try:
-            resp = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise EndpointError(f"invalid JSON from worker: {e.msg}") from e
-        if not isinstance(resp, dict):
-            raise EndpointError("worker response is not a JSON object")
-        return resp
+        return _json_object(line, "worker")
 
     def _drop(self) -> None:
         """Kill the worker, close its pipes and reap it."""
@@ -268,7 +274,8 @@ class JsonLinesProcess:
 
 
 class HttpJson:
-    """POST a JSON object, read a JSON object back."""
+    """POST a JSON object, read a JSON object back. Each request opens its
+    own connection, so requests from several threads run in parallel."""
 
     def __init__(self, url: str, timeout: float = 60.0):
         self.url = url
@@ -284,13 +291,7 @@ class HttpJson:
                 payload = resp.read()
         except (OSError, http.client.HTTPException) as e:
             raise EndpointError(f"http request to {self.url} failed: {e}") from e
-        try:
-            out = json.loads(payload)
-        except json.JSONDecodeError as e:
-            raise EndpointError(f"invalid JSON from {self.url}: {e.msg}") from e
-        if not isinstance(out, dict):
-            raise EndpointError(f"{self.url}: response is not a JSON object")
-        return out
+        return _json_object(payload, self.url)
 
     def close(self) -> None:
         """Nothing to release: each request opens its own connection."""
@@ -341,12 +342,30 @@ class RemoteEndpoint:
 # pipeline stages
 
 
-def _map_pooled(fn: Callable, items: list, max_workers: int) -> list:
-    """[fn(x) for x in items], on a thread pool when max_workers > 1."""
-    if max_workers > 1 and items:
+_ATTEMPTS = 3  # tries per generate or solve request
+
+
+def _request_all(call: Callable, jobs: list, max_workers: int) -> tuple[list, int]:
+    """(results, failed) of call(*args, seed) per (args, seed) job, on a thread
+    pool when max_workers > 1. Try a of a job uses `seed`, then mix64(seed, a);
+    a job whose _ATTEMPTS tries all raise EndpointError gives None and counts
+    once in `failed`."""
+
+    def run(job):
+        args, seed = job
+        for attempt in range(_ATTEMPTS):
+            try:
+                return call(*args, mix64(seed, attempt) if attempt else seed)
+            except EndpointError:
+                pass
+        return None
+
+    if max_workers > 1 and jobs:
         with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
+            results = list(ex.map(run, jobs))
+    else:
+        results = [run(job) for job in jobs]
+    return results, sum(res is None for res in results)
 
 
 def generate_candidates(
@@ -355,14 +374,15 @@ def generate_candidates(
     fewshot_count: int,
     batch: int,
     rng_seed: int,
-    max_attempts: int = 3,
     max_workers: int = 1,
 ) -> tuple[list[Sample], int]:
     """Draw few-shot exemplars and request one candidate per batch slot.
 
-    Returns (candidates, failed_requests). Candidates get fresh content-hash
-    ids; anything content-identical to a pool member (or an earlier candidate
-    in the same batch) is dropped.
+    Returns (candidates, failed_requests); a request fails when all its
+    tries raise EndpointError (see `_request_all`). Each reply record is read
+    like a JSONL record from its input, output and label alone, so candidates
+    get fresh content-hash ids; anything content-identical to a pool member
+    (or an earlier candidate in the same batch) is dropped.
     """
     if batch < 0:
         raise ValueError("batch must be >= 0")
@@ -373,36 +393,19 @@ def generate_candidates(
     for c in range(batch):
         rng = rng_from(rng_seed, 0x6E0, c)
         idx = rng.choice(len(pool), size=fewshot_count, replace=False)
-        jobs.append(([pool[int(i)] for i in idx], mix64(rng_seed, 0x6E1, c)))
-
-    def run(job):
-        exemplars, req_seed = job
-        last = "no attempts made"
-        for attempt in range(max_attempts):
-            try:
-                return generator.generate(exemplars, 1, mix64(req_seed, attempt))
-            except EndpointError as e:
-                last = f"attempt {attempt + 1}/{max_attempts}: {e}"
-        return EndpointError(last)
-
-    results = _map_pooled(run, jobs, max_workers)
+        # the golden artifacts pin this first-try seed, mix64(slot seed, 0)
+        jobs.append((([pool[int(i)] for i in idx], 1), mix64(mix64(rng_seed, 0x6E1, c), 0)))
+    results, failures = _request_all(generator.generate, jobs, max_workers)
 
     known = {s.content_id() for s in pool} | set(pool.ids())
     candidates: list[Sample] = []
-    failures = 0
     for res in results:
-        if isinstance(res, EndpointError):
-            failures += 1
-            continue
-        for rec in res:
-            text_in = str(rec["input"])
-            text_out = str(rec.get("output", ""))
-            label = None if rec.get("label") is None else str(rec["label"])
-            sid = content_id(text_in, text_out, label)
-            if sid in known:
-                continue
-            known.add(sid)
-            candidates.append(Sample(id=sid, input=text_in, output=text_out, label=label))
+        for rec in res or ():
+            rec = {k: v for k, v in rec.items() if k in ("input", "output", "label")}
+            sample = Sample.from_json_dict(rec)
+            if sample.id not in known:
+                known.add(sample.id)
+                candidates.append(sample)
     return candidates, failures
 
 
@@ -431,25 +434,18 @@ def majority_vote_filter(
 
     A kept candidate's output is replaced by the first solver trace that
     yields the majority answer, and its content-hash id is refreshed to
-    match. Solver failures drop the candidate; the count is returned.
+    match. A candidate whose solver request fails all its tries (see
+    `_request_all`) is dropped; the count of those is returned.
     """
     if not 1 <= vote_tau <= vote_n:
         raise ValueError("need 1 <= vote_tau <= vote_n")
 
-    def run(item):
-        i, cand = item
-        try:
-            return solver.solve(cand, vote_n, mix64(rng_seed, 0x50F, i))
-        except EndpointError as e:
-            return e
-
-    results = _map_pooled(run, list(enumerate(candidates)), max_workers)
+    jobs = [((cand, vote_n), mix64(rng_seed, 0x50F, i)) for i, cand in enumerate(candidates)]
+    results, failures = _request_all(solver.solve, jobs, max_workers)
 
     verified: list[VerifiedCandidate] = []
-    failures = 0
     for cand, res in zip(candidates, results):
-        if isinstance(res, EndpointError):
-            failures += 1
+        if res is None:
             continue
         answers, traces = res
         majority, count = Counter(answers).most_common(1)[0]
@@ -701,6 +697,9 @@ def load_checkpoint(directory) -> SynthesisState | None:
     features = load_features(os.path.join(directory, FEATURES_FILE))
     if len(pool) != meta["pool_size"]:
         raise ValueError(f"{directory}: checkpoint pool size mismatch; delete and rerun")
+    if tuple(pool.ids()) != features.sample_ids:
+        raise ValueError(f"{directory}: {POOL_FILE} and {FEATURES_FILE} are not row-aligned; "
+                         "delete and rerun")
     return SynthesisState(
         pool=pool,
         pool_features=features,

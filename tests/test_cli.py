@@ -386,6 +386,23 @@ def test_synthesize_history_length_mismatch_names_the_file(toy, capsys):
                                        "iteration is 1\n")
 
 
+def test_synthesize_misaligned_checkpoint_names_the_directory(toy, capsys):
+    tmp_path, pool = toy
+    outdir = tmp_path / "run"
+    args = ["synthesize", "--corpus", pool, "--outdir", str(outdir),
+            "--iterations", "1", "--gen-batch", "4",
+            "--feature-dim", "32", "--proj-dim", "32"]
+    assert run_cli(*args) == 0
+    pool_file = outdir / "pool.jsonl"
+    pool_file.write_text("".join(reversed(pool_file.read_text().splitlines(True))))
+    state = (outdir / "state.json").read_bytes()
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == (f"error: ValueError: {outdir}: pool.jsonl and "
+                                       "features.gvfm are not row-aligned; delete and rerun\n")
+    assert (outdir / "state.json").read_bytes() == state
+
+
 def test_synthesize_resume_with_another_featurizer_names_the_features(toy, capsys):
     tmp_path, pool = toy
     outdir = tmp_path / "run"
@@ -487,6 +504,25 @@ def test_diversity_csv_short_row(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError:") and err.count("\n") == 1
     assert f"{div}: line 3" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("m2,nan", "diversity 'nan' is not finite"),
+        ("m2,-inf", "diversity '-inf' is not finite"),
+        ("m1,6.0", "model 'm1' is listed twice"),
+    ],
+)
+def test_diversity_csv_rejects_bad_values(tmp_path, capsys, command, row, message):
+    acc = tmp_path / "acc.csv"
+    acc.write_text("model,b1\nref,0.8\nm1,0.4\nm2,0.6\nm3,0.7\n")
+    div = tmp_path / "div.csv"
+    div.write_text(f"model,diversity\nm1,5.0\n{row}\nm3,17.0\n")
+    rc = run_cli(command, "--table", str(acc), "--reference", "ref", "--diversity", str(div))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: ValueError: {div}: line 3: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -112,6 +112,16 @@ def test_spearman_errors():
         spearman([1, 1, 1], [1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_spearman_and_fit_r2_reject_non_finite(bad):
+    for x, y in (([1.0, 2.0, bad, 4.0], [1.0, 2.0, 3.0, 4.0]),
+                 ([1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 4.0])):
+        with pytest.raises(ValueError, match="finite"):
+            spearman(x, y)
+        with pytest.raises(ValueError, match="finite"):
+            fit_r2(x, y)
+
+
 def test_fit_r2_exact_line():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     rep = fit_r2(x, 2 * x + 1)

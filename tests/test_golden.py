@@ -168,7 +168,7 @@ def artifacts(tmp_path_factory):
              "--output", str(div / f"{metric}.json"))
 
     protected = root / "protected.jsonl"
-    lines = open(corpus, encoding="utf-8").read().splitlines()
+    lines = (root / "pool.jsonl").read_text(encoding="utf-8").splitlines()
     protected.write_text("\n".join(lines[::15]) + "\n", encoding="utf-8")
     _cli("decontaminate", "--corpus", corpus, "--protected", str(protected),
          "--ngram", "6", "--output", str(root / "decontaminate" / "kept.jsonl"),

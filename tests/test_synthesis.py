@@ -34,6 +34,7 @@ from gvendi import (
     template_corpus,
 )
 from gvendi import proxy
+from gvendi.rng import mix64
 from gvendi.synthesis import VerifiedCandidate, load_checkpoint
 
 
@@ -151,6 +152,62 @@ def test_generate_candidates_drops_pool_clones(small_pool):
     assert cands == [] and failed == 0
 
 
+class ReplyGenerator:
+    """Answers every request with the given reply records."""
+
+    def __init__(self, *records):
+        self.records = list(records)
+
+    def generate(self, exemplars, count, seed):
+        return self.records
+
+
+def test_generate_candidates_reads_null_output_as_empty(small_pool):
+    gen = ReplyGenerator({"input": "fresh problem", "output": None})
+    (cand,), failed = generate_candidates(gen, small_pool, 5, 1, rng_seed=1)
+    assert failed == 0
+    assert cand.output == ""
+    assert cand == Sample.from_json_dict({"input": "fresh problem", "output": None})
+
+
+def test_generate_candidates_ignores_reply_ids_and_extras(small_pool):
+    gen = ReplyGenerator({"id": "chosen", "input": "fresh problem", "output": "x",
+                          "tags": ["t"], "note": 1})
+    (cand,), _ = generate_candidates(gen, small_pool, 5, 1, rng_seed=1)
+    assert cand.id == cand.content_id() != "chosen"
+    assert cand.tags is None and cand.extra == ()
+
+
+class RecordingEndpoint:
+    """Wraps an endpoint, records each request's arguments, and raises
+    EndpointError on the first `fail_first` requests."""
+
+    def __init__(self, inner, fail_first=0):
+        self.inner, self.fail_first, self.calls = inner, fail_first, []
+
+    def _call(self, fn, *args):
+        self.calls.append(args)
+        if len(self.calls) <= self.fail_first:
+            raise EndpointError("transient")
+        return fn(*args)
+
+    def generate(self, exemplars, count, seed):
+        return self._call(self.inner.generate, exemplars, count, seed)
+
+    def solve(self, sample, n, seed):
+        return self._call(self.inner.solve, sample, n, seed)
+
+
+def test_generate_candidates_retries_with_derived_seeds(small_pool):
+    gen = RecordingEndpoint(RecombinationGenerator(), fail_first=2)
+    cands, failed = generate_candidates(gen, small_pool, 5, 1, rng_seed=1)
+    first = mix64(mix64(1, 0x6E1, 0), 0)
+    assert [seed for *_, seed in gen.calls] == [first, mix64(first, 1), mix64(first, 2)]
+    assert failed == 0
+    expected = RecombinationGenerator().generate(gen.calls[-1][0], 1, mix64(first, 2))
+    assert [c.input for c in cands] == [r["input"] for r in expected]
+
+
 def test_generate_candidates_validates_fewshot(small_pool):
     with pytest.raises(ValueError):
         generate_candidates(RecombinationGenerator(), small_pool, len(small_pool) + 1, 2, rng_seed=1)
@@ -197,12 +254,21 @@ def test_majority_vote_unanimity_pair():
 
 
 def test_majority_vote_solver_failure_drops():
-    class Boom:
-        def solve(self, sample, n, seed):
-            raise EndpointError("down")
-
-    kept, failed = majority_vote_filter(Boom(), make_candidates("a", "b"), 3, 2, rng_seed=1)
+    solver = RecordingEndpoint(EchoSolver(), fail_first=10**9)
+    kept, failed = majority_vote_filter(solver, make_candidates("a", "b"), 3, 2, rng_seed=1)
     assert kept == [] and failed == 2
+    assert len(solver.calls) == 2 * 3  # three tries per candidate
+
+
+def test_majority_vote_retries_a_transient_solver_failure():
+    cands = [Sample(id="a", input="x", output=r"\boxed{3}")]
+    solver = RecordingEndpoint(EchoSolver(error_rate=0.5), fail_first=1)
+    kept, failed = majority_vote_filter(solver, cands, 5, 1, rng_seed=1)
+    first = mix64(1, 0x50F, 0)
+    assert [seed for *_, seed in solver.calls] == [first, mix64(first, 1)]
+    assert failed == 0 and len(kept) == 1
+    answers, _ = EchoSolver(error_rate=0.5).solve(cands[0], 5, mix64(first, 1))
+    assert kept[0].votes == tuple(answers)
 
 
 def test_majority_vote_validates_thresholds():
@@ -472,7 +538,7 @@ def test_process_early_exit_counts_as_failures(tmp_path, small_pool):
     dead.write_text("import sys; sys.exit(0)\n")
     gen = RemoteEndpoint(JsonLinesProcess([sys.executable, str(dead)]))
     try:
-        cands, failed = generate_candidates(gen, small_pool, 3, 3, rng_seed=2, max_attempts=2)
+        cands, failed = generate_candidates(gen, small_pool, 3, 3, rng_seed=2)
         assert cands == [] and failed == 3
     finally:
         gen.close()
@@ -610,4 +676,14 @@ def test_http_non_http_reply_is_endpoint_error(reply, small_pool):
         gen = RemoteEndpoint(HttpJson(url, timeout=5.0))
         with pytest.raises(EndpointError, match="failed"):
             gen.generate(list(small_pool)[:1], 1, seed=1)
-        assert generate_candidates(gen, small_pool, 3, 2, rng_seed=2, max_attempts=2) == ([], 2)
+        assert generate_candidates(gen, small_pool, 3, 2, rng_seed=2) == ([], 2)
+
+
+def test_http_non_utf8_body_is_endpoint_error(small_pool):
+    body = b'{"samples": "\xff"}'
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    with _raw_http_server(reply) as url:
+        gen = RemoteEndpoint(HttpJson(url, timeout=5.0))
+        with pytest.raises(EndpointError, match=f"invalid JSON from {url}"):
+            gen.generate(list(small_pool)[:1], 1, seed=1)
+        assert generate_candidates(gen, small_pool, 3, 2, rng_seed=2) == ([], 2)
