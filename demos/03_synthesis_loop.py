@@ -15,7 +15,6 @@ print(f"seed pool: {len(seed_pool)} samples, family sizes [60, 6 x 9]\n")
 
 model = gv.ProxyModel.create(vocab_size=256, feature_dim=96, hash_seed=101, weight_seed=202)
 proj = gv.ProjectionSpec(source_dim=model.n_params, target_dim=128, seed=303)
-featurizer = gv.gradient_featurizer(model, proj)
 
 config = gv.SynthesisConfig(
     iterations=5,
@@ -32,7 +31,8 @@ state = gv.run_synthesis(
     config,
     generator=gv.RecombinationGenerator(),
     solver=gv.EchoSolver(error_rate=0.1),  # 10% of votes corrupted
-    featurizer=featurizer,
+    model=model,
+    proj=proj,
 )
 
 print("iter  generated  voted-in  admitted  pool   diversity")

@@ -48,7 +48,6 @@ from .synthesis import (
     decontaminate,
     extract_answer,
     generate_candidates,
-    gradient_featurizer,
     load_checkpoint,
     majority_vote_filter,
     prismatic_step,
@@ -101,7 +100,6 @@ __all__ = [
     "fit_r2",
     "g_vendi",
     "generate_candidates",
-    "gradient_featurizer",
     "ingest_jsonl",
     "kmeans_fit",
     "load_checkpoint",

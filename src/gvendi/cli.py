@@ -53,7 +53,6 @@ from .synthesis import (
     RemoteEndpoint,
     SynthesisConfig,
     decontaminate,
-    gradient_featurizer,
     run_synthesis,
 )
 
@@ -350,7 +349,7 @@ class _DirLock:
 def cmd_synthesize(args: argparse.Namespace) -> None:
     seed_corpus = ingest_jsonl(_need(args, "corpus"))
     outdir = _need(args, "outdir")
-    protected = ingest_jsonl(args.protected) if args.protected else None
+    protected = ingest_jsonl(args.protected) if args.protected else Corpus(())
     config = SynthesisConfig(
         iterations=_need(args, "iterations"),
         gen_batch=_need(args, "gen_batch"),
@@ -358,11 +357,11 @@ def cmd_synthesize(args: argparse.Namespace) -> None:
     )
     generator = _make_generator(args.generator)
     solver = _make_solver(args.solver)
-    featurizer = gradient_featurizer(*_gradient_from(args))
+    model, proj = _gradient_from(args)
     try:
         with _DirLock(outdir):
             state = run_synthesis(
-                seed_corpus, config, generator, solver, featurizer,
+                seed_corpus, config, generator, solver, model, proj,
                 protected=protected, checkpoint_dir=outdir,
             )
     finally:

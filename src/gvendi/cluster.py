@@ -20,28 +20,29 @@ from .rng import mix64, rng_from
 
 @dataclass(frozen=True)
 class ClusterModel:
-    k: int
     centroids: np.ndarray  # (k, d) float64
     assignment: np.ndarray  # (n,) int64
-    sizes: np.ndarray  # (k,) int64
     seed: int
     inertia: float
 
     def __post_init__(self) -> None:
         c = np.asarray(self.centroids, dtype=np.float64)
         a = np.asarray(self.assignment, dtype=np.int64)
-        s = np.asarray(self.sizes, dtype=np.int64)
-        if c.shape[0] != self.k or s.shape[0] != self.k:
-            raise ValueError("centroids/sizes length must equal k")
-        if a.size and (a.min() < 0 or a.max() >= self.k):
+        if a.size and (a.min() < 0 or a.max() >= len(c)):
             raise ValueError("assignment index out of range")
-        if int(s.sum()) != a.size or np.any(np.bincount(a, minlength=self.k) != s):
-            raise ValueError("sizes inconsistent with assignment")
-        for arr in (c, a, s):
+        for arr in (c, a):
             arr.flags.writeable = False
         object.__setattr__(self, "centroids", c)
         object.__setattr__(self, "assignment", a)
-        object.__setattr__(self, "sizes", s)
+
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Member count of each cluster, (k,) int64."""
+        return np.bincount(self.assignment, minlength=self.k)
 
     def nearest_centroid(self, rows: np.ndarray) -> np.ndarray:
         """Index of the closest centroid for each given row."""
@@ -238,14 +239,7 @@ def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> C
             for c in range(k):
                 centroids[c] = rows[labels == c].mean(axis=0)
         if best is None or inertia < best.inertia:
-            best = ClusterModel(
-                k=k,
-                centroids=centroids,
-                assignment=labels,
-                sizes=np.bincount(labels, minlength=k),
-                seed=seed,
-                inertia=inertia,
-            )
+            best = ClusterModel(centroids=centroids, assignment=labels, seed=seed, inertia=inertia)
     return best
 
 

@@ -68,8 +68,8 @@ class Sample:
         known = {k: obj.get(k) for k in _FIELD_ORDER}
         extra = tuple(sorted((k, v) for k, v in obj.items() if k not in _FIELD_ORDER))
         sid = known["id"]
-        input_text = str(known["input"])
-        output_text = str(known["output"]) if known["output"] is not None else ""
+        input_text = "" if known["input"] is None else str(known["input"])
+        output_text = "" if known["output"] is None else str(known["output"])
         label = None if known["label"] is None else str(known["label"])
         if sid is None:
             sid = content_id(input_text, output_text, label)

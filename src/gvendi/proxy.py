@@ -281,6 +281,14 @@ def _chunk_bounds(n: int) -> list[int]:
     return bounds
 
 
+def gradient_provenance(model: ProxyModel, proj: ProjectionSpec) -> Provenance:
+    """The provenance `featurize(model, proj, ...)` stamps on its rows: the
+    model's fingerprint mixed with _FEATURIZE_REVISION, so rows from an
+    earlier kernel never append to these, and the projection seed."""
+    return Provenance("proxy_gradient", fingerprint=mix64(model.fingerprint(), _FEATURIZE_REVISION),
+                      seed=proj.seed)
+
+
 def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> FeatureMatrix:
     """Unit-norm projected loss gradients, one row per sample in corpus order.
 
@@ -293,10 +301,8 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
     normalised in float64 and lands as float32 in the output. The sign
     matrix is `proj.signs` (source_dim x target_dim float32, 64 MB at the
     defaults), built on the first call with `proj` and kept by it; memory is
-    flat in the corpus size apart from the output itself.
-
-    The provenance fingerprint mixes the model's with _FEATURIZE_REVISION,
-    so rows from an earlier kernel never append to these.
+    flat in the corpus size apart from the output itself. The rows carry
+    `gradient_provenance(model, proj)`.
     """
     if proj.source_dim != model.n_params:
         raise ValueError(
@@ -316,12 +322,7 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
         norms = np.linalg.norm(projected, axis=1)
         projected /= np.where(norms == 0.0, 1.0, norms)[:, None]
         out[start:stop] = projected
-    return FeatureMatrix(
-        out,
-        tuple(corpus.ids()),
-        Provenance("proxy_gradient", fingerprint=mix64(model.fingerprint(), _FEATURIZE_REVISION),
-                   seed=proj.seed),
-    )
+    return FeatureMatrix(out, tuple(corpus.ids()), gradient_provenance(model, proj))
 
 
 class TfidfRows(NamedTuple):

@@ -38,7 +38,7 @@ from .cluster import dynamic_k, kmeans_fit, sparse_clusters
 from .corpus import Corpus, Sample, content_id, ingest_jsonl, write_jsonl
 from .featmat import FeatureMatrix, load_features, store_features
 from .metrics import drop_degenerate, vendi_score
-from .proxy import ProjectionSpec, ProxyModel, featurize
+from .proxy import ProjectionSpec, ProxyModel, featurize, gradient_provenance
 from .rng import mix64, rng_from
 
 
@@ -346,8 +346,8 @@ _ATTEMPTS = 3  # tries per generate or solve request
 
 
 def _request_all(call: Callable, jobs: list, max_workers: int) -> tuple[list, int]:
-    """(results, failed) of call(*args, seed) per (args, seed) job, on a thread
-    pool when max_workers > 1. Try a of a job uses `seed`, then mix64(seed, a);
+    """(results, failed) of call(*args, seed) per (args, seed) job, on a pool
+    of max_workers threads. Try a of a job uses `seed`, then mix64(seed, a);
     a job whose _ATTEMPTS tries all raise EndpointError gives None and counts
     once in `failed`."""
 
@@ -360,11 +360,8 @@ def _request_all(call: Callable, jobs: list, max_workers: int) -> tuple[list, in
                 pass
         return None
 
-    if max_workers > 1 and jobs:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            results = list(ex.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=max_workers) as ex:
+        results = list(ex.map(run, jobs))
     return results, sum(res is None for res in results)
 
 
@@ -554,39 +551,29 @@ class SynthesisState:
             raise ValueError("history length must equal iteration")
 
 
-Featurizer = Callable[[Corpus], FeatureMatrix]
-
-
-def gradient_featurizer(model: ProxyModel, proj: ProjectionSpec) -> Featurizer:
-    """Featurizer for the loop: corpus -> projected gradient matrix.
-
-    Every call shares `proj`, which builds its sign matrix on the first call
-    and keeps it, so a run builds it once, not once per step.
-    """
-    return lambda corpus: featurize(model, proj, corpus)
-
-
 def prismatic_step(
     state: SynthesisState,
     config: SynthesisConfig,
     generator: Generator,
     solver: Solver,
-    featurizer: Featurizer,
-    protected: Corpus | None = None,
+    model: ProxyModel,
+    proj: ProjectionSpec,
+    protected: Corpus = Corpus(()),
 ) -> SynthesisState:
     """One cluster -> generate -> vote -> decontaminate -> sparse-filter pass.
 
-    Cluster sizes are frozen at step start: a survivor is judged against the
+    Survivors are featurized with `featurize(model, proj, ...)`. Cluster
+    sizes are frozen at step start: a survivor is judged against the
     sparsity of its nearest centroid as it was before any admission, so
     admissions within a step cannot crowd each other out.
     """
     step_seed = mix64(config.seed, 0x57E, state.iteration)
     k = dynamic_k(len(state.pool), config.k_fraction)
-    model = kmeans_fit(state.pool_features, k, seed=mix64(step_seed, 1))
+    clusters = kmeans_fit(state.pool_features, k, seed=mix64(step_seed, 1))
     if config.sparse_fraction is None:
-        sparse = sparse_clusters(model, count=k // 2)
+        sparse = sparse_clusters(clusters, count=k // 2)
     else:
-        sparse = sparse_clusters(model, fraction=config.sparse_fraction)
+        sparse = sparse_clusters(clusters, fraction=config.sparse_fraction)
 
     candidates, gen_failed = generate_candidates(
         generator,
@@ -604,11 +591,8 @@ def prismatic_step(
         mix64(step_seed, 3),
         max_workers=config.max_workers,
     )
-    survivors = [v.sample for v in verified]
-    if protected is not None and len(protected) > 0:
-        survivors, flagged = decontaminate(survivors, protected, config.decontam_ngram)
-    else:
-        flagged = []
+    survivors, flagged = decontaminate([v.sample for v in verified], protected,
+                                       config.decontam_ngram)
 
     # trace replacement can re-collide ids; keep pool ids unique
     unique: list[Sample] = []
@@ -624,8 +608,8 @@ def prismatic_step(
     new_pool, new_features = state.pool, state.pool_features
     if survivors:
         cand_corpus = Corpus(tuple(survivors), name=state.pool.name)
-        cand_feats = featurizer(cand_corpus)
-        nearest = model.nearest_centroid(cand_feats.data)
+        cand_feats = featurize(model, proj, cand_corpus)
+        nearest = clusters.nearest_centroid(cand_feats.data)
         keep = [i for i, c in enumerate(nearest) if int(c) in sparse]
         if keep:
             accepted = [survivors[i] for i in keep]
@@ -713,8 +697,9 @@ def run_synthesis(
     config: SynthesisConfig,
     generator: Generator,
     solver: Solver,
-    featurizer: Featurizer,
-    protected: Corpus | None = None,
+    model: ProxyModel,
+    proj: ProjectionSpec,
+    protected: Corpus = Corpus(()),
     checkpoint_dir=None,
 ) -> SynthesisState:
     """Featurize the seed pool and apply prismatic_step `iterations` times.
@@ -722,13 +707,13 @@ def run_synthesis(
     With a checkpoint_dir, state is persisted after every step and a partial
     run resumes from the last completed step; seeds derive from (config.seed,
     iteration), so a resumed run reproduces an uninterrupted one exactly.
-    A checkpoint whose features carry another provenance than `featurizer`
-    gives (read from its output on an empty corpus) fails before any step.
+    A checkpoint whose features carry another provenance than
+    `gradient_provenance(model, proj)` fails before any step.
     """
     state = load_checkpoint(checkpoint_dir) if checkpoint_dir is not None else None
     if state is not None:
         found = state.pool_features.provenance
-        made = featurizer(Corpus(())).provenance
+        made = gradient_provenance(model, proj)
         if found != made:
             raise ValueError(
                 f"{os.path.join(checkpoint_dir, FEATURES_FILE)}: rows written with {found}, "
@@ -738,14 +723,14 @@ def run_synthesis(
     if state is None:
         state = SynthesisState(
             pool=seed_corpus,
-            pool_features=featurizer(seed_corpus),
+            pool_features=featurize(model, proj, seed_corpus),
             iteration=0,
             history=(),
         )
         if checkpoint_dir is not None:
             save_checkpoint(state, checkpoint_dir)
     while state.iteration < config.iterations:
-        state = prismatic_step(state, config, generator, solver, featurizer, protected)
+        state = prismatic_step(state, config, generator, solver, model, proj, protected)
         if checkpoint_dir is not None:
             save_checkpoint(state, checkpoint_dir)
     return state

@@ -207,12 +207,11 @@ def _loop_parts(seed):
     pool = gv.template_corpus(10, [60] + [6] * 9, seed=77, name="seedpool")
     model = gv.ProxyModel.create(vocab_size=256, feature_dim=96, hash_seed=101, weight_seed=202)
     proj = gv.ProjectionSpec(model.n_params, 128, seed=303)
-    featurizer = gv.gradient_featurizer(model, proj)
     config = gv.SynthesisConfig(
         iterations=5, gen_batch=40, vote_n=3, vote_tau=2, k_fraction=0.1,
         fewshot_count=5, seed=seed,
     )
-    return pool, featurizer, config
+    return pool, model, proj, config
 
 
 def _pool_vendi(features):
@@ -221,10 +220,10 @@ def _pool_vendi(features):
     return gv.vendi_score(usable)
 
 
-def _uniform_admission_run(seed, per_step_admits, pool, featurizer, config):
+def _uniform_admission_run(seed, per_step_admits, pool, model, proj, config):
     """Same generate/vote pipeline, but admission is a uniform draw of the
     same per-step size instead of the sparse-cluster filter."""
-    state = gv.SynthesisState(pool, featurizer(pool), 0, ())
+    state = gv.SynthesisState(pool, gv.featurize(model, proj, pool), 0, ())
     for it in range(config.iterations):
         step_seed = mix64(config.seed, 0x57E, it)
         cands, _ = gv.generate_candidates(
@@ -246,7 +245,7 @@ def _uniform_admission_run(seed, per_step_admits, pool, featurizer, config):
         new_pool = gv.Corpus(state.pool.samples + tuple(kept), name=state.pool.name)
         feats = state.pool_features
         if kept:
-            feats = feats.append(featurizer(gv.Corpus(tuple(kept), name="adds")))
+            feats = feats.append(gv.featurize(model, proj, gv.Corpus(tuple(kept), name="adds")))
         state = gv.SynthesisState(new_pool, feats, it + 1, state.history + ({},))
     return state
 
@@ -257,12 +256,12 @@ def test_criterion_07_loop_beats_uniform_admission():
     nondecreasing = 0
     steps = 0
     for seed in range(10):
-        pool, featurizer, config = _loop_parts(seed)
+        pool, model, proj, config = _loop_parts(seed)
         filtered = gv.run_synthesis(
-            pool, config, gv.RecombinationGenerator(), gv.EchoSolver(), featurizer
+            pool, config, gv.RecombinationGenerator(), gv.EchoSolver(), model, proj
         )
         admits = [h["sparse_accepted"] for h in filtered.history]
-        baseline = _uniform_admission_run(seed, admits, pool, featurizer, config)
+        baseline = _uniform_admission_run(seed, admits, pool, model, proj, config)
         assert len(baseline.pool) == len(filtered.pool), "final pool sizes must match"
         wins += _pool_vendi(filtered.pool_features) >= _pool_vendi(baseline.pool_features)
 

@@ -13,6 +13,7 @@ import numpy as np
 from gvendi import (
     FeatureMatrix,
     Provenance,
+    content_id,
     embed_hashed_tfidf,
     embedding_vendi,
     store_features,
@@ -22,6 +23,7 @@ from gvendi import (
 from gvendi.cli import main, parse_config
 from gvendi.metrics import report_from_tfidf
 from gvendi.proxy import TFIDF_DIM, TFIDF_SEED
+from test_golden import PROXY as GOLDEN_PROXY, WORKER as GOLDEN_WORKER
 
 
 @pytest.fixture()
@@ -57,6 +59,16 @@ def test_ingest_assigns_ids(tmp_path, capsys):
     rec = json.loads(out.read_text())
     assert len(rec["id"]) == 64
     assert json.loads(capsys.readouterr().out)["samples"] == 1
+
+
+def test_ingest_reads_null_input_as_empty(tmp_path, capsys):
+    src = tmp_path / "raw.jsonl"
+    src.write_text('{"input": null, "output": "a"}\n')
+    out = tmp_path / "norm.jsonl"
+    assert run_cli("ingest", "--input", str(src), "--output", str(out)) == 0
+    rec = json.loads(out.read_text())
+    assert rec["input"] == ""
+    assert rec["id"] == content_id("", "a")
 
 
 def test_featurize_and_diversity(toy, capsys):
@@ -585,12 +597,41 @@ def test_input_files_not_mutated(toy):
     assert Path(pool).read_bytes() == before
 
 
+def test_synthesize_threads_change_no_artifact(tmp_path):
+    """The golden synthesize runs, built-in and `cmd:` endpoints, write the
+    same bytes at --threads 1 and --threads 3."""
+    corpus = tmp_path / "pool.jsonl"
+    write_jsonl(template_corpus(6, 20, seed=17, name="golden"), corpus)
+    protected = tmp_path / "protected.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    protected.write_text("\n".join(lines[::15]) + "\n", encoding="utf-8")
+    worker = tmp_path / "worker.py"
+    worker.write_text(GOLDEN_WORKER, encoding="utf-8")
+    cmd = "cmd:" + shlex.join([sys.executable, str(worker)])
+    synth = ["synthesize", "--corpus", str(corpus), "--iterations", "2", "--gen-batch", "12",
+             "--k-fraction", "0.1", "--seed", "5", *GOLDEN_PROXY]
+    ways = {
+        "synth-builtin": ["--generator", "recombine", "--solver", "echo:0.2"],
+        "synth-cmd": ["--protected", str(protected), "--ngram", "5",
+                      "--generator", cmd, "--solver", cmd],
+    }
+    for way, extra in ways.items():
+        written = []
+        for threads in ("1", "3"):
+            outdir = tmp_path / f"{way}-{threads}"
+            assert run_cli("--threads", threads, *synth, "--outdir", str(outdir), *extra) == 0
+            written.append({name: (outdir / name).read_bytes()
+                            for name in ("pool.jsonl", "features.gvfm", "state.json")})
+        assert written[0]["pool.jsonl"].count(b"\n") > len(lines), f"{way} admitted nothing"
+        assert written[0] == written[1], way
+
+
 # ---------------------------------------------------------------------------
 # every keyed option three ways: (a) flags, (b) the same values from a config
 # file, (c) a config file with other values overridden by the flags of (a).
 # All three must write the same bytes; a value that a key would drop or a
 # config value that would beat its flag changes an artifact. `--threads` is
-# left out: no artifact depends on it.
+# left out: no artifact depends on it, as the test above checks.
 
 GUARD_WORKER = """\
 import json, sys

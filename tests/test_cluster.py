@@ -117,17 +117,9 @@ def test_dynamic_k_values():
 
 def model_with_sizes(sizes):
     k = len(sizes)
-    n = sum(sizes)
     assignment = np.repeat(np.arange(k), sizes)
     centroids = np.eye(k, max(k, 2))
-    return ClusterModel(
-        k=k,
-        centroids=centroids,
-        assignment=assignment,
-        sizes=np.array(sizes),
-        seed=0,
-        inertia=0.0,
-    )
+    return ClusterModel(centroids=centroids, assignment=assignment, seed=0, inertia=0.0)
 
 
 def test_sparse_clusters_by_count_with_ties():
@@ -178,15 +170,10 @@ def test_cluster_model_json_roundtrip():
 
 
 def test_cluster_model_invariant_checks():
-    with pytest.raises(ValueError):
-        ClusterModel(
-            k=2,
-            centroids=np.eye(2),
-            assignment=np.array([0, 0]),
-            sizes=np.array([1, 1]),  # inconsistent with assignment
-            seed=0,
-            inertia=0.0,
-        )
+    for assignment in ([0, 2], [-1, 0]):  # k = 2 centroids
+        with pytest.raises(ValueError, match="out of range"):
+            ClusterModel(centroids=np.eye(2), assignment=np.array(assignment), seed=0,
+                         inertia=0.0)
 
 
 def test_nearest_centroid():

@@ -144,6 +144,19 @@ def test_featurize_provenance_names_the_kernel_revision():
     assert prov.fingerprint == mix64(model.fingerprint(), proxy._FEATURIZE_REVISION)
 
 
+def test_gradient_provenance_is_what_featurize_stamps():
+    seen = set()
+    for weight_seed in (202, 203):
+        model = ProxyModel.create(vocab_size=256, feature_dim=8, weight_seed=weight_seed)
+        for seed in (13, 14):
+            proj = ProjectionSpec(model.n_params, 16, seed=seed)
+            prov = proxy.gradient_provenance(model, proj)
+            for corpus in (corpus_of(["one two", "three four five"]), Corpus(())):
+                assert featurize(model, proj, corpus).provenance == prov
+            seen.add(prov)
+    assert len(seen) == 4
+
+
 def test_featurize_dimension_mismatch():
     corpus = corpus_of(["x"])
     model = ProxyModel.create(vocab_size=16, feature_dim=4)

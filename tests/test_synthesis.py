@@ -7,6 +7,7 @@ import sys
 import threading
 import textwrap
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -27,13 +28,12 @@ from gvendi import (
     extract_answer,
     featurize,
     generate_candidates,
-    gradient_featurizer,
     majority_vote_filter,
     prismatic_step,
     run_synthesis,
     template_corpus,
 )
-from gvendi import proxy
+from gvendi import proxy, synthesis
 from gvendi.rng import mix64
 from gvendi.synthesis import VerifiedCandidate, load_checkpoint
 
@@ -168,6 +168,18 @@ def test_generate_candidates_reads_null_output_as_empty(small_pool):
     assert failed == 0
     assert cand.output == ""
     assert cand == Sample.from_json_dict({"input": "fresh problem", "output": None})
+
+
+def test_generate_candidates_reads_null_input_as_empty(small_pool):
+    class Transport:
+        def request(self, obj):
+            return {"samples": [{"input": None, "output": "x \\boxed{1}"}]}
+
+    (cand,), failed = generate_candidates(RemoteEndpoint(Transport()), small_pool, 5, 1,
+                                          rng_seed=1)
+    assert failed == 0
+    assert cand.input == ""
+    assert cand.id == cand.content_id()
 
 
 def test_generate_candidates_ignores_reply_ids_and_extras(small_pool):
@@ -327,18 +339,17 @@ def loop_fixture(seed=0, families=6, skew=True):
     pool = template_corpus(families, sizes, seed=31, name="seedpool")
     model = ProxyModel.create(vocab_size=256, feature_dim=64, hash_seed=101, weight_seed=202)
     proj = ProjectionSpec(model.n_params, 64, seed=303)
-    featurizer = gradient_featurizer(model, proj)
     config = SynthesisConfig(
         iterations=2, gen_batch=12, vote_n=3, vote_tau=2, k_fraction=0.1,
         fewshot_count=5, seed=seed,
     )
-    return pool, featurizer, config
+    return pool, model, proj, config
 
 
 def test_prismatic_step_respects_sparse_filter():
-    pool, featurizer, config = loop_fixture()
-    state = SynthesisState(pool, featurizer(pool), 0, ())
-    new = prismatic_step(state, config, RecombinationGenerator(), EchoSolver(), featurizer)
+    pool, model, proj, config = loop_fixture()
+    state = SynthesisState(pool, featurize(model, proj, pool), 0, ())
+    new = prismatic_step(state, config, RecombinationGenerator(), EchoSolver(), model, proj)
     rec = new.history[-1]
     assert new.iteration == 1
     assert rec["sparse_accepted"] == len(new.pool) - len(pool)
@@ -347,21 +358,21 @@ def test_prismatic_step_respects_sparse_filter():
 
 
 def test_prismatic_step_fraction_one_admits_all_survivors():
-    pool, featurizer, _ = loop_fixture()
+    pool, model, proj, _ = loop_fixture()
     config = SynthesisConfig(
         iterations=1, gen_batch=10, vote_n=3, vote_tau=2, k_fraction=0.1,
         sparse_fraction=1.0, fewshot_count=5, seed=3,
     )
-    state = SynthesisState(pool, featurizer(pool), 0, ())
-    new = prismatic_step(state, config, RecombinationGenerator(), EchoSolver(), featurizer)
+    state = SynthesisState(pool, featurize(model, proj, pool), 0, ())
+    new = prismatic_step(state, config, RecombinationGenerator(), EchoSolver(), model, proj)
     rec = new.history[-1]
     assert rec["sparse_accepted"] == rec["vote_accepted"] - rec["decontam_flagged"]
 
 
 def test_prismatic_step_zero_survivors_still_advances():
-    pool, featurizer, config = loop_fixture()
-    state = SynthesisState(pool, featurizer(pool), 0, ())
-    new = prismatic_step(state, config, FlakyGenerator(), EchoSolver(), featurizer)
+    pool, model, proj, config = loop_fixture()
+    state = SynthesisState(pool, featurize(model, proj, pool), 0, ())
+    new = prismatic_step(state, config, FlakyGenerator(), EchoSolver(), model, proj)
     assert new.iteration == 1
     assert len(new.pool) == len(pool)
     assert new.history[-1]["generated"] == 0
@@ -369,11 +380,11 @@ def test_prismatic_step_zero_survivors_still_advances():
 
 
 def test_prismatic_step_decontaminates_against_protected():
-    pool, featurizer, config = loop_fixture()
-    state = SynthesisState(pool, featurizer(pool), 0, ())
+    pool, model, proj, config = loop_fixture()
+    state = SynthesisState(pool, featurize(model, proj, pool), 0, ())
     # protect every pool input: recombined candidates share long spans with them
     new = prismatic_step(
-        state, config, RecombinationGenerator(), EchoSolver(), featurizer,
+        state, config, RecombinationGenerator(), EchoSolver(), model, proj,
         protected=pool,
     )
     rec = new.history[-1]
@@ -381,27 +392,27 @@ def test_prismatic_step_decontaminates_against_protected():
 
 
 def test_run_synthesis_zero_iterations():
-    pool, featurizer, _ = loop_fixture()
+    pool, model, proj, _ = loop_fixture()
     config = SynthesisConfig(iterations=0, gen_batch=5, vote_n=3, vote_tau=2,
                              k_fraction=0.1, seed=1)
-    state = run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), featurizer)
+    state = run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj)
     assert state.iteration == 0
     assert state.pool.ids() == pool.ids()
 
 
 def test_run_synthesis_resume_matches_uninterrupted(tmp_path):
-    pool, featurizer, _ = loop_fixture()
+    pool, model, proj, _ = loop_fixture()
     config = SynthesisConfig(iterations=3, gen_batch=10, vote_n=3, vote_tau=2,
                              k_fraction=0.1, seed=11)
-    full = run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), featurizer)
+    full = run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj)
 
     # simulate a kill after step 2: run 2 iterations with checkpoints, then resume
     part_cfg = SynthesisConfig(iterations=2, gen_batch=10, vote_n=3, vote_tau=2,
                                k_fraction=0.1, seed=11)
     ckpt = tmp_path / "run"
-    run_synthesis(pool, part_cfg, RecombinationGenerator(), EchoSolver(), featurizer,
+    run_synthesis(pool, part_cfg, RecombinationGenerator(), EchoSolver(), model, proj,
                   checkpoint_dir=str(ckpt))
-    resumed = run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), featurizer,
+    resumed = run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
                             checkpoint_dir=str(ckpt))
     assert resumed.iteration == full.iteration == 3
     assert resumed.pool.ids() == full.pool.ids()
@@ -409,9 +420,8 @@ def test_run_synthesis_resume_matches_uninterrupted(tmp_path):
     assert list(resumed.history) == list(full.history)
 
 
-def test_gradient_featurizer_builds_one_sign_matrix_per_run(tmp_path, monkeypatch):
-    pool, _, _ = loop_fixture()
-    model = ProxyModel.create(vocab_size=256, feature_dim=64, hash_seed=101, weight_seed=202)
+def test_run_synthesis_builds_one_sign_matrix_per_run(tmp_path, monkeypatch):
+    pool, model, _, _ = loop_fixture()
     calls = []
     real_sign_block = proxy.sign_block
 
@@ -421,10 +431,10 @@ def test_gradient_featurizer_builds_one_sign_matrix_per_run(tmp_path, monkeypatc
 
     monkeypatch.setattr(proxy, "sign_block", counting_sign_block)
 
-    def run(directory, featurizer, iterations=3):
+    def run(directory, iterations=3):
         config = SynthesisConfig(iterations=iterations, gen_batch=10, vote_n=3, vote_tau=2,
                                  k_fraction=0.1, seed=11)
-        run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), featurizer,
+        run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, spec(),
                       checkpoint_dir=str(tmp_path / directory))
         return {name: (tmp_path / directory / name).read_bytes()
                 for name in ("pool.jsonl", "features.gvfm", "state.json")}
@@ -432,22 +442,39 @@ def test_gradient_featurizer_builds_one_sign_matrix_per_run(tmp_path, monkeypatc
     def spec():
         return ProjectionSpec(model.n_params, 64, seed=303)
 
-    once = run("once", gradient_featurizer(model, spec()))
+    once = run("once")
     assert len(calls) == 1
     # a fresh spec per batch builds the matrix once per batch
-    plain = run("plain", lambda corpus: featurize(model, spec(), corpus))
+    with monkeypatch.context() as m:
+        m.setattr(synthesis, "featurize", lambda model, _, corpus: featurize(model, spec(), corpus))
+        plain = run("plain")
     assert len(calls) == 1 + 4  # the seed pool and one batch per step
     assert once == plain
 
-    run("resumed", gradient_featurizer(model, spec()), iterations=1)
+    run("resumed", iterations=1)
     del calls[:]
-    assert run("resumed", gradient_featurizer(model, spec())) == plain
+    assert run("resumed") == plain
     assert len(calls) == 1
 
 
+def test_run_synthesis_resume_with_another_projection_seed_fails_first(tmp_path, monkeypatch):
+    pool, model, proj, config = loop_fixture()
+    ckpt = str(tmp_path / "run")
+    run_synthesis(pool, replace(config, iterations=1), RecombinationGenerator(), EchoSolver(),
+                  model, proj, checkpoint_dir=ckpt)
+    featurized = []
+    monkeypatch.setattr(synthesis, "featurize", lambda *args: featurized.append(args))
+    generator = RecordingEndpoint(RecombinationGenerator())
+    solver = RecordingEndpoint(EchoSolver())
+    other = ProjectionSpec(model.n_params, proj.target_dim, seed=proj.seed + 1)
+    with pytest.raises(ValueError, match=r"features\.gvfm: rows written with"):
+        run_synthesis(pool, config, generator, solver, model, other, checkpoint_dir=ckpt)
+    assert generator.calls == solver.calls == featurized == []
+
+
 def test_checkpoint_roundtrip(tmp_path):
-    pool, featurizer, config = loop_fixture()
-    state = run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), featurizer,
+    pool, model, proj, config = loop_fixture()
+    state = run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
                           checkpoint_dir=str(tmp_path / "ck"))
     loaded = load_checkpoint(str(tmp_path / "ck"))
     assert loaded.iteration == state.iteration
@@ -456,8 +483,8 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_pool_alignment_invariant_checked():
-    pool, featurizer, _ = loop_fixture()
-    feats = featurizer(pool)
+    pool, model, proj, _ = loop_fixture()
+    feats = featurize(model, proj, pool)
     with pytest.raises(ValueError, match="aligned"):
         SynthesisState(pool, feats.take(list(range(len(pool) - 1))), 0, ())
 
