@@ -164,9 +164,9 @@ def open_text(path, newline: str | None = None) -> Iterator[TextIO]:
 def ingest_jsonl(path) -> Corpus:
     """Read a JSONL file into a Corpus, preserving line order.
 
-    Records without an `id` get a content-hash id; byte-identical no-id
-    records deduplicate to the first occurrence. Duplicate explicit ids, and
-    id collisions between differing records, are errors.
+    Records without an `id`, or with a null one, get a content-hash id;
+    identical no-id records deduplicate to the first occurrence. Duplicate
+    explicit ids, and id collisions between differing records, are errors.
     """
     samples: list[Sample] = []
     seen: dict[str, tuple[bool, dict]] = {}  # id -> (auto_generated, record)
@@ -184,10 +184,10 @@ def ingest_jsonl(path) -> Corpus:
                 s = Sample.from_json_dict(obj)
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from e
-            auto = "id" not in obj
+            auto = obj.get("id") is None
             if s.id in seen:
                 prev_auto, prev_obj = seen[s.id]
-                if auto and prev_auto and prev_obj == obj:
+                if auto and prev_auto and {**prev_obj, "id": None} == {**obj, "id": None}:
                     continue  # identical auto-id record: keep the first
                 raise ValueError(f"{path}: line {lineno}: duplicate sample id {s.id!r}")
             seen[s.id] = (auto, obj)

@@ -91,8 +91,11 @@ class FeatureMatrix:
         return self._degenerate.copy()
 
     def take(self, indices) -> "FeatureMatrix":
-        """Rows at the given indices, in order, as a new matrix."""
-        idx = np.asarray(indices, dtype=np.int64)
+        """Rows at the given integer indices, in order, as a new matrix."""
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise TypeError(f"row indices must be integers, got {idx.dtype}")
+        idx = idx.astype(np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.rows):
             raise IndexError(f"row index out of range for matrix of {self.rows} rows")
         ids = tuple(self.sample_ids[int(i)] for i in idx)

@@ -63,13 +63,15 @@ class DiversityReport:
         )
 
 
-def _check_nondegenerate(features: FeatureMatrix, op: str) -> None:
-    """FeatureMatrix already guarantees finite rows that are unit-norm or
-    exactly zero, so only an empty matrix or a zero row is rejected here."""
-    if features.rows == 0:
+def _counted_rows(n: int, zero: np.ndarray, op: str) -> int:
+    """How many of n rows a score counts: the nonzero ones, of which there
+    must be at least one. A zero row has no direction, so it is left out."""
+    if n == 0:
         raise ValueError(f"{op}: empty feature matrix")
-    if features.degenerate_mask().any():
-        raise ValueError(f"{op}: matrix contains degenerate zero rows; drop them first")
+    counted = n - int(zero.sum())
+    if counted == 0:
+        raise ValueError("all feature rows are degenerate (zero vectors)")
+    return counted
 
 
 def effective_rank_entropy(eigenvalues: np.ndarray) -> float:
@@ -104,41 +106,32 @@ def _vendi(mat: np.ndarray) -> float:
 
 
 def vendi_score(features: FeatureMatrix) -> float:
-    """Effective number of distinct directions among unit-norm rows.
+    """Effective number of distinct directions among the nonzero rows.
 
     Columns that are zero in every row add only zero eigenvalues, so they
     are dropped before the float64 Gram; when every column is used, as for
     gradient features, no column is gathered.
     """
-    _check_nondegenerate(features, "vendi_score")
+    zero = features.degenerate_mask()
     data = features.data
+    if _counted_rows(features.rows, zero, "vendi_score") < features.rows:
+        data = data[~zero]
     used = np.flatnonzero(data.any(axis=0))
     if used.size < features.dim:
         data = data[:, used]
     return _vendi(data.astype(np.float64))
 
 
-def drop_degenerate(features: FeatureMatrix) -> tuple[FeatureMatrix, int]:
-    """The non-degenerate (nonzero) rows, and how many rows were dropped."""
-    mask = features.degenerate_mask()
-    dropped = int(mask.sum())
-    if dropped == 0:
-        return features, 0
-    if dropped == features.rows:
-        raise ValueError("all feature rows are degenerate (zero vectors)")
-    return features.take(np.flatnonzero(~mask)), dropped
-
-
 def report_from_features(metric: str, features: FeatureMatrix, params: dict) -> DiversityReport:
-    """Score the non-degenerate rows; `embedding_dissim` is the mean pairwise
-    dissimilarity, every other metric the Vendi score. The dropped-row count
-    is added to params."""
-    used, dropped = drop_degenerate(features)
-    if metric == "embedding_dissim":
-        value = embedding_dissimilarity(used)
-    else:
-        value = vendi_score(used)
-    return DiversityReport(metric, value, used.rows, {**params, "degenerate_dropped": dropped})
+    """`embedding_dissim` is the mean pairwise dissimilarity, every other
+    metric the Vendi score; either counts the nonzero rows only, and the
+    zero-row count is added to params."""
+    score = embedding_dissimilarity if metric == "embedding_dissim" else vendi_score
+    value = score(features)
+    dropped = int(features.degenerate_mask().sum())
+    return DiversityReport(
+        metric, value, features.rows - dropped, {**params, "degenerate_dropped": dropped}
+    )
 
 
 def g_vendi(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> DiversityReport:
@@ -165,11 +158,7 @@ def report_from_tfidf(
     n = len(corpus)
     zero = np.diff(rows.indptr) == 0
     op = "embedding_dissimilarity" if metric == "embedding_dissim" else "vendi_score"
-    if n == 0:
-        raise ValueError(f"{op}: empty feature matrix")
-    if zero.all():
-        raise ValueError("all feature rows are degenerate (zero vectors)")
-    used = n - int(zero.sum())
+    used = _counted_rows(n, zero, op)
     if metric == "embedding_dissim":
         total = np.bincount(rows.bucket, weights=rows.weight, minlength=dim)
         value = _mean_dissimilarity(total, used)
@@ -187,13 +176,14 @@ def embedding_vendi(
 
 
 def embedding_dissimilarity(features: FeatureMatrix) -> float:
-    """Mean (1 - cosine) over all unordered row pairs.
+    """Mean (1 - cosine) over all unordered pairs of nonzero rows.
 
     Uses sum_{i<j} x_i . x_j = (||sum x||^2 - n) / 2, so runtime is O(n d)
-    with no pairwise matrix.
+    with no pairwise matrix. Zero rows add exactly nothing to the float64
+    column sums, so every row is summed.
     """
-    _check_nondegenerate(features, "embedding_dissimilarity")
-    return _mean_dissimilarity(features.data.sum(axis=0, dtype=np.float64), features.rows)
+    n = _counted_rows(features.rows, features.degenerate_mask(), "embedding_dissimilarity")
+    return _mean_dissimilarity(features.data.sum(axis=0, dtype=np.float64), n)
 
 
 def _mean_dissimilarity(total: np.ndarray, n: int) -> float:

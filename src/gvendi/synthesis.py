@@ -37,7 +37,7 @@ import numpy as np
 from .cluster import dynamic_k, kmeans_fit, sparse_clusters
 from .corpus import Corpus, Sample, content_id, ingest_jsonl, write_jsonl
 from .featmat import FeatureMatrix, load_features, store_features
-from .metrics import drop_degenerate, vendi_score
+from .metrics import vendi_score
 from .proxy import ProjectionSpec, ProxyModel, featurize, gradient_provenance
 from .rng import mix64, rng_from
 
@@ -411,12 +411,13 @@ class VerifiedCandidate:
     sample: Sample
     votes: tuple[str, ...]
     majority_answer: str
-    majority_count: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "votes", tuple(self.votes))
-        if self.votes.count(self.majority_answer) != self.majority_count:
-            raise ValueError("majority_count does not match votes")
+
+    @property
+    def majority_count(self) -> int:
+        return self.votes.count(self.majority_answer)
 
 
 def majority_vote_filter(
@@ -463,7 +464,6 @@ def majority_vote_filter(
                 sample=sample,
                 votes=tuple(answers),
                 majority_answer=majority,
-                majority_count=count,
             )
         )
     return verified, failures
@@ -540,15 +540,17 @@ class SynthesisConfig:
 class SynthesisState:
     pool: Corpus
     pool_features: FeatureMatrix
-    iteration: int
     history: tuple[dict, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "history", tuple(self.history))
         if tuple(self.pool.ids()) != self.pool_features.sample_ids:
             raise ValueError("pool and pool_features are not row-aligned")
-        if len(self.history) != self.iteration:
-            raise ValueError("history length must equal iteration")
+
+    @property
+    def iteration(self) -> int:
+        """Steps applied so far: one history record each."""
+        return len(self.history)
 
 
 def prismatic_step(
@@ -623,12 +625,11 @@ def prismatic_step(
         "solver_failed": solver_failed,
         "decontam_flagged": len(flagged),
         "sparse_accepted": len(accepted),
-        "pool_g_vendi": vendi_score(drop_degenerate(new_features)[0]),
+        "pool_g_vendi": vendi_score(new_features),
     }
     return SynthesisState(
         pool=new_pool,
         pool_features=new_features,
-        iteration=state.iteration + 1,
         history=state.history + (record,),
     )
 
@@ -687,7 +688,6 @@ def load_checkpoint(directory) -> SynthesisState | None:
     return SynthesisState(
         pool=pool,
         pool_features=features,
-        iteration=meta["iteration"],
         history=tuple(meta["history"]),
     )
 
@@ -724,7 +724,6 @@ def run_synthesis(
         state = SynthesisState(
             pool=seed_corpus,
             pool_features=featurize(model, proj, seed_corpus),
-            iteration=0,
             history=(),
         )
         if checkpoint_dir is not None:

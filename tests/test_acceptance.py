@@ -223,7 +223,7 @@ def _pool_vendi(features):
 def _uniform_admission_run(seed, per_step_admits, pool, model, proj, config):
     """Same generate/vote pipeline, but admission is a uniform draw of the
     same per-step size instead of the sparse-cluster filter."""
-    state = gv.SynthesisState(pool, gv.featurize(model, proj, pool), 0, ())
+    state = gv.SynthesisState(pool, gv.featurize(model, proj, pool), ())
     for it in range(config.iterations):
         step_seed = mix64(config.seed, 0x57E, it)
         cands, _ = gv.generate_candidates(
@@ -246,7 +246,7 @@ def _uniform_admission_run(seed, per_step_admits, pool, model, proj, config):
         feats = state.pool_features
         if kept:
             feats = feats.append(gv.featurize(model, proj, gv.Corpus(tuple(kept), name="adds")))
-        state = gv.SynthesisState(new_pool, feats, it + 1, state.history + ({},))
+        state = gv.SynthesisState(new_pool, feats, state.history + ({},))
     return state
 
 

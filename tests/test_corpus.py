@@ -42,6 +42,14 @@ def test_byte_identical_noid_lines_dedup(tmp_path):
     assert len(corpus) == 1
 
 
+def test_null_id_lines_dedup_like_missing_ids(tmp_path):
+    p = tmp_path / "c.jsonl"
+    null = '{"id": null, "input": "a", "output": "b"}'
+    write_lines(p, [null, null, '{"input": "a", "output": "b"}'])
+    corpus = ingest_jsonl(p)
+    assert corpus.ids() == [content_id("a", "b", None)]
+
+
 def test_malformed_line_names_line_number(tmp_path):
     p = tmp_path / "c.jsonl"
     write_lines(p, ['{"input": "ok"}', "{bad", '{"input": "ok2"}'])

@@ -23,7 +23,6 @@ from gvendi import (
     vendi_score,
 )
 from gvendi.metrics import (
-    drop_degenerate,
     effective_rank_entropy,
     report_from_features,
     report_from_tfidf,
@@ -119,6 +118,23 @@ def test_vendi_rejects_empty_zero_and_non_unit():
         vendi_score(FeatureMatrix(np.zeros((2, 4), dtype=np.float32), ("a", "b"), Provenance("external")))
 
 
+def test_zero_rows_score_as_the_nonzero_rows():
+    rows = unit_rows(rng_from(41).normal(size=(12, 9)))
+    rows[:, 4] = 0.0  # an unused column, so the column gather runs too
+    rows = unit_rows(rows)
+    with_zero = fm(np.insert(rows, [0, 5, 5, 12], 0.0, axis=0))
+    nonzero = fm(rows)
+    assert with_zero.degenerate_mask().sum() == 4
+    for score in (vendi_score, embedding_dissimilarity):
+        assert score(with_zero).hex() == score(nonzero).hex()
+    for metric in ("g_vendi", "embedding_dissim"):
+        report = report_from_features(metric, with_zero, {"k": 1})
+        expected = report_from_features(metric, nonzero, {"k": 1})
+        assert report.value.hex() == expected.value.hex()
+        assert (report.n, report.params) == (12, {"k": 1, "degenerate_dropped": 4})
+        assert expected.params["degenerate_dropped"] == 0
+
+
 def test_g_vendi_single_sample_is_one():
     corpus = Corpus((Sample(id="a", input="hello there", output="general"),), name="t")
     model = ProxyModel.create(vocab_size=256, feature_dim=16)
@@ -209,7 +225,7 @@ def _with_zero_rows(corpus):
 )
 def test_sparse_tfidf_reports_match_dense_path(corpus, dim, n_above_u):
     dense = embed_hashed_tfidf(corpus, dim=dim)
-    used, _ = drop_degenerate(dense)
+    used = dense.take(np.flatnonzero(~dense.degenerate_mask()))
     assert (used.rows > int(used.data.any(axis=0).sum())) == n_above_u
     assert embedding_vendi(corpus, dim=dim).to_json() == report_from_features(
         "embedding_vendi", dense, {"dim": dim}
@@ -240,7 +256,8 @@ def test_sparse_tfidf_errors_match_dense_path(metric, texts):
 
 @pytest.mark.parametrize("dim", [512, 4096, 32768])
 def test_vendi_score_drops_unused_tfidf_columns_keeping_bits(dim):
-    feats, _ = drop_degenerate(embed_hashed_tfidf(template_corpus(5, 30, 4), dim=dim))
+    dense = embed_hashed_tfidf(template_corpus(5, 30, 4), dim=dim)
+    feats = dense.take(np.flatnonzero(~dense.degenerate_mask()))
     assert not feats.data.any(axis=0).all()
     assert vendi_score(feats) == _full_width_vendi(feats.data)
 

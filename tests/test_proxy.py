@@ -10,6 +10,7 @@ from gvendi import (
     Provenance,
     ProxyModel,
     Sample,
+    blob_features,
     embed_hashed_tfidf,
     embedding_dissimilarity,
     featurize,
@@ -655,6 +656,20 @@ def test_take_peak_is_one_copy_of_the_output():
     half, peak = _traced_peak(lambda: feats.take(np.arange(0, feats.rows, 2)))
     assert half.data.tobytes() == feats.data[::2].tobytes()
     assert peak <= 1.5 * half.data.nbytes, f"peak {peak / half.data.nbytes:.2f}x the output"
+
+
+@pytest.mark.parametrize("selection", [[False, True], [False, True, True], [0.0, 1.0]],
+                         ids=["bool-2", "bool-3", "float"])
+def test_take_rejects_non_integer_selections(selection):
+    feats = blob_features(1, 3, 4, 1, 2)
+    with pytest.raises(TypeError, match="row indices must be integers"):
+        feats.take(selection)
+
+
+def test_take_of_empty_selection_has_no_rows():
+    feats = blob_features(1, 3, 4, 1, 2)
+    for empty in ([], np.array([], dtype=np.int64)):
+        assert feats.take(empty).data.shape == (0, 4)
 
 
 def test_tfidf_peak_memory():

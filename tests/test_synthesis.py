@@ -9,12 +9,14 @@ import textwrap
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gvendi import (
     Corpus,
     EchoSolver,
     EndpointError,
+    FeatureMatrix,
     HttpJson,
     JsonLinesProcess,
     ProjectionSpec,
@@ -32,10 +34,11 @@ from gvendi import (
     prismatic_step,
     run_synthesis,
     template_corpus,
+    vendi_score,
 )
 from gvendi import proxy, synthesis
 from gvendi.rng import mix64
-from gvendi.synthesis import VerifiedCandidate, load_checkpoint
+from gvendi.synthesis import load_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +291,6 @@ def test_majority_vote_validates_thresholds():
         majority_vote_filter(EchoSolver(), [], 2, 3, rng_seed=1)
 
 
-def test_verified_candidate_invariant():
-    s = Sample(id="a", input="x", output="y")
-    with pytest.raises(ValueError):
-        VerifiedCandidate(sample=s, votes=("1", "2"), majority_answer="1", majority_count=2)
-
-
 # ---------------------------------------------------------------------------
 # decontamination
 
@@ -348,7 +345,7 @@ def loop_fixture(seed=0, families=6, skew=True):
 
 def test_prismatic_step_respects_sparse_filter():
     pool, model, proj, config = loop_fixture()
-    state = SynthesisState(pool, featurize(model, proj, pool), 0, ())
+    state = SynthesisState(pool, featurize(model, proj, pool), ())
     new = prismatic_step(state, config, RecombinationGenerator(), EchoSolver(), model, proj)
     rec = new.history[-1]
     assert new.iteration == 1
@@ -357,13 +354,27 @@ def test_prismatic_step_respects_sparse_filter():
     assert tuple(new.pool.ids()) == new.pool_features.sample_ids
 
 
+def test_prismatic_step_scores_the_nonzero_pool_rows():
+    pool, model, proj, config = loop_fixture()
+    feats = featurize(model, proj, pool)
+    data = feats.data.copy()
+    data[3] = 0.0
+    zeroed = FeatureMatrix(data, feats.sample_ids, feats.provenance)
+    state = SynthesisState(pool, zeroed, ())
+    new = prismatic_step(state, config, RecombinationGenerator(), EchoSolver(), model, proj)
+    grown = new.pool_features
+    assert grown.rows > feats.rows and grown.degenerate_mask().tolist().count(True) == 1
+    nonzero = grown.take(np.flatnonzero(~grown.degenerate_mask()))
+    assert new.history[-1]["pool_g_vendi"].hex() == vendi_score(nonzero).hex()
+
+
 def test_prismatic_step_fraction_one_admits_all_survivors():
     pool, model, proj, _ = loop_fixture()
     config = SynthesisConfig(
         iterations=1, gen_batch=10, vote_n=3, vote_tau=2, k_fraction=0.1,
         sparse_fraction=1.0, fewshot_count=5, seed=3,
     )
-    state = SynthesisState(pool, featurize(model, proj, pool), 0, ())
+    state = SynthesisState(pool, featurize(model, proj, pool), ())
     new = prismatic_step(state, config, RecombinationGenerator(), EchoSolver(), model, proj)
     rec = new.history[-1]
     assert rec["sparse_accepted"] == rec["vote_accepted"] - rec["decontam_flagged"]
@@ -371,7 +382,7 @@ def test_prismatic_step_fraction_one_admits_all_survivors():
 
 def test_prismatic_step_zero_survivors_still_advances():
     pool, model, proj, config = loop_fixture()
-    state = SynthesisState(pool, featurize(model, proj, pool), 0, ())
+    state = SynthesisState(pool, featurize(model, proj, pool), ())
     new = prismatic_step(state, config, FlakyGenerator(), EchoSolver(), model, proj)
     assert new.iteration == 1
     assert len(new.pool) == len(pool)
@@ -381,7 +392,7 @@ def test_prismatic_step_zero_survivors_still_advances():
 
 def test_prismatic_step_decontaminates_against_protected():
     pool, model, proj, config = loop_fixture()
-    state = SynthesisState(pool, featurize(model, proj, pool), 0, ())
+    state = SynthesisState(pool, featurize(model, proj, pool), ())
     # protect every pool input: recombined candidates share long spans with them
     new = prismatic_step(
         state, config, RecombinationGenerator(), EchoSolver(), model, proj,
@@ -486,7 +497,7 @@ def test_pool_alignment_invariant_checked():
     pool, model, proj, _ = loop_fixture()
     feats = featurize(model, proj, pool)
     with pytest.raises(ValueError, match="aligned"):
-        SynthesisState(pool, feats.take(list(range(len(pool) - 1))), 0, ())
+        SynthesisState(pool, feats.take(list(range(len(pool) - 1))), ())
 
 
 # ---------------------------------------------------------------------------
