@@ -13,12 +13,16 @@ and therefore the hashes; a mismatch on such a stack is not by itself a bug.
 from __future__ import annotations
 
 import hashlib
+import os
 import shlex
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import gvendi
 from gvendi import template_corpus, write_jsonl
 from gvendi.cli import main
 
@@ -122,6 +126,10 @@ GOLDEN = {
 }
 
 
+def _write_corpus(path) -> None:
+    write_jsonl(template_corpus(6, 20, seed=17, name="golden"), path)
+
+
 def _cli(*argv: str) -> None:
     rc = main(list(argv))
     assert rc == 0, f"gvendi {' '.join(argv)} exited {rc}"
@@ -133,7 +141,7 @@ def artifacts(tmp_path_factory):
     for sub in ("featurize", "sample", "diversity", "decontaminate"):
         (root / sub).mkdir()
     corpus = str(root / "pool.jsonl")
-    write_jsonl(template_corpus(6, 20, seed=17, name="golden"), corpus)
+    _write_corpus(corpus)
     grad = str(root / "featurize" / "gradient.gvfm")
     emb = str(root / "featurize" / "embedding.gvfm")
 
@@ -200,3 +208,28 @@ def artifacts(tmp_path_factory):
 def test_golden_artifact(artifacts, name):
     assert name in artifacts, f"{name} was not written"
     assert artifacts[name] == GOLDEN[name], f"{name}: sha256 {artifacts[name]}"
+
+
+def test_featurize_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The golden gradient features, featurized in child processes at 1 and
+    at 3 OpenBLAS threads."""
+    corpus = tmp_path / "pool.jsonl"
+    _write_corpus(corpus)
+    # the child imports the same gvendi as this test, installed or not
+    src = str(Path(gvendi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = {}
+    for threads in ("1", "3"):
+        out = tmp_path / f"gradient-{threads}.gvfm"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gvendi.cli", "featurize", "--input", str(corpus),
+             "--output", str(out), *PROXY],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = hashlib.sha256(out.read_bytes()).hexdigest()
+    expected = GOLDEN["featurize/gradient.gvfm"]
+    assert digests == {"1": expected, "3": expected}
