@@ -33,7 +33,8 @@ _CTX_SEP = 0x1E  # record separator between input and output prefix
 _PROJECT_BLOCK_ROWS = 8192
 # mixed into featurize's provenance fingerprint; bumped whenever a change to
 # the kernel moves feature values, so rows of two revisions never append
-_FEATURIZE_REVISION = 1  # float32 projection of un-normalised gradients
+_FEATURIZE_REVISION = 2  # float32 token pass
+_MIN_LOGIT_ROWS = 8  # rows of the smallest logits GEMM _token_pass runs
 _CHUNK_ROWS = 128  # samples per featurize chunk; its logits outweigh its gradient rows
 
 # embed_hashed_tfidf's defaults, shared by the metrics that score its rows
@@ -178,9 +179,12 @@ def _token_pass(model: ProxyModel, samples: Sequence[Sample],
     logits GEMM over every token of `samples`.
 
     Given `out`, each sample's gradient, (softmax - onehot)^T @ phi, also
-    lands un-normalised in its row of `out`: computed in float64, then
-    rounded once to `out`'s dtype. Errors name the first failing sample in
-    order, even when a later one fails at an earlier stage.
+    lands un-normalised in its row of `out`. The pass computes in `out`'s
+    dtype (`featurize` passes float32 rows), and in float64 without `out`.
+    The logits GEMM gets at least _MIN_LOGIT_ROWS rows, zero rows padding a
+    shorter one, so a sample's bits do not depend on the samples passed with
+    it. Errors name the first failing sample in order, even when a later one
+    fails at an earlier stage.
     """
     contexts = []
     pending = None
@@ -192,9 +196,14 @@ def _token_pass(model: ProxyModel, samples: Sequence[Sample],
             break
     totals = []
     if contexts:
-        phi = np.concatenate([c[0] for c in contexts])
-        tokens = (np.arange(len(phi)), np.concatenate([c[1] for c in contexts]))
-        probs = phi @ model.weights.T
+        dtype = np.float64 if out is None else out.dtype
+        n_tokens = sum(len(c[1]) for c in contexts)
+        # a product of 1-4 rows takes another BLAS kernel, whose low bits differ
+        phi = np.zeros((max(n_tokens, _MIN_LOGIT_ROWS), model.feature_dim), dtype=dtype)
+        np.concatenate([c[0] for c in contexts], out=phi[:n_tokens])
+        probs = (phi @ model.weights.astype(dtype, copy=False).T)[:n_tokens]
+        phi = phi[:n_tokens]
+        tokens = (np.arange(n_tokens), np.concatenate([c[1] for c in contexts]))
         probs -= probs.max(axis=1, keepdims=True)
         target_logits = probs[tokens]  # log p = shifted logit - log(sum of exps)
         np.exp(probs, out=probs)
@@ -207,14 +216,16 @@ def _token_pass(model: ProxyModel, samples: Sequence[Sample],
             stop = start + len(targets)
             totals.append((float(-log_probs[start:stop].sum()), len(targets)))
             if out is not None:
-                row = out[i]
                 np.matmul(probs[start:stop].T, phi[start:stop],
-                          out=row.reshape(model.vocab_size, model.feature_dim))
-                if not np.all(np.isfinite(row)):
-                    raise ValueError(
-                        f"sample {samples[i].id!r}: non-finite gradient (corrupt weights?)"
-                    )
+                          out=out[i].reshape(model.vocab_size, model.feature_dim))
             start = stop
+        if out is not None:
+            finite = np.isfinite(out[: len(contexts)])
+            if not finite.all():
+                bad = int(np.argmin(finite.all(axis=1)))  # the first non-finite row
+                raise ValueError(
+                    f"sample {samples[bad].id!r}: non-finite gradient (corrupt weights?)"
+                )
     if pending is not None:
         raise pending
     return totals
@@ -226,7 +237,8 @@ def loss_gradient(model: ProxyModel, sample: Sample) -> np.ndarray:
     Summed over target tokens, flattened row-major to a vector of length
     vocab_size * feature_dim. Matches central finite differences of
     sample_nll to relative error <= 1e-4. The same kernel as `featurize`,
-    run on one sample and left un-normalised.
+    run on one sample into a float64 row, so it computes in float64 where
+    `featurize` computes in float32, and left un-normalised.
     """
     out = np.empty((1, model.n_params), dtype=np.float64)
     _token_pass(model, (sample,), out)
@@ -296,9 +308,12 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
     than being dropped, keeping row/id alignment intact.
 
     The corpus streams through in chunks of _CHUNK_ROWS samples (a 1-row
-    tail joins the chunk before it): gradients for one chunk, computed in
-    float64, are stored and projected in float32, then each row is
-    normalised in float64 and lands as float32 in the output. The sign
+    tail joins the chunk before it): the token pass computes one chunk's
+    gradients in float32, the dtype they are stored and projected in (the
+    logits GEMM, the softmax and the per-sample products alike), then each
+    projected row is normalised in float64 and lands as float32 in the
+    output. A row does not depend on the other samples of its chunk, except
+    that a 1-row corpus takes `project`'s matrix-vector path. The sign
     matrix is `proj.signs` (source_dim x target_dim float32, 64 MB at the
     defaults), built on the first call with `proj` and kept by it; memory is
     flat in the corpus size apart from the output itself. The rows carry

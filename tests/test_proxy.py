@@ -207,24 +207,33 @@ def test_featurize_error_names_first_failing_sample_once(samples, weight, messag
     assert str(excinfo.value) == message
 
 
-def _per_sample_gradient(model, sample):
-    """The loss gradient from a logits product of its own: the per-sample reference."""
+def _padded_logits(model, phi, dtype):
+    """phi's logits in `dtype` from a product of at least 8 rows, zero rows
+    padding a shorter one, as the kernel computes them."""
+    padded = np.zeros((max(len(phi), 8), phi.shape[1]), dtype=dtype)
+    padded[: len(phi)] = phi
+    return (padded @ model.weights.astype(dtype).T)[: len(phi)]
+
+
+def _per_sample_gradient(model, sample, dtype):
+    """The loss gradient in `dtype` from a logits product of its own: the
+    per-sample reference."""
     phi, targets = _context_features(model, sample)
-    logits = phi @ model.weights.T
+    logits = _padded_logits(model, phi, dtype)
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     probs = e / e.sum(axis=1, keepdims=True)
     probs[np.arange(len(targets)), targets] -= 1.0
-    return (probs.T @ phi).reshape(-1)
+    return (probs.T @ phi.astype(dtype)).reshape(-1)
 
 
 def _per_sample_featurize(model, proj, corpus):
-    """featurize as one n x n_params float32 buffer of per-sample float64
+    """featurize as one n x n_params buffer of per-sample float32
     gradients, one float32 projection over 8192-row sign blocks and a float64
     renormalisation: the chunked rows must equal it."""
     grads = np.zeros((len(corpus), model.n_params), dtype=np.float32)
     for i, sample in enumerate(corpus):
-        grads[i] = _per_sample_gradient(model, sample)
+        grads[i] = _per_sample_gradient(model, sample, np.float32)
     projected = np.zeros((len(corpus), proj.target_dim), dtype=np.float32)
     for start in range(0, proj.source_dim, 8192):
         stop = min(start + 8192, proj.source_dim)
@@ -273,15 +282,28 @@ def test_chunked_featurize_matches_per_sample_reference(monkeypatch):
         assert sum(chunk_rows) == n and max(chunk_rows, default=0) <= 5, (n, chunk_rows)
         assert n == 1 or 1 not in chunk_rows, (n, chunk_rows)
     for sample in _short_and_long_outputs(9):
-        reference = _per_sample_gradient(model, sample)
+        reference = _per_sample_gradient(model, sample, np.float64)
         assert loss_gradient(model, sample).tobytes() == reference.tobytes(), sample.id
+
+
+def test_featurize_row_does_not_depend_on_the_other_samples():
+    # sub-corpora of 1-4-byte outputs give logits products of 2-7 rows
+    model = ProxyModel.create()
+    proj = ProjectionSpec(model.n_params, 128, seed=5)
+    corpus = _short_and_long_outputs(9)
+    assert [len(s.output) for s in corpus] == [1, 150, 2, 3, 90, 4, 1, 200, 2]
+    rows = dict(zip(corpus.ids(), featurize(model, proj, corpus).data))
+    for picks in ([0, 6], [6, 0], [0, 2], [2, 8, 6], [3, 5], [5, 1], [7, 0, 4], [8, 3, 2, 0, 6]):
+        sub = corpus.subset(picks)
+        for sid, row in zip(sub.ids(), featurize(model, proj, sub).data):
+            assert row.tobytes() == rows[sid].tobytes(), (picks, sid)
 
 
 def _per_sample_nll(model, sample):
     """The total NLL from a logits product and log-softmax of its own: the
     per-sample reference."""
     phi, targets = _context_features(model, sample)
-    logits = phi @ model.weights.T
+    logits = _padded_logits(model, phi, np.float64)
     z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return float(-log_probs[np.arange(len(targets)), targets].sum()), len(targets)
