@@ -60,11 +60,11 @@ WORKER = textwrap.dedent(
 
 GOLDEN = {
     "featurize/gradient.gvfm":
-        "e57019d056a9c4ea69eff6271a16da6e9ee4dbff79486223215f8c06dd57a923",
+        "3ea0d427b932cac6af10e47585665372877647db0dc5e79151053c89e226cceb",
     "featurize/embedding.gvfm":
         "dd05b997be2286240b34aa2c5adf2d76490860b30637c2ad4b7755b8a2418218",
     "cluster.json":
-        "9b340c60067d53ad122557beac02852ecb11ae06c78c3a3ad21fd0b0b6c6ce46",
+        "5671adc53316dd7ba32906fcc2f1d861a857b98acd0997a8fca7bd5a15e93427",
     "sample/higher.json":
         "3c8b2744606ab6e58026418fa577b0de4cdea05684fecee31d43f17e568e434b",
     "sample/lower.json":
@@ -74,13 +74,13 @@ GOLDEN = {
     "sample/mixture.json":
         "01f2077ad04811d238a9357e0086d357586b9abef61eb4d80957c9f596165410",
     "diversity/g-vendi-features.json":
-        "8547d2fc4edf83d23447d6ab80a038df3314675fa9173ffb023c98310013a603",
+        "0c47f667a3fedc3ae83e71d5be50255f6d873d7f33bd94fe654669cd1c847aca",
     "diversity/g-vendi-features-select.json":
-        "898fe6489af73d3133ecfef95c22904daae60756e5ca6791daf94a7521e3b998",
+        "3cb84884d6528e4b68f0c39456dd33ad6ecc8f16f63e3541795368e8c1788f7c",
     "diversity/g-vendi-corpus.json":
-        "8f4168e0295f8c78b18287acfdb851ffa1b84adfa4d14cd6688a6302f659b6db",
+        "1f5fea18a8c0be113b4c92247010d3f77ea22d08b3bc0f121db006d0e2298556",
     "diversity/g-vendi-corpus-select.json":
-        "a76d070413fe49f8674644977e0ec5072db0766ebf2d8c35e7484a73d0382653",
+        "96f969da9250c21ca167baebfdfef0e0b66cebc0fa3463bb824beb0f0bce8efe",
     "diversity/embedding-vendi-features.json":
         "1ae6070a6a4b146a0e0abf1a2bdb2b9a543c950f859b3026f562a851934be3ff",
     "diversity/embedding-vendi-features-select.json":
@@ -110,15 +110,15 @@ GOLDEN = {
     "synth-builtin/pool.jsonl":
         "f2f9b159edb9c75741845e6359ab49f137f3b2438551424d3e937e9de22e4578",
     "synth-builtin/state.json":
-        "9ea43a2d633183e3c07bef85a463ac8f3244e3c5c3ba485fdd36f7df8dc9c8b2",
+        "f8c07a69546b76661d05ea7cc06472d435b85bd12963a25b438f7ad67307799c",
     "synth-builtin/features.gvfm":
-        "41856444a36eea6443447634cdba20444c6ec80a12f8f210f999423407bf0bff",
+        "53907d0c069ef0591fa48e3ee3a51f4603d2edcc1761a746956116e2cbb079ae",
     "synth-cmd/pool.jsonl":
         "dad44519b043a6718d264dd134f742473a7a0d1b15258aed8ebf9a45b7e20c57",
     "synth-cmd/state.json":
-        "1476298a755047fb44441dfe65fc8bd46a0aa72bec75e86076478fe562b76182",
+        "0f1864944efa4fcb69084bcac2f0e3f631a9879b225634aca4bfba131a738ea1",
     "synth-cmd/features.gvfm":
-        "03a17961041f679f92aea30ec3c1e285cb8dda0482938c7b70a9640ea93d10ae",
+        "d381e1690fd74dc9cd123390648d93e6e3d0cc5bbdbaf8e6e8f5ea25870cfc3b",
     "evaluate.json":
         "ae55f4b2b297d74bb5e54e761b19e569c68b24a6b79bfd4f5c20eb05f2519477",
     "report.tsv":
