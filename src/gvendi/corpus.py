@@ -47,7 +47,14 @@ class Sample:
         object.__setattr__(self, "extra", tuple(self.extra))
 
     def content_id(self) -> str:
-        return content_id(self.input, self.output, self.label)
+        """`content_id` of the sample's fields, hashed on the first call and
+        kept, since the fields never change."""
+        try:
+            return self.__dict__["_content_id"]
+        except KeyError:
+            cid = content_id(self.input, self.output, self.label)
+            object.__setattr__(self, "_content_id", cid)
+            return cid
 
     def to_json_dict(self) -> dict:
         d: dict = {"id": self.id, "input": self.input, "output": self.output}

@@ -35,6 +35,23 @@ def test_missing_id_gets_content_hash(tmp_path):
     assert len(corpus[0].id) == 64
 
 
+def test_sample_hashes_its_content_once(monkeypatch):
+    from gvendi import corpus as corpus_module
+
+    calls = []
+
+    def counting(*fields):
+        calls.append(fields)
+        return content_id(*fields)
+
+    monkeypatch.setattr(corpus_module, "content_id", counting)
+    s = Sample(id="a", input="x", output="y", label="z")
+    assert s.content_id() == s.content_id() == content_id("x", "y", "z")
+    assert calls == [("x", "y", "z")]
+    assert s == Sample(id="a", input="x", output="y", label="z")
+    assert repr(s) == repr(Sample(id="a", input="x", output="y", label="z"))
+
+
 def test_byte_identical_noid_lines_dedup(tmp_path):
     p = tmp_path / "c.jsonl"
     write_lines(p, ['{"input": "x", "output": "y"}', '{"input": "x", "output": "y"}'])
