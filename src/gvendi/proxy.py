@@ -237,8 +237,8 @@ def loss_gradient(model: ProxyModel, sample: Sample) -> np.ndarray:
     Summed over target tokens, flattened row-major to a vector of length
     vocab_size * feature_dim. Matches central finite differences of
     sample_nll to relative error <= 1e-4. The same kernel as `featurize`,
-    run on one sample into a float64 row, so it computes in float64 where
-    `featurize` computes in float32, and left un-normalised.
+    run on one sample and left un-normalised; given a float64 row, it
+    computes in float64 where `featurize` computes in float32.
     """
     out = np.empty((1, model.n_params), dtype=np.float64)
     _token_pass(model, (sample,), out)
