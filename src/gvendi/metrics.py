@@ -12,9 +12,13 @@ All metrics are pure functions of their inputs and permutation invariant.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
+import threading
 from dataclasses import dataclass, field, replace
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -92,6 +96,47 @@ def effective_rank_entropy(eigenvalues: np.ndarray) -> float:
     return float(-(lam * np.log(lam)).sum())
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when this numpy links another BLAS."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        try:
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+        return get, put
+    return None
+
+
+_SPECTRUM_LOCK = threading.Lock()
+
+
+def _eigvalsh(gram: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, computed on one BLAS thread.
+
+    LAPACK's tridiagonal reduction makes one small threaded BLAS call per
+    column; on a loaded host each call waits for a descheduled worker (a
+    512 x 512 spectrum took 2.6 s instead of 0.04 s on 2 vCPUs beside two
+    busy processes). One thread also keeps the bits independent of the
+    thread count. The count is restored afterwards; the lock keeps
+    concurrent spectra from restoring it out of order.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        return np.linalg.eigvalsh(gram)
+    get, put = threads
+    with _SPECTRUM_LOCK:
+        before = get()
+        put(1)
+        try:
+            return np.linalg.eigvalsh(gram)
+        finally:
+            put(before)
+
+
 def _vendi(mat: np.ndarray) -> float:
     """Vendi score of float64 unit rows given over their u used columns.
 
@@ -101,7 +146,7 @@ def _vendi(mat: np.ndarray) -> float:
     """
     n, u = mat.shape
     gram = (mat @ mat.T if n <= u else mat.T @ mat) / n
-    lam = np.linalg.eigvalsh(gram)
+    lam = _eigvalsh(gram)
     return float(np.exp(effective_rank_entropy(lam)))
 
 

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gvendi
 from gvendi import (
     Corpus,
     FeatureMatrix,
@@ -22,7 +27,9 @@ from gvendi import (
     template_corpus,
     vendi_score,
 )
+from gvendi import metrics
 from gvendi.metrics import (
+    _eigvalsh,
     effective_rank_entropy,
     report_from_features,
     report_from_tfidf,
@@ -202,11 +209,11 @@ def _traced_peak(fn):
 
 def _full_width_vendi(data):
     """vendi_score as it was before unused columns were dropped: the float64
-    Gram over every column, n x n when n <= d."""
+    Gram over every column, n x n when n <= d, with the program's spectrum."""
     mat = np.asarray(data, dtype=np.float64)
     n, d = mat.shape
     gram = (mat @ mat.T if n <= d else mat.T @ mat) / n
-    return float(np.exp(effective_rank_entropy(np.linalg.eigvalsh(gram))))
+    return float(np.exp(effective_rank_entropy(_eigvalsh(gram))))
 
 
 def _with_zero_rows(corpus):
@@ -270,6 +277,47 @@ def test_vendi_score_drops_unused_dense_columns():
     data[:, rng.choice(300, 120, replace=False)] = 0.0
     feats = fm(unit_rows(data))
     assert vendi_score(feats) == pytest.approx(_full_width_vendi(feats.data), rel=1e-12)
+
+
+def test_spectrum_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    threads = metrics._openblas_threads()
+    count = threads[0] if threads else (lambda: None)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda gram: seen.append(count()) or eigvalsh(gram))
+    before = count()
+    _eigvalsh(np.eye(3))
+    assert seen == [1 if threads else None]
+    assert count() == before
+
+
+def test_spectrum_bits_do_not_depend_on_blas_threads():
+    """A 1024 x 1024 spectrum in child processes at the default, 1 and 3
+    OpenBLAS threads. The Gram's entries are sums of small integers, exact in
+    any order, so only the spectrum could move."""
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from gvendi.metrics import _eigvalsh\n"
+        "from gvendi.rng import rng_from\n"
+        "m = rng_from(43).integers(-3, 4, size=(1024, 1500)).astype(np.float64)\n"
+        "print(hashlib.sha256(_eigvalsh(m @ m.T / 1500).tobytes()).hexdigest())\n"
+    )
+    src = str(Path(gvendi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = {}
+    for threads in (None, "1", "3"):
+        env = {**os.environ, "PYTHONPATH": path}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        else:
+            env.pop("OPENBLAS_NUM_THREADS", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = proc.stdout.strip()
+    assert digests["1"] == digests["3"] == digests[None]
 
 
 def test_vendi_score_gathers_no_column_of_gradient_features():
