@@ -14,6 +14,8 @@ No wall-clock entropy anywhere.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -21,6 +23,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1A99E7B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0xA24BAED4963EE407)
+_M64, _GAMMA64, _MIX1_64, _MIX2_64, _SALT64 = map(int, (_MASK, _GAMMA, _MIX1, _MIX2, _STREAM_SALT))
 
 
 def _splitmix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
@@ -37,12 +40,17 @@ def mix64(*parts: int) -> int:
 
     Pure function of its arguments; used to derive sub-seeds so that distinct
     purposes (clustering, generation, voting, ...) never share a stream.
+    Python int arithmetic masked to 64 bits (numpy integers are taken as
+    ints): bit for bit `_splitmix64` on uint64 scalars, without numpy's
+    per-scalar cost.
     """
-    acc = np.uint64(0x243F6A8885A308D3)
-    with np.errstate(over="ignore"):
-        for p in parts:
-            acc = _splitmix64((acc ^ (np.uint64(p & 0xFFFFFFFFFFFFFFFF) * _STREAM_SALT)) & _MASK)
-    return int(acc)
+    acc = 0x243F6A8885A308D3
+    for p in parts:
+        z = ((acc ^ ((index(p) * _SALT64) & _M64)) + _GAMMA64) & _M64
+        z = ((z ^ (z >> 30)) * _MIX1_64) & _M64
+        z = ((z ^ (z >> 27)) * _MIX2_64) & _M64
+        acc = z ^ (z >> 31)
+    return acc
 
 
 def rng_from(seed: int, *stream: int) -> np.random.Generator:
