@@ -24,7 +24,7 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 from .cluster import dynamic_k, kmeans_fit
-from .corpus import Corpus, ingest_jsonl, open_text, write_jsonl
+from .corpus import Corpus, ingest_jsonl, open_atomic, open_text, write_jsonl
 from .featmat import load_features, store_features
 from .metrics import (
     DiversityReport,
@@ -156,7 +156,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_atomic(path) as fh:
             fh.write(text)
 
 

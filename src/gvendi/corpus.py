@@ -10,9 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, TextIO
+from typing import IO, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -168,6 +168,25 @@ def open_text(path, newline: str | None = None) -> Iterator[TextIO]:
             raise ValueError(f"{path}: not UTF-8 ({e.reason}: 0x{e.object[e.start]:02x})") from None
 
 
+@contextmanager
+def open_atomic(path, mode: str = "w") -> Iterator[IO]:
+    """A new file ("w", UTF-8, or "wb") that replaces `path` when the block
+    ends without error. It is written under a hidden temporary name in the
+    same directory and renamed over `path`, so `path` is never half written;
+    on an error it is removed and `path` keeps its old bytes."""
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def ingest_jsonl(path) -> Corpus:
     """Read a JSONL file into a Corpus, preserving line order.
 
@@ -203,8 +222,9 @@ def ingest_jsonl(path) -> Corpus:
 
 
 def write_jsonl(corpus: Corpus, path) -> None:
-    """Write one JSON object per line; round-trips through ingest_jsonl."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write one JSON object per line, atomically (`open_atomic`);
+    round-trips through ingest_jsonl."""
+    with open_atomic(path) as fh:
         for s in corpus:
             fh.write(json.dumps(s.to_json_dict(), ensure_ascii=False))
             fh.write("\n")

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import open_atomic
+
 MAGIC = b"GVFM"
 VERSION = 1
 
@@ -115,7 +117,8 @@ class FeatureMatrix:
 
 
 def store_features(features: FeatureMatrix, path) -> None:
-    """Write the binary feature-matrix format described in the module docs."""
+    """Write the binary feature-matrix format described in the module docs,
+    atomically (`corpus.open_atomic`)."""
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -125,7 +128,7 @@ def store_features(features: FeatureMatrix, path) -> None:
         features.provenance.fingerprint & 0xFFFFFFFFFFFFFFFF,
         features.provenance.seed & 0xFFFFFFFFFFFFFFFF,
     )
-    with open(path, "wb") as fh:
+    with open_atomic(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(features.data, dtype="<f4"))
         for sid in features.sample_ids:

@@ -35,7 +35,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .cluster import dynamic_k, kmeans_fit, sparse_clusters
-from .corpus import Corpus, Sample, content_id, ingest_jsonl, write_jsonl
+from .corpus import Corpus, Sample, content_id, ingest_jsonl, open_atomic, write_jsonl
 from .featmat import FeatureMatrix, load_features, store_features
 from .metrics import vendi_score
 from .proxy import ProjectionSpec, ProxyModel, featurize, gradient_provenance
@@ -644,8 +644,7 @@ def save_checkpoint(state: SynthesisState, directory) -> None:
     os.makedirs(directory, exist_ok=True)
     write_jsonl(state.pool, os.path.join(directory, POOL_FILE))
     store_features(state.pool_features, os.path.join(directory, FEATURES_FILE))
-    tmp = os.path.join(directory, STATE_FILE + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with open_atomic(os.path.join(directory, STATE_FILE)) as fh:
         json.dump(
             {
                 "iteration": state.iteration,
@@ -657,7 +656,6 @@ def save_checkpoint(state: SynthesisState, directory) -> None:
             sort_keys=True,
         )
         fh.write("\n")
-    os.replace(tmp, os.path.join(directory, STATE_FILE))
 
 
 def load_checkpoint(directory) -> SynthesisState | None:

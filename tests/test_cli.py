@@ -11,8 +11,10 @@ import pytest
 import numpy as np
 
 from gvendi import (
+    Corpus,
     FeatureMatrix,
     Provenance,
+    Sample,
     content_id,
     embed_hashed_tfidf,
     embedding_vendi,
@@ -20,7 +22,7 @@ from gvendi import (
     template_corpus,
     write_jsonl,
 )
-from gvendi.cli import main, parse_config
+from gvendi.cli import _write_text, main, parse_config
 from gvendi.metrics import report_from_tfidf
 from gvendi.proxy import TFIDF_DIM, TFIDF_SEED
 from test_golden import PROXY as GOLDEN_PROXY, WORKER as GOLDEN_WORKER
@@ -842,3 +844,30 @@ def test_keyed_option_flag_config_precedence(keyed_inputs, tmp_path, monkeypatch
         results[way] = (captured.out, files)
     assert results["b"] == results["a"], "config file value differs from the same flag"
     assert results["c"] == results["a"], "config file value beat its flag"
+
+
+@pytest.mark.parametrize("writer", ["text", "jsonl", "gvfm"])
+def test_output_write_that_raises_keeps_the_previous_file(tmp_path, writer):
+    path = tmp_path / "out"
+    path.write_bytes(b"previous bytes\n")
+    bad = "\ud800"  # a lone surrogate: encoding raises once the writer reaches it
+
+    def write(last):
+        if writer == "text":
+            _write_text(str(path), "x" * 100_000 + last)
+        elif writer == "jsonl":
+            samples = tuple(Sample(id=f"s{i}", input="x" * 1000, output="y") for i in range(99))
+            write_jsonl(Corpus(samples + (Sample(id="s99", input="x", output=last),), name="t"),
+                        path)
+        else:
+            ids = tuple(f"s{i}" for i in range(99)) + (last,)
+            store_features(FeatureMatrix(np.eye(100, 2048, dtype=np.float32), ids,
+                                         Provenance("external")), path)
+
+    with pytest.raises(UnicodeEncodeError):
+        write(bad)
+    assert path.read_bytes() == b"previous bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    write("z")
+    assert path.read_bytes() != b"previous bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
