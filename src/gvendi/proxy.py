@@ -16,13 +16,17 @@ entirely by writing the binary FeatureMatrix format.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .blas import can_set_threads, one_thread
 from .corpus import Corpus, Sample
 from .featmat import FeatureMatrix, Provenance
 from .rng import hash_words, mix64, rng_from, sign_block
@@ -35,7 +39,8 @@ _PROJECT_BLOCK_ROWS = 8192
 # the kernel moves feature values, so rows of two revisions never append
 _FEATURIZE_REVISION = 2  # float32 token pass
 _MIN_LOGIT_ROWS = 8  # rows of the smallest logits GEMM _token_pass runs
-_CHUNK_ROWS = 128  # samples per featurize chunk; its logits outweigh its gradient rows
+_CHUNK_ROWS = 128  # samples per featurize chunk: one projection GEMM, one gradient buffer
+_TOKEN_ROWS = 16  # samples per token pass, which bounds its logits and temporaries
 
 # embed_hashed_tfidf's defaults, shared by the metrics that score its rows
 TFIDF_DIM = 32768
@@ -301,6 +306,28 @@ def gradient_provenance(model: ProxyModel, proj: ProjectionSpec) -> Provenance:
                       seed=proj.seed)
 
 
+def _featurize_workers(chunks: int) -> int:
+    """How many threads `featurize` runs `chunks` chunks on: one per usable
+    CPU and at most one per chunk, or only the caller's where the BLAS
+    thread count cannot be held at one."""
+    if not can_set_threads():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, chunks))
+
+
+def _featurize_chunk(model: ProxyModel, proj: ProjectionSpec, samples: Sequence[Sample],
+                     grads: np.ndarray, out: np.ndarray) -> None:
+    """One chunk's unit rows into `out`, its gradients through `grads`."""
+    for a in range(0, len(samples), _TOKEN_ROWS):
+        _token_pass(model, samples[a : a + _TOKEN_ROWS], grads[a : a + _TOKEN_ROWS])
+    # a zero gradient row projects to exactly +0.0 and stays zero
+    projected = project(proj, grads).astype(np.float64)
+    norms = np.linalg.norm(projected, axis=1)
+    projected /= np.where(norms == 0.0, 1.0, norms)[:, None]
+    out[...] = projected
+
+
 def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> FeatureMatrix:
     """Unit-norm projected loss gradients, one row per sample in corpus order.
 
@@ -308,15 +335,23 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
     than being dropped, keeping row/id alignment intact.
 
     The corpus streams through in chunks of _CHUNK_ROWS samples (a 1-row
-    tail joins the chunk before it): the token pass computes one chunk's
+    tail joins the chunk before it): the token pass computes a chunk's
     gradients in float32, the dtype they are stored and projected in (the
-    logits GEMM, the softmax and the per-sample products alike), then each
-    projected row is normalised in float64 and lands as float32 in the
-    output. A row does not depend on the other samples of its chunk, except
-    that a 1-row corpus takes `project`'s matrix-vector path. The sign
-    matrix is `proj.signs` (source_dim x target_dim float32, 64 MB at the
-    defaults), built on the first call with `proj` and kept by it; memory is
-    flat in the corpus size apart from the output itself. The rows carry
+    logits GEMM, the softmax and the per-sample products alike), _TOKEN_ROWS
+    samples at a time, then each projected row is normalised in float64 and
+    lands as float32 in the output. A row does not depend on the other
+    samples of its chunk, except that a 1-row corpus takes `project`'s
+    matrix-vector path.
+
+    The chunks run on `_featurize_workers` threads, each with its own
+    float32 gradient buffer of one chunk, while OpenBLAS is held at one
+    thread; with one worker the caller runs every chunk and the BLAS thread
+    count is left alone. Workers run in copies of the caller's context
+    (numpy's errstate lives there), and a failure raises the error of the
+    first failing chunk in corpus order. The sign matrix is `proj.signs`
+    (source_dim x target_dim float32, 64 MB at the defaults), built before
+    the workers start and kept by `proj`; memory is flat in the corpus size
+    apart from the output itself. The rows carry
     `gradient_provenance(model, proj)`.
     """
     if proj.source_dim != model.n_params:
@@ -325,18 +360,44 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
             f"{model.n_params}"
         )
     bounds = _chunk_bounds(len(corpus))
-    chunks = list(zip(bounds, bounds[1:]))
-    grads = np.empty((max((b - a for a, b in chunks), default=0), model.n_params),
-                     dtype=np.float32)
+    chunks = enumerate(zip(bounds, bounds[1:]))
+    workers = _featurize_workers(len(bounds) - 1)
+    rows = max(np.diff(bounds), default=0)
+    buffers = [np.empty((rows, model.n_params), dtype=np.float32) for _ in range(workers)]
     out = np.empty((len(corpus), proj.target_dim), dtype=np.float32)
-    for start, stop in chunks:
-        rows = grads[: stop - start]
-        _token_pass(model, corpus.samples[start:stop], rows)
-        # a zero gradient row projects to exactly +0.0 and stays zero
-        projected = project(proj, rows).astype(np.float64)
-        norms = np.linalg.norm(projected, axis=1)
-        projected /= np.where(norms == 0.0, 1.0, norms)[:, None]
-        out[start:stop] = projected
+    proj.signs  # built once, before the workers share it
+    lock = threading.Lock()
+    failed: dict[int, BaseException] = {}
+
+    def work(grads: np.ndarray) -> None:
+        while True:
+            with lock:  # every chunk left after a failure comes after the failed one
+                task = None if failed else next(chunks, None)
+            if task is None:
+                return
+            i, (start, stop) = task
+            try:
+                _featurize_chunk(model, proj, corpus.samples[start:stop], grads[: stop - start],
+                                 out[start:stop])
+            except BaseException as e:
+                with lock:
+                    failed[i] = e
+                return
+
+    if workers == 1:
+        work(buffers[0])
+    else:
+        # the caller only waits, so no chunk runs beside another on its stack
+        # (bench/tracer.py parents each thread's spans to the caller's)
+        threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, grads))
+                   for grads in buffers]
+        with one_thread():
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+    if failed:
+        raise failed[min(failed)]
     return FeatureMatrix(out, tuple(corpus.ids()), gradient_provenance(model, proj))
 
 
