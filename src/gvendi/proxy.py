@@ -41,6 +41,9 @@ _FEATURIZE_REVISION = 2  # float32 token pass
 _MIN_LOGIT_ROWS = 8  # rows of the smallest logits GEMM _token_pass runs
 _CHUNK_ROWS = 128  # samples per featurize chunk: one projection GEMM, one gradient buffer
 _TOKEN_ROWS = 16  # samples per token pass, which bounds its logits and temporaries
+# most featurize threads, each holding one chunk's gradient buffer: the count
+# measured to pay (2 on 2 vCPUs); the token pass is GIL-bound, so more are unproven
+_MAX_WORKERS = 2
 
 # embed_hashed_tfidf's defaults, shared by the metrics that score its rows
 TFIDF_DIM = 32768
@@ -308,12 +311,12 @@ def gradient_provenance(model: ProxyModel, proj: ProjectionSpec) -> Provenance:
 
 def _featurize_workers(chunks: int) -> int:
     """How many threads `featurize` runs `chunks` chunks on: one per usable
-    CPU and at most one per chunk, or only the caller's where the BLAS
-    thread count cannot be held at one."""
+    CPU, at most _MAX_WORKERS and at most one per chunk, or only the
+    caller's where the BLAS thread count cannot be held at one."""
     if not can_set_threads():
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, chunks))
+    return max(1, min(cpus or 1, _MAX_WORKERS, chunks))
 
 
 def _featurize_chunk(model: ProxyModel, proj: ProjectionSpec, samples: Sequence[Sample],
@@ -350,8 +353,9 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
     (numpy's errstate lives there), and a failure raises the error of the
     first failing chunk in corpus order. The sign matrix is `proj.signs`
     (source_dim x target_dim float32, 64 MB at the defaults), built before
-    the workers start and kept by `proj`; memory is flat in the corpus size
-    apart from the output itself. The rows carry
+    the workers start and kept by `proj`. With at most _MAX_WORKERS gradient
+    buffers, memory is flat in the corpus size and the CPU count apart from
+    the output itself. The rows carry
     `gradient_provenance(model, proj)`.
     """
     if proj.source_dim != model.n_params:

@@ -10,6 +10,7 @@ import pytest
 
 from gvendi import Corpus, ProjectionSpec, ProxyModel, Sample, blas, featurize, metrics, proxy
 from test_proxy import _short_and_long_outputs
+from test_proxy import test_featurize_peak_is_flat_in_n as _peak_is_flat_in_n
 
 needs_blas_count = pytest.mark.skipif(
     not blas.can_set_threads(), reason="this numpy's BLAS thread count cannot be set"
@@ -39,10 +40,20 @@ def test_featurize_bytes_do_not_depend_on_workers(monkeypatch, n):
         assert featurize(model, proj, corpus).data.tobytes() == expected, workers
 
 
-def test_workers_are_the_usable_cpus_capped_at_the_chunks(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    expected = [1, 1, 2, 3, 3] if blas.can_set_threads() else [1] * 5
-    assert [proxy._featurize_workers(chunks) for chunks in (0, 1, 2, 3, 8)] == expected
+@pytest.mark.parametrize("cpus, expected", [(1, [1, 1, 1, 1]), (2, [1, 1, 2, 2]),
+                                            (3, [1, 1, 2, 2]), (8, [1, 1, 2, 2])])
+def test_workers_are_the_usable_cpus_capped_at_two_and_the_chunks(monkeypatch, cpus, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    expected = expected if blas.can_set_threads() else [1] * 4
+    assert [proxy._featurize_workers(chunks) for chunks in (0, 1, 2, 8)] == expected
+
+
+@pytest.mark.parametrize("cpus", [4, 8])
+def test_peak_is_flat_in_n_on_more_cpus(monkeypatch, cpus):
+    # 3 chunks against 16: a worker per CPU would hold more gradient buffers
+    # for the larger corpus
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    _peak_is_flat_in_n()
 
 
 def test_workers_share_one_sign_build(monkeypatch):
