@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import IO, Iterator, Sequence, TextIO
@@ -172,15 +173,30 @@ def open_text(path, newline: str | None = None) -> Iterator[TextIO]:
 def open_atomic(path, mode: str = "w") -> Iterator[IO]:
     """A new file ("w", UTF-8, or "wb") that replaces `path` when the block
     ends without error. It is written under a hidden temporary name in the
-    same directory and renamed over `path`, so `path` is never half written;
-    on an error it is removed and `path` keeps its old bytes."""
-    path = os.fspath(path)
-    head, tail = os.path.split(path)
+    directory of the file `path` resolves to, given that file's permission
+    bits, and renamed over it, so `path` is never half written (a symlink
+    keeps pointing at it); on an error it is removed and `path` keeps its old
+    bytes. A path under /dev or /proc (/dev/stdout, /dev/fd/N) or one that
+    is not a regular file (a FIFO) is opened and written in place."""
+    encoding = None if "b" in mode else "utf-8"
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if (st is not None and not stat.S_ISREG(st.st_mode)) or os.path.abspath(path).startswith(
+        ("/dev/", "/proc/")
+    ):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    head, tail = os.path.split(os.path.realpath(path))
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, mode.replace("w", "x"), encoding=encoding) as fh:
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, os.path.join(head, tail))
     except BaseException:
         with suppress(FileNotFoundError):
             os.unlink(tmp)

@@ -3,7 +3,9 @@ import inspect
 import json
 import os
 import shlex
+import stat
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -870,4 +872,49 @@ def test_output_write_that_raises_keeps_the_previous_file(tmp_path, writer):
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     write("z")
     assert path.read_bytes() != b"previous bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_output_through_a_symlink_replaces_its_target_keeping_the_mode(tmp_path):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    _write_text(str(link), "new")
+    assert link.is_symlink() and target.read_text() == "new\n"
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target"]
+
+
+def test_new_output_gets_the_mode_plain_open_gives(tmp_path):
+    with open(tmp_path / "plain", "w"):
+        pass
+    _write_text(str(tmp_path / "atomic"), "x")
+    assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_output_to_a_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    try:
+        _write_text(str(fifo), "through the pipe")
+    finally:
+        reader.join(10)
+    assert read == ["through the pipe\n"] and stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+def test_output_to_a_dev_fd_path_writes_the_open_file(tmp_path):
+    # as `--output /dev/stdout > file` does: the file the descriptor holds is
+    # written, not replaced by another one
+    path = tmp_path / "out"
+    with open(path, "w") as held:
+        inode = os.fstat(held.fileno()).st_ino
+        _write_text(f"/dev/fd/{held.fileno()}", "through the descriptor")
+    assert path.read_text() == "through the descriptor\n" and path.stat().st_ino == inode
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
