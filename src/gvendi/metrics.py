@@ -18,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 
-from .blas import _openblas_threads, one_thread  # noqa: F401  (tests read the count)
+from .blas import one_thread
 from .corpus import Corpus
 from .featmat import FeatureMatrix
 from .proxy import (

@@ -27,7 +27,7 @@ from gvendi import (
     template_corpus,
     vendi_score,
 )
-from gvendi import metrics
+from gvendi import blas
 from gvendi.metrics import (
     _eigvalsh,
     effective_rank_entropy,
@@ -280,7 +280,7 @@ def test_vendi_score_drops_unused_dense_columns():
 
 
 def test_spectrum_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
-    threads = metrics._openblas_threads()
+    threads = blas._openblas_threads()
     count = threads[0] if threads else (lambda: None)
     seen = []
     eigvalsh = np.linalg.eigvalsh
