@@ -192,6 +192,17 @@ def _kmeanspp(rows: np.ndarray, sq: np.ndarray, k: int, rng: np.random.Generator
     return rows[chosen].copy()
 
 
+def _update_centroids(rows, labels, counts, centroids) -> None:
+    """Set each centroid to the mean of its rows, given each row's label and
+    each label's (nonzero) count. One stable sort of the labels lists each
+    cluster's rows in row order, as rows[labels == c] would, so every mean
+    keeps its bits without k boolean scans of the rows."""
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(counts)
+    for c, (start, end) in enumerate(zip(ends - counts, ends)):
+        centroids[c] = rows[order[start:end]].mean(axis=0)
+
+
 _MAX_ITERS = 100  # Lloyd steps before the final assignment
 _TOL = 1e-6  # relative inertia improvement that counts as converged
 
@@ -209,7 +220,8 @@ def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> C
     cannot rule out, and keeps its running distance exact. Apart from its
     float64 copy of the rows, a fit allocates no n x d array: direct
     differences and row norms go a block of rows at a time, products are
-    n x k, and a centroid update gathers one cluster's rows.
+    n x k, and a centroid update sorts the labels once and gathers one
+    cluster's rows at a time.
     """
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
@@ -236,8 +248,7 @@ def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> C
             ):
                 break
             prev = inertia
-            for c in range(k):
-                centroids[c] = rows[labels == c].mean(axis=0)
+            _update_centroids(rows, labels, counts, centroids)
         if best is None or inertia < best.inertia:
             best = ClusterModel(centroids=centroids, assignment=labels, seed=seed, inertia=inertia)
     return best

@@ -106,21 +106,26 @@ def _eigvalsh(gram: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(gram)
 
 
-def _vendi(mat: np.ndarray) -> float:
-    """Vendi score of float64 unit rows given over their u used columns.
-
-    exp of the eigenvalue entropy of G G^T / n, computed on the smaller Gram
-    side: n x n when n <= u, else u x u. Both share the nonzero spectrum, so
-    cost is O(min(n,u)^2 * max(n,u)) instead of O(n^3).
+def _gram(mat: np.ndarray) -> np.ndarray:
+    """G G^T / n of float64 unit rows given over their u used columns, on the
+    smaller side: n x n when n <= u, else u x u. Both share the nonzero
+    spectrum, so cost is O(min(n,u)^2 * max(n,u)) instead of O(n^3). The
+    division is in place, which gives the bits of `/ n` without a second
+    Gram-sized array.
     """
     n, u = mat.shape
-    gram = (mat @ mat.T if n <= u else mat.T @ mat) / n
-    lam = _eigvalsh(gram)
-    return float(np.exp(effective_rank_entropy(lam)))
+    gram = mat @ mat.T if n <= u else mat.T @ mat
+    gram /= n
+    return gram
 
 
-def vendi_score(features: FeatureMatrix) -> float:
-    """Effective number of distinct directions among the nonzero rows.
+def _gram_vendi(gram: np.ndarray) -> float:
+    """Vendi score from a `_gram`: exp of its eigenvalue entropy."""
+    return float(np.exp(effective_rank_entropy(_eigvalsh(gram))))
+
+
+def _features_gram(features: FeatureMatrix) -> np.ndarray:
+    """The `_gram` that `vendi_score` scores.
 
     Columns that are zero in every row add only zero eigenvalues, so they
     are dropped before the float64 Gram; when every column is used, as for
@@ -133,7 +138,12 @@ def vendi_score(features: FeatureMatrix) -> float:
     used = np.flatnonzero(data.any(axis=0))
     if used.size < features.dim:
         data = data[:, used]
-    return _vendi(data.astype(np.float64))
+    return _gram(data.astype(np.float64))
+
+
+def vendi_score(features: FeatureMatrix) -> float:
+    """Effective number of distinct directions among the nonzero rows."""
+    return _gram_vendi(_features_gram(features))
 
 
 def report_from_features(metric: str, features: FeatureMatrix, params: dict) -> DiversityReport:
@@ -178,7 +188,7 @@ def report_from_tfidf(
         value = _mean_dissimilarity(total, used)
     else:
         kept = TfidfRows(np.r_[0, rows.indptr[1:][~zero]], rows.bucket, rows.weight)
-        value = _vendi(kept.scatter(np.unique(rows.bucket), np.float64))
+        value = _gram_vendi(_gram(kept.scatter(np.unique(rows.bucket), np.float64)))
     return DiversityReport(metric, value, used, {**params, "degenerate_dropped": n - used})
 
 

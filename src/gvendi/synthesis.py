@@ -28,7 +28,7 @@ import subprocess
 import threading
 import urllib.request
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
@@ -37,7 +37,7 @@ import numpy as np
 from .cluster import dynamic_k, kmeans_fit, sparse_clusters
 from .corpus import Corpus, Sample, content_id, ingest_jsonl, open_atomic, write_jsonl
 from .featmat import FeatureMatrix, load_features, store_features
-from .metrics import vendi_score
+from .metrics import _features_gram, _gram_vendi, vendi_score
 from .proxy import ProjectionSpec, ProxyModel, featurize, gradient_provenance
 from .rng import mix64, rng_from
 
@@ -567,8 +567,25 @@ def prismatic_step(
     Survivors are featurized with `featurize(model, proj, ...)`. Cluster
     sizes are frozen at step start: a survivor is judged against the
     sparsity of its nearest centroid as it was before any admission, so
-    admissions within a step cannot crowd each other out.
+    admissions within a step cannot crowd each other out. The step's record
+    ends with the grown pool's `vendi_score`.
     """
+    pool, features, record = _grow(state, config, generator, solver, model, proj, protected)
+    record["pool_g_vendi"] = vendi_score(features)
+    return SynthesisState(pool=pool, pool_features=features, history=state.history + (record,))
+
+
+def _grow(
+    state: SynthesisState,
+    config: SynthesisConfig,
+    generator: Generator,
+    solver: Solver,
+    model: ProxyModel,
+    proj: ProjectionSpec,
+    protected: Corpus,
+) -> tuple[Corpus, FeatureMatrix, dict]:
+    """`prismatic_step` without its pool score: the grown pool, its features
+    and the step's record, which lacks "pool_g_vendi"."""
     step_seed = mix64(config.seed, 0x57E, state.iteration)
     k = dynamic_k(len(state.pool), config.k_fraction)
     clusters = kmeans_fit(state.pool_features, k, seed=mix64(step_seed, 1))
@@ -625,13 +642,8 @@ def prismatic_step(
         "solver_failed": solver_failed,
         "decontam_flagged": len(flagged),
         "sparse_accepted": len(accepted),
-        "pool_g_vendi": vendi_score(new_features),
     }
-    return SynthesisState(
-        pool=new_pool,
-        pool_features=new_features,
-        history=state.history + (record,),
-    )
+    return new_pool, new_features, record
 
 
 # checkpoint file names
@@ -700,13 +712,22 @@ def run_synthesis(
     protected: Corpus = Corpus(()),
     checkpoint_dir=None,
 ) -> SynthesisState:
-    """Featurize the seed pool and apply prismatic_step `iterations` times.
+    """Featurize the seed pool and grow it for `iterations` steps, to the
+    state that applying prismatic_step that many times gives.
 
     With a checkpoint_dir, state is persisted after every step and a partial
     run resumes from the last completed step; seeds derive from (config.seed,
     iteration), so a resumed run reproduces an uninterrupted one exactly.
     A checkpoint whose features carry another provenance than
     `gradient_provenance(model, proj)` fails before any step.
+
+    A step's pool score is computed on a background thread while the next
+    step grows the pool; the step is checkpointed once its score is in, so
+    at most one score is in flight and a kill costs at most the last two
+    steps. The Gram is built on the calling thread and only while no
+    spectrum runs: a spectrum holds OpenBLAS at one thread, and the Gram's
+    bits depend on the thread count. When anything raises, the score in
+    flight is awaited and, if it succeeded, its step checkpointed first.
     """
     state = load_checkpoint(checkpoint_dir) if checkpoint_dir is not None else None
     if state is not None:
@@ -726,8 +747,36 @@ def run_synthesis(
         )
         if checkpoint_dir is not None:
             save_checkpoint(state, checkpoint_dir)
-    while state.iteration < config.iterations:
-        state = prismatic_step(state, config, generator, solver, model, proj, protected)
+    pending = None  # (state whose last record awaits its score, the score's future)
+
+    def settle():
+        # pending is cleared before the save, so a failed save is not retried
+        # on the way out, and no name keeps the previous pool's features alive
+        nonlocal state, pending
+        state, pending = _scored(*pending), None
         if checkpoint_dir is not None:
             save_checkpoint(state, checkpoint_dir)
+
+    with ThreadPoolExecutor(max_workers=1) as spectra:
+        try:
+            while state.iteration < config.iterations:
+                pool, features, record = _grow(state, config, generator, solver, model, proj,
+                                               protected)
+                if pending is not None:
+                    settle()
+                state = SynthesisState(pool, features, state.history + (record,))
+                pending = state, spectra.submit(_gram_vendi, _features_gram(features))
+            if pending is not None:
+                settle()
+        except BaseException:
+            if pending is not None and pending[1].exception() is None:
+                settle()
+            raise
     return state
+
+
+def _scored(state: SynthesisState, score: Future) -> SynthesisState:
+    """state with score's result, once it is in, as its last record's
+    "pool_g_vendi"."""
+    record = {**state.history[-1], "pool_g_vendi": score.result()}
+    return SynthesisState(state.pool, state.pool_features, state.history[:-1] + (record,))

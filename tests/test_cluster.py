@@ -17,7 +17,7 @@ from gvendi import (
     sparse_clusters,
     template_corpus,
 )
-from gvendi import cluster
+from gvendi import blas, cluster
 from gvendi.cluster import ClusterModel
 from gvendi.rng import rng_from
 
@@ -403,3 +403,67 @@ def test_kmeans_peak_memory_is_the_float64_rows():
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * rows_bytes, peak / rows_bytes
+
+
+def _mask_update(rows, labels, counts, centroids):
+    """The centroid update as first written: one boolean scan per cluster."""
+    for c in range(len(centroids)):
+        centroids[c] = rows[labels == c].mean(axis=0)
+
+
+@pytest.mark.parametrize("n_init", [1, 4])
+@pytest.mark.parametrize("make", [_blobs, _duplicate_heavy], ids=["blobs", "duplicates"])
+def test_centroid_update_matches_mask_reference(monkeypatch, make, n_init):
+    repaired = []
+    repair = cluster._repair_empty
+
+    def watching(rows, centroids, labels, d2, counts):
+        repaired.append(bool((counts == 0).any()))
+        repair(rows, centroids, labels, d2, counts)
+
+    monkeypatch.setattr(cluster, "_repair_empty", watching)
+    for seed in range(4000, 4004):
+        feats, k = make(seed)
+        fit = kmeans_fit(feats, k, seed=seed, n_init=n_init).to_json()
+        with monkeypatch.context() as m:
+            m.setattr(cluster, "_update_centroids", _mask_update)
+            ref = kmeans_fit(feats, k, seed=seed, n_init=n_init).to_json()
+        same = fit == ref
+        assert same, f"seed {seed}"
+    # duplicate-heavy rows have clusters emptied and repaired before updates
+    assert any(repaired) == (make is _duplicate_heavy)
+
+
+@pytest.mark.parametrize("k", [5, 15, 30])
+def test_centroid_update_on_gradient_features_matches_mask_reference(
+    monkeypatch, gradient_features, k
+):
+    fit = kmeans_fit(gradient_features, k, seed=3100).to_json()
+    monkeypatch.setattr(cluster, "_update_centroids", _mask_update)
+    same = fit == kmeans_fit(gradient_features, k, seed=3100).to_json()
+    assert same
+
+
+@pytest.fixture(scope="module")
+def grow_features():
+    """Gradient features at the grow workload's shapes: 1400 rows of the
+    default model and projection (1024 columns)."""
+    model = ProxyModel.create()
+    return featurize(model, ProjectionSpec(model.n_params), template_corpus(14, 100, 8))
+
+
+@pytest.mark.skipif(not blas.can_set_threads(), reason="needs numpy's bundled OpenBLAS")
+@pytest.mark.parametrize("n", [1000, 1200, 1400])
+def test_kmeans_bytes_do_not_depend_on_one_blas_thread(grow_features, n):
+    """A synthesis step clusters while another thread may hold OpenBLAS at
+    one thread for a spectrum, so its k-means must give the same bytes
+    either way."""
+    pool = grow_features.take(np.arange(n))
+    batch = grow_features.data[n - 200 :]
+    fit = kmeans_fit(pool, dynamic_k(n), seed=n)
+    with blas.one_thread():
+        held = kmeans_fit(pool, dynamic_k(n), seed=n)
+        held_nearest = fit.nearest_centroid(batch)
+    same = held.to_json() == fit.to_json()
+    assert same
+    assert held_nearest.tobytes() == fit.nearest_centroid(batch).tobytes()

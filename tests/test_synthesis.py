@@ -6,6 +6,7 @@ import socketserver
 import sys
 import threading
 import textwrap
+import time
 import warnings
 from dataclasses import replace
 
@@ -36,7 +37,7 @@ from gvendi import (
     template_corpus,
     vendi_score,
 )
-from gvendi import proxy, synthesis
+from gvendi import metrics, proxy, synthesis
 from gvendi.rng import mix64
 from gvendi.synthesis import load_checkpoint
 
@@ -481,6 +482,107 @@ def test_run_synthesis_resume_with_another_projection_seed_fails_first(tmp_path,
     with pytest.raises(ValueError, match=r"features\.gvfm: rows written with"):
         run_synthesis(pool, config, generator, solver, model, other, checkpoint_dir=ckpt)
     assert generator.calls == solver.calls == featurized == []
+
+
+def _three_steps():
+    pool, model, proj, config = loop_fixture()
+    return pool, model, proj, replace(config, iterations=3, gen_batch=10, seed=11)
+
+
+def _run_bytes(directory):
+    return {name: (directory / name).read_bytes()
+            for name in ("pool.jsonl", "features.gvfm", "state.json")}
+
+
+def test_run_synthesis_builds_no_gram_while_a_spectrum_runs(tmp_path, monkeypatch):
+    """A spectrum holds OpenBLAS at one thread, and a Gram built meanwhile
+    would take other bits; the slow spectrum leaves any such Gram no time
+    to slip past it. The run still equals prismatic_step applied in turn."""
+    pool, model, proj, config = _three_steps()
+    threads = threading.active_count()
+    plain = SynthesisState(pool, featurize(model, proj, pool), ())
+    for _ in range(config.iterations):
+        plain = prismatic_step(plain, config, RecombinationGenerator(), EchoSolver(), model, proj)
+    running = threading.Event()
+    overlapped = []
+    spectrum, gram = synthesis._gram_vendi, metrics._gram
+
+    def slow_spectrum(g):
+        running.set()
+        try:
+            time.sleep(0.2)
+            return spectrum(g)
+        finally:
+            running.clear()
+
+    def watched_gram(mat):
+        overlapped.append(running.is_set())
+        return gram(mat)
+
+    monkeypatch.setattr(synthesis, "_gram_vendi", slow_spectrum)
+    monkeypatch.setattr(metrics, "_gram", watched_gram)
+    slow = run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
+                         checkpoint_dir=str(tmp_path / "run"))
+    assert overlapped == [False] * config.iterations
+    assert threading.active_count() == threads
+    assert list(slow.history) == list(plain.history)
+    assert slow.pool_features.data.tobytes() == plain.pool_features.data.tobytes()
+
+
+class FailingGenerator(RecombinationGenerator):
+    """Raises a plain error (not EndpointError, so no retry) from its
+    `fail_at`-th call on."""
+
+    def __init__(self, fail_at):
+        self.calls = 0
+        self.fail_at = fail_at
+
+    def generate(self, exemplars, count, seed):
+        self.calls += 1
+        if self.calls >= self.fail_at:
+            raise RuntimeError("generator crashed")
+        return super().generate(exemplars, count, seed)
+
+
+def test_run_synthesis_crash_in_a_step_keeps_the_step_before(tmp_path):
+    pool, model, proj, config = _three_steps()
+    threads = threading.active_count()
+    run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
+                  checkpoint_dir=str(tmp_path / "full"))
+    ckpt = tmp_path / "crashed"
+    # one generate request per batch slot: the first call of step 2 raises
+    with pytest.raises(RuntimeError, match="generator crashed"):
+        run_synthesis(pool, config, FailingGenerator(config.gen_batch + 1), EchoSolver(),
+                      model, proj, checkpoint_dir=str(ckpt))
+    assert threading.active_count() == threads
+    assert load_checkpoint(str(ckpt)).iteration == 1
+    run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
+                  checkpoint_dir=str(ckpt))
+    assert _run_bytes(ckpt) == _run_bytes(tmp_path / "full")
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 3])
+def test_run_synthesis_failed_spectrum_is_raised_and_never_checkpointed(
+    tmp_path, monkeypatch, fail_at
+):
+    pool, model, proj, config = _three_steps()
+    threads = threading.active_count()
+    spectrum = synthesis._gram_vendi
+    calls = []
+
+    def failing(g):
+        calls.append(g.shape)
+        if len(calls) == fail_at:
+            raise FloatingPointError("spectrum failed")
+        return spectrum(g)
+
+    monkeypatch.setattr(synthesis, "_gram_vendi", failing)
+    ckpt = str(tmp_path / "run")
+    with pytest.raises(FloatingPointError, match="spectrum failed"):
+        run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
+                      checkpoint_dir=ckpt)
+    assert threading.active_count() == threads
+    assert load_checkpoint(ckpt).iteration == fail_at - 1
 
 
 def test_checkpoint_roundtrip(tmp_path):
