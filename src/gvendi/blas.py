@@ -1,8 +1,8 @@
 """The thread count of numpy's bundled OpenBLAS.
 
 `one_thread()` holds it at one thread for a block: `metrics` computes its
-spectra that way, and `proxy.featurize` while its own threads share the
-CPUs. Holders nest and may overlap across threads; the first to enter saves
+Gram products and spectra that way, and `proxy.featurize` while its own
+threads share the CPUs. Holders nest and may overlap across threads; the first to enter saves
 the count and the last to leave restores it, so the count after the last
 holder is the count before the first, whatever raised in between.
 """

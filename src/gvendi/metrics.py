@@ -110,11 +110,13 @@ def _gram(mat: np.ndarray) -> np.ndarray:
     """G G^T / n of float64 unit rows given over their u used columns, on the
     smaller side: n x n when n <= u, else u x u. Both share the nonzero
     spectrum, so cost is O(min(n,u)^2 * max(n,u)) instead of O(n^3). The
-    division is in place, which gives the bits of `/ n` without a second
-    Gram-sized array.
+    product runs on one BLAS thread, like the spectrum, so its bits do not
+    depend on the thread count. The division is in place, which gives the
+    bits of `/ n` without a second Gram-sized array.
     """
     n, u = mat.shape
-    gram = mat @ mat.T if n <= u else mat.T @ mat
+    with one_thread():
+        gram = mat @ mat.T if n <= u else mat.T @ mat
     gram /= n
     return gram
 

@@ -724,10 +724,10 @@ def run_synthesis(
     A step's pool score is computed on a background thread while the next
     step grows the pool; the step is checkpointed once its score is in, so
     at most one score is in flight and a kill costs at most the last two
-    steps. The Gram is built on the calling thread and only while no
-    spectrum runs: a spectrum holds OpenBLAS at one thread, and the Gram's
-    bits depend on the thread count. When anything raises, the score in
-    flight is awaited and, if it succeeded, its step checkpointed first.
+    steps. The Gram is built on the calling thread; like the spectrum, it
+    runs on one BLAS thread, so neither's bits depend on the thread count.
+    When anything raises, the score in flight is awaited and, if it
+    succeeded, its step checkpointed first.
     """
     state = load_checkpoint(checkpoint_dir) if checkpoint_dir is not None else None
     if state is not None:

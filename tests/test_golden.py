@@ -110,7 +110,7 @@ GOLDEN = {
     "synth-builtin/pool.jsonl":
         "f2f9b159edb9c75741845e6359ab49f137f3b2438551424d3e937e9de22e4578",
     "synth-builtin/state.json":
-        "f8c07a69546b76661d05ea7cc06472d435b85bd12963a25b438f7ad67307799c",
+        "3936af9a5c5a8d8fee521d8c0c92b44c46b4c7ff149bcb937b7f14df0686c853",
     "synth-builtin/features.gvfm":
         "53907d0c069ef0591fa48e3ee3a51f4603d2edcc1761a746956116e2cbb079ae",
     "synth-cmd/pool.jsonl":
@@ -128,6 +128,32 @@ GOLDEN = {
 
 def _write_corpus(path) -> None:
     write_jsonl(template_corpus(6, 20, seed=17, name="golden"), path)
+
+
+def _write_protected(root: Path) -> Path:
+    """Every 15th line of root/pool.jsonl, as the protected corpus."""
+    protected = root / "protected.jsonl"
+    lines = (root / "pool.jsonl").read_text(encoding="utf-8").splitlines()
+    protected.write_text("\n".join(lines[::15]) + "\n", encoding="utf-8")
+    return protected
+
+
+def _synthesize_commands(root: Path) -> dict[str, list[str]]:
+    """The golden `synthesize` argvs by output directory name, over
+    root/pool.jsonl and root/protected.jsonl; writes the `cmd:` worker."""
+    corpus = str(root / "pool.jsonl")
+    synth = ["synthesize", "--corpus", corpus, "--iterations", "2", "--gen-batch", "12",
+             "--k-fraction", "0.1", "--seed", "5", *PROXY]
+    worker = root / "worker.py"
+    worker.write_text(WORKER, encoding="utf-8")
+    cmd = "cmd:" + shlex.join([sys.executable, str(worker)])
+    return {
+        "synth-builtin": [*synth, "--outdir", str(root / "synth-builtin"),
+                          "--generator", "recombine", "--solver", "echo:0.2"],
+        "synth-cmd": ["--threads", "2", *synth, "--outdir", str(root / "synth-cmd"),
+                      "--protected", str(root / "protected.jsonl"), "--ngram", "5",
+                      "--generator", cmd, "--solver", cmd],
+    }
 
 
 def _cli(*argv: str) -> None:
@@ -175,22 +201,12 @@ def artifacts(tmp_path_factory):
         _cli("diversity", "--metric", metric, "--corpus", corpus, *PROXY,
              "--output", str(div / f"{metric}.json"))
 
-    protected = root / "protected.jsonl"
-    lines = (root / "pool.jsonl").read_text(encoding="utf-8").splitlines()
-    protected.write_text("\n".join(lines[::15]) + "\n", encoding="utf-8")
+    protected = _write_protected(root)
     _cli("decontaminate", "--corpus", corpus, "--protected", str(protected),
          "--ngram", "6", "--output", str(root / "decontaminate" / "kept.jsonl"),
          "--flagged", str(root / "decontaminate" / "flagged.jsonl"))
-
-    synth = ["synthesize", "--corpus", corpus, "--iterations", "2", "--gen-batch", "12",
-             "--k-fraction", "0.1", "--seed", "5", *PROXY]
-    _cli(*synth, "--outdir", str(root / "synth-builtin"),
-         "--generator", "recombine", "--solver", "echo:0.2")
-    worker = root / "worker.py"
-    worker.write_text(WORKER, encoding="utf-8")
-    cmd = "cmd:" + shlex.join([sys.executable, str(worker)])
-    _cli("--threads", "2", *synth, "--outdir", str(root / "synth-cmd"),
-         "--protected", str(protected), "--ngram", "5", "--generator", cmd, "--solver", cmd)
+    for argv in _synthesize_commands(root).values():
+        _cli(*argv)
 
     acc = root / "acc.csv"
     acc.write_text("model,b1,b2\nref,0.8,0.5\nm1,0.4,0.25\nm2,0.6,0.45\nm3,0.72,0.48\n")
@@ -210,26 +226,44 @@ def test_golden_artifact(artifacts, name):
     assert artifacts[name] == GOLDEN[name], f"{name}: sha256 {artifacts[name]}"
 
 
+def _cli_child(threads: str, *argv: str) -> None:
+    """gvendi argv in a child process at `threads` OpenBLAS threads."""
+    # the child imports the same gvendi as this test, installed or not
+    src = str(Path(gvendi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gvendi.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_featurize_bytes_do_not_depend_on_blas_threads(tmp_path):
     """The golden gradient features, featurized in child processes at 1 and
     at 3 OpenBLAS threads."""
     corpus = tmp_path / "pool.jsonl"
     _write_corpus(corpus)
-    # the child imports the same gvendi as this test, installed or not
-    src = str(Path(gvendi.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = {}
     for threads in ("1", "3"):
         out = tmp_path / f"gradient-{threads}.gvfm"
-        proc = subprocess.run(
-            [sys.executable, "-m", "gvendi.cli", "featurize", "--input", str(corpus),
-             "--output", str(out), *PROXY],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+        _cli_child(threads, "featurize", "--input", str(corpus), "--output", str(out), *PROXY)
         digests[threads] = hashlib.sha256(out.read_bytes()).hexdigest()
     expected = GOLDEN["featurize/gradient.gvfm"]
     assert digests == {"1": expected, "3": expected}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_synthesize_state_does_not_depend_on_blas_threads(tmp_path, threads):
+    """The golden `synthesize` runs in a child process at 1 and at 3 OpenBLAS
+    threads: each `state.json` is the golden one."""
+    _write_corpus(tmp_path / "pool.jsonl")
+    _write_protected(tmp_path)
+    digests, expected = {}, {}
+    for name, argv in _synthesize_commands(tmp_path).items():
+        _cli_child(threads, *argv)
+        digests[name] = hashlib.sha256((tmp_path / name / "state.json").read_bytes()).hexdigest()
+        expected[name] = GOLDEN[f"{name}/state.json"]
+    assert digests == expected
