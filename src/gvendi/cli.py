@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .cluster import dynamic_k, kmeans_fit
 from .corpus import Corpus, ingest_jsonl, open_atomic, open_text, write_jsonl
-from .featmat import load_features, store_features
+from .featmat import load_features
 from .metrics import (
     DiversityReport,
     embedding_vendi,
@@ -37,7 +37,7 @@ from .metrics import (
     tag_entropy,
 )
 from .evalstats import AccuracyTable, correlation_study, relative_perf
-from .proxy import ProjectionSpec, ProxyModel, embed_hashed_tfidf, featurize
+from .proxy import ProjectionSpec, ProxyModel, embed_hashed_tfidf, embed_stream, featurize_stream
 from .sampling import (
     sample_higher_diversity,
     sample_lower_diversity,
@@ -171,13 +171,13 @@ def cmd_featurize(args: argparse.Namespace) -> None:
     corpus = ingest_jsonl(_need(args, "input"))
     out = _need(args, "output")
     if args.featurizer == "gradient":
-        feats = featurize(*_gradient_from(args), corpus)
+        stream = featurize_stream(*_gradient_from(args), corpus)
     elif args.featurizer == "embedding":
-        feats = embed_hashed_tfidf(corpus, **_given(args, embed_hashed_tfidf))
+        stream = embed_stream(corpus, **_given(args, embed_hashed_tfidf))
     else:
         raise ValueError(f"unknown featurizer {args.featurizer!r} (expected gradient or embedding)")
-    store_features(feats, out)
-    print(json.dumps({"rows": feats.rows, "dim": feats.dim, "output": out}, sort_keys=True))
+    stream.store(out)
+    print(json.dumps({"rows": stream.rows, "dim": stream.dim, "output": out}, sort_keys=True))
 
 
 def _load_selection(path: str, sample_ids: Sequence[str]) -> list[int]:

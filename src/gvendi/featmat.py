@@ -11,7 +11,9 @@ File layout (all little-endian, no padding):
     f32     n*d row-major data
     n times (u32 byte length, utf-8 bytes) sample-id table
 
-Store-then-load is a bitwise identity on data and metadata.
+Store-then-load is a bitwise identity on data and metadata. A
+`FeatureStream` writes the rows a block at a time as they are computed,
+so a featurizer's output need not be held whole to be stored.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +32,7 @@ VERSION = 1
 
 FEATURIZERS = ("proxy_gradient", "embedding", "external")
 _HEADER = struct.Struct("<4sIQIBQQ")
+_LENGTH = struct.Struct("<I")  # an id's byte length, before its utf-8 bytes
 
 UNIT_NORM_TOL = 1e-5
 
@@ -42,6 +46,32 @@ class Provenance:
     def __post_init__(self) -> None:
         if self.featurizer not in FEATURIZERS:
             raise ValueError(f"unknown featurizer {self.featurizer!r}")
+
+
+def _unique(sample_ids) -> tuple[str, ...]:
+    ids = tuple(sample_ids)
+    if len(set(ids)) != len(ids):
+        raise ValueError("sample ids must be unique")
+    return ids
+
+
+def _check_rows(rows: np.ndarray, first: int = 0) -> np.ndarray:
+    """The exactly-zero mask of 2-D float32 rows, each of which must be
+    finite and unit-norm or exactly zero; an error names a row by its index
+    plus `first`, the index of rows[0] in the whole matrix."""
+    # float32 squares neither overflow nor underflow in float64, so a row's
+    # sum is non-finite iff an entry is, and zero iff every entry is zero
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("feature data contains non-finite values")
+    zero = norms == 0.0
+    bad = ~zero & (np.abs(norms - 1.0) > UNIT_NORM_TOL)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"row {first + i} has norm {norms[i]:.6g}; rows must be unit-norm or exactly zero"
+        )
+    return zero
 
 
 @dataclass(frozen=True)
@@ -58,23 +88,10 @@ class FeatureMatrix:
         arr = np.asarray(self.data, dtype=np.float32)
         if arr.ndim != 2:
             raise ValueError(f"feature data must be 2-D, got shape {arr.shape}")
-        ids = tuple(self.sample_ids)
+        ids = _unique(self.sample_ids)
         if len(ids) != arr.shape[0]:
             raise ValueError(f"{len(ids)} ids for {arr.shape[0]} rows")
-        if len(set(ids)) != len(ids):
-            raise ValueError("sample ids must be unique")
-        # float32 squares neither overflow nor underflow in float64, so a row's
-        # sum is non-finite iff an entry is, and zero iff every entry is zero
-        norms = np.sqrt(np.einsum("ij,ij->i", arr, arr, dtype=np.float64))
-        if not np.all(np.isfinite(norms)):
-            raise ValueError("feature data contains non-finite values")
-        zero = norms == 0.0
-        bad = ~zero & (np.abs(norms - 1.0) > UNIT_NORM_TOL)
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"row {i} has norm {norms[i]:.6g}; rows must be unit-norm or exactly zero"
-            )
+        zero = _check_rows(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "sample_ids", ids)
@@ -116,25 +133,89 @@ class FeatureMatrix:
         )
 
 
+@dataclass(frozen=True)
+class FeatureStream:
+    """A feature matrix whose rows arrive in blocks.
+
+    Its ids, width and provenance are known up front; `blocks(emit)` calls
+    `emit` with each block of rows, 2-D and float32, in row order,
+    len(sample_ids) rows in all. `store` writes each block to the file as it
+    comes and `collect` gathers them into a FeatureMatrix: one holds a block
+    at a time, the other the whole matrix. Both check every row as a
+    FeatureMatrix does.
+    """
+
+    sample_ids: tuple[str, ...]
+    dim: int
+    provenance: Provenance
+    blocks: Callable[[Callable[[np.ndarray], None]], None] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sample_ids", _unique(self.sample_ids))
+
+    @property
+    def rows(self) -> int:
+        return len(self.sample_ids)
+
+    def _feed(self, take: Callable[[np.ndarray, int], None]) -> None:
+        """Run `blocks`, handing `take` each block and the index of its first row."""
+        filled = 0
+
+        def emit(block: np.ndarray) -> None:
+            nonlocal filled
+            block = np.asarray(block, dtype=np.float32)
+            if block.ndim != 2 or block.shape[1] != self.dim or filled + len(block) > self.rows:
+                raise ValueError(
+                    f"a block of shape {block.shape} after {filled} rows does not fit "
+                    f"{self.rows} x {self.dim} features"
+                )
+            take(block, filled)
+            filled += len(block)
+
+        self.blocks(emit)
+        if filled != self.rows:
+            raise ValueError(f"{filled} rows streamed for {self.rows} ids")
+
+    def collect(self) -> FeatureMatrix:
+        data = np.empty((self.rows, self.dim), dtype=np.float32)
+
+        def take(block: np.ndarray, first: int) -> None:
+            data[first : first + len(block)] = block
+
+        self._feed(take)
+        return FeatureMatrix(data, self.sample_ids, self.provenance)
+
+    def store(self, path) -> None:
+        """Write the binary feature-matrix format described in the module
+        docs, a block at a time, atomically (`corpus.open_atomic`): a regular
+        file keeps its old bytes when a block fails, while a special file
+        (/dev/stdout, a FIFO) has received the blocks before it."""
+        header = _HEADER.pack(
+            MAGIC,
+            VERSION,
+            self.rows,
+            self.dim,
+            FEATURIZERS.index(self.provenance.featurizer),
+            self.provenance.fingerprint & 0xFFFFFFFFFFFFFFFF,
+            self.provenance.seed & 0xFFFFFFFFFFFFFFFF,
+        )
+        with open_atomic(path, "wb") as fh:
+            fh.write(header)
+
+            def take(block: np.ndarray, first: int) -> None:
+                _check_rows(block, first)
+                fh.write(np.ascontiguousarray(block, dtype="<f4"))
+
+            self._feed(take)
+            raw = [sid.encode("utf-8") for sid in self.sample_ids]
+            fh.write(b"".join(_LENGTH.pack(len(r)) + r for r in raw))
+
+
 def store_features(features: FeatureMatrix, path) -> None:
     """Write the binary feature-matrix format described in the module docs,
-    atomically (`corpus.open_atomic`)."""
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        features.rows,
-        features.dim,
-        FEATURIZERS.index(features.provenance.featurizer),
-        features.provenance.fingerprint & 0xFFFFFFFFFFFFFFFF,
-        features.provenance.seed & 0xFFFFFFFFFFFFFFFF,
-    )
-    with open_atomic(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(features.data, dtype="<f4"))
-        for sid in features.sample_ids:
-            raw = sid.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+    atomically: `FeatureStream.store` fed the matrix as one block."""
+    FeatureStream(features.sample_ids, features.dim, features.provenance,
+                  lambda emit: emit(features.data)).store(path)
 
 
 def load_features(path) -> FeatureMatrix:
@@ -161,15 +242,19 @@ def _read_features(fh) -> FeatureMatrix:
     if size < end:
         raise ValueError(f"truncated feature file: expected at least {end} bytes, got {size}")
     data = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
-
-    def chunk(length: int) -> bytes:
-        nonlocal end
-        end += length
-        if size < end:
-            raise ValueError(f"truncated id table: expected at least {end} bytes, got {size}")
-        return fh.read(length)
-
-    ids = tuple(chunk(struct.unpack("<I", chunk(4))[0]).decode("utf-8") for _ in range(n))
+    table = fh.read(size - end)  # the id table and any bytes after it, in one read
+    base, pos, ids = end, 0, []
+    for _ in range(n):
+        start = pos + 4
+        if start > len(table):
+            raise ValueError(f"truncated id table: expected at least {base + start} bytes, "
+                             f"got {size}")
+        pos = start + _LENGTH.unpack_from(table, pos)[0]
+        if pos > len(table):
+            raise ValueError(f"truncated id table: expected at least {base + pos} bytes, got {size}")
+        ids.append(table[start:pos].decode("utf-8"))
+    end = base + pos
     if size > end:
         raise ValueError(f"{size - end} trailing bytes after the id table")
-    return FeatureMatrix(data, ids, Provenance(FEATURIZERS[feat_code], fingerprint=fp, seed=seed))
+    return FeatureMatrix(data, tuple(ids),
+                         Provenance(FEATURIZERS[feat_code], fingerprint=fp, seed=seed))

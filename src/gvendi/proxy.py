@@ -20,15 +20,16 @@ import contextvars
 import hashlib
 import os
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .blas import can_set_threads, one_thread
 from .corpus import Corpus, Sample
-from .featmat import FeatureMatrix, Provenance
+from .featmat import FeatureMatrix, FeatureStream, Provenance
 from .rng import hash_words, mix64, rng_from, sign_block
 
 _CTX_START = 0x02  # prepended so every context yields at least one bigram
@@ -48,6 +49,7 @@ _MAX_WORKERS = 2
 # embed_hashed_tfidf's defaults, shared by the metrics that score its rows
 TFIDF_DIM = 32768
 TFIDF_SEED = 404
+_EMBED_BLOCK_BYTES = 1 << 20  # float32 bytes of one dense block of `embed_stream` (or one row)
 
 
 @dataclass(frozen=True)
@@ -332,77 +334,121 @@ def _featurize_chunk(model: ProxyModel, proj: ProjectionSpec, samples: Sequence[
 
 
 def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> FeatureMatrix:
-    """Unit-norm projected loss gradients, one row per sample in corpus order.
+    """Unit-norm projected loss gradients, one row per sample in corpus order:
+    `featurize_stream(model, proj, corpus).collect()`.
 
     Zero-gradient samples map to the zero row (flagged degenerate) rather
-    than being dropped, keeping row/id alignment intact.
+    than being dropped, keeping row/id alignment intact. The rows carry
+    `gradient_provenance(model, proj)`.
+    """
+    return featurize_stream(model, proj, corpus).collect()
+
+
+def featurize_stream(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> FeatureStream:
+    """`featurize`'s rows as a FeatureStream of one block per chunk.
 
     The corpus streams through in chunks of _CHUNK_ROWS samples (a 1-row
     tail joins the chunk before it): the token pass computes a chunk's
     gradients in float32, the dtype they are stored and projected in (the
     logits GEMM, the softmax and the per-sample products alike), _TOKEN_ROWS
     samples at a time, then each projected row is normalised in float64 and
-    lands as float32 in the output. A row does not depend on the other
-    samples of its chunk, except that a 1-row corpus takes `project`'s
+    lands as float32 in the chunk's block. A row does not depend on the
+    other samples of its chunk, except that a 1-row corpus takes `project`'s
     matrix-vector path.
 
     The chunks run on `_featurize_workers` threads, each with its own
     float32 gradient buffer of one chunk, while OpenBLAS is held at one
     thread; with one worker the caller runs every chunk and the BLAS thread
-    count is left alone. Workers run in copies of the caller's context
-    (numpy's errstate lives there), and a failure raises the error of the
-    first failing chunk in corpus order. The sign matrix is `proj.signs`
-    (source_dim x target_dim float32, 64 MB at the defaults), built before
-    the workers start and kept by `proj`. With at most _MAX_WORKERS gradient
-    buffers, memory is flat in the corpus size and the CPU count apart from
-    the output itself. The rows carry
-    `gradient_provenance(model, proj)`.
+    count is left alone. The calling thread hands the blocks on in corpus
+    order. Workers run in copies of the caller's context (numpy's errstate
+    lives there), and a failure raises the error of the first failing chunk
+    in corpus order, once every block before it has been handed on. The sign
+    matrix is `proj.signs` (source_dim x target_dim float32, 64 MB at the
+    defaults), built before the workers start and kept by `proj`. With at
+    most _MAX_WORKERS gradient buffers and two chunk results per worker,
+    the stream's memory is flat in the corpus size and the CPU count.
     """
     if proj.source_dim != model.n_params:
         raise ValueError(
             f"projection source_dim {proj.source_dim} != model parameter count "
             f"{model.n_params}"
         )
+    return FeatureStream(corpus.ids(), proj.target_dim, gradient_provenance(model, proj),
+                         lambda emit: _featurize_blocks(model, proj, corpus, emit))
+
+
+def _featurize_blocks(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus,
+                      emit: Callable[[np.ndarray], None]) -> None:
+    """Each chunk's unit rows to `emit`, in corpus order, on the calling
+    thread; see `featurize_stream`."""
     bounds = _chunk_bounds(len(corpus))
     chunks = enumerate(zip(bounds, bounds[1:]))
     workers = _featurize_workers(len(bounds) - 1)
     rows = max(np.diff(bounds), default=0)
     buffers = [np.empty((rows, model.n_params), dtype=np.float32) for _ in range(workers)]
-    out = np.empty((len(corpus), proj.target_dim), dtype=np.float32)
+    # a worker may finish one chunk ahead of `emit` before it waits for a free result
+    free = [np.empty((rows, proj.target_dim), dtype=np.float32) for _ in range(2 * workers)]
     proj.signs  # built once, before the workers share it
-    lock = threading.Lock()
+    cond = threading.Condition()
+    done: dict[int, np.ndarray] = {}
     failed: dict[int, BaseException] = {}
+    stopped = False
+
+    def run_next(grads: np.ndarray) -> bool:
+        """Run the next chunk into a free result; False once none is left to run."""
+        with cond:
+            cond.wait_for(lambda: free or failed or stopped)
+            # every chunk left after a failure comes after the failed one
+            task = None if failed or stopped else next(chunks, None)
+            if task is None:
+                return False
+            result = free.pop()
+        i, (start, stop) = task
+        try:
+            _featurize_chunk(model, proj, corpus.samples[start:stop], grads[: stop - start],
+                             result[: stop - start])
+        except BaseException as e:
+            with cond:
+                failed[i] = e
+                cond.notify_all()
+            return False
+        with cond:
+            done[i] = result
+            cond.notify_all()
+        return True
 
     def work(grads: np.ndarray) -> None:
-        while True:
-            with lock:  # every chunk left after a failure comes after the failed one
-                task = None if failed else next(chunks, None)
-            if task is None:
-                return
-            i, (start, stop) = task
-            try:
-                _featurize_chunk(model, proj, corpus.samples[start:stop], grads[: stop - start],
-                                 out[start:stop])
-            except BaseException as e:
-                with lock:
-                    failed[i] = e
-                return
+        while run_next(grads):
+            pass
 
-    if workers == 1:
-        work(buffers[0])
-    else:
-        # the caller only waits, so no chunk runs beside another on its stack
-        # (bench/tracer.py parents each thread's spans to the caller's)
-        threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, grads))
-                   for grads in buffers]
-        with one_thread():
-            for t in threads:
-                t.start()
+    # the caller only waits and emits, so no chunk runs beside another on its
+    # stack (bench/tracer.py parents each thread's spans to the caller's)
+    threads = [] if workers == 1 else [
+        threading.Thread(target=contextvars.copy_context().run, args=(work, grads))
+        for grads in buffers
+    ]
+    with one_thread() if threads else nullcontext():
+        for t in threads:
+            t.start()
+        try:
+            for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+                if not threads:
+                    run_next(buffers[0])  # chunk i, on the caller
+                with cond:
+                    cond.wait_for(lambda: i in done or i in failed)
+                    if i in failed:  # every chunk before it has been emitted
+                        raise failed[i]
+                    result = done.pop(i)
+                emit(result[: stop - start])
+                with cond:
+                    free.append(result)
+                    cond.notify_all()
+        finally:
+            with cond:
+                stopped = True
+                cond.notify_all()
             for t in threads:
                 t.join()
-    if failed:
-        raise failed[min(failed)]
-    return FeatureMatrix(out, tuple(corpus.ids()), gradient_provenance(model, proj))
 
 
 class TfidfRows(NamedTuple):
@@ -416,6 +462,12 @@ class TfidfRows(NamedTuple):
     indptr: np.ndarray  # (n + 1,) int64
     bucket: np.ndarray  # (nnz,) int64
     weight: np.ndarray  # (nnz,) float32
+
+    def block(self, start: int, stop: int) -> "TfidfRows":
+        """Rows start:stop (clipped to the rows there are) on their own."""
+        stop = min(stop, len(self.indptr) - 1)
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return TfidfRows(self.indptr[start : stop + 1] - lo, self.bucket[lo:hi], self.weight[lo:hi])
 
     def scatter(self, columns: np.ndarray, dtype) -> np.ndarray:
         """The rows as a dense matrix over the sorted `columns`, which must
@@ -474,22 +526,34 @@ def _tfidf_rows(corpus: Corpus, dim: int, seed: int) -> TfidfRows:
 def embed_hashed_tfidf(
     corpus: Corpus, dim: int = TFIDF_DIM, seed: int = TFIDF_SEED
 ) -> FeatureMatrix:
-    """Hashed word-bigram TF-IDF embeddings, unit-normalized per row.
+    """Hashed word-bigram TF-IDF embeddings, unit-normalized per row:
+    `embed_stream(corpus, dim, seed).collect()`.
 
     Bigrams are taken over case-folded whitespace tokens of input + output.
     Samples with no bigram (fewer than two tokens) get the zero row.
 
     This is the dense n x dim float32 form of the sparse rows (about 27
-    nonzeros per row), needed only where a dense matrix is the product, as
-    in a stored `.gvfm`; the metrics score a corpus from the sparse rows and
-    never build it.
+    nonzeros per row), needed only where a dense matrix is the product; the
+    metrics score a corpus from the sparse rows and never build it.
     """
+    return embed_stream(corpus, dim, seed).collect()
+
+
+def embed_stream(corpus: Corpus, dim: int = TFIDF_DIM, seed: int = TFIDF_SEED) -> FeatureStream:
+    """`embed_hashed_tfidf`'s rows as a FeatureStream. The sparse rows are
+    built whole, since the idf needs every row, and each dense block of
+    about _EMBED_BLOCK_BYTES is scattered from them only when it is emitted,
+    so a stored `.gvfm` never needs the n x dim matrix."""
     rows = _tfidf_rows(corpus, dim, seed)
-    return FeatureMatrix(
-        rows.scatter(np.arange(dim), np.float32),
-        tuple(corpus.ids()),
-        Provenance("embedding", fingerprint=0, seed=seed),
-    )
+    columns = np.arange(dim)
+    step = max(1, _EMBED_BLOCK_BYTES // (4 * dim))
+
+    def blocks(emit: Callable[[np.ndarray], None]) -> None:
+        for start in range(0, len(corpus), step):
+            emit(rows.block(start, start + step).scatter(columns, np.float32))
+
+    return FeatureStream(corpus.ids(), dim, Provenance("embedding", fingerprint=0, seed=seed),
+                         blocks)
 
 
 def _tfidf_bucket(tok_a: str, tok_b: str, seed: int, dim: int) -> int:

@@ -541,6 +541,27 @@ def test_load_truncated_file_reports_byte_counts(tmp_path):
         load_features(path)
 
 
+def test_id_table_defects_name_their_byte_counts(tmp_path):
+    feats = FeatureMatrix(np.eye(3, 4, dtype=np.float32), ("a", "bb", "ccc"),
+                          Provenance("external"))
+    path = tmp_path / "f.gvfm"
+    store_features(feats, path)
+    blob = path.read_bytes()
+    table = 37 + 3 * 4 * 4  # header, then the rows
+    field_ends = [table + 4, table + 5, table + 9, table + 11, table + 15, table + 18]
+    assert len(blob) == field_ends[-1]
+    for cut in range(table, len(blob)):
+        path.write_bytes(blob[:cut])
+        need = next(end for end in field_ends if end > cut)
+        with pytest.raises(ValueError) as e:
+            load_features(path)
+        assert str(e.value) == f"{path}: truncated id table: expected at least {need} bytes, got {cut}"
+    path.write_bytes(blob + b"xy")
+    with pytest.raises(ValueError) as e:
+        load_features(path)
+    assert str(e.value) == f"{path}: 2 trailing bytes after the id table"
+
+
 def test_load_bad_magic(tmp_path):
     path = tmp_path / "f.gvfm"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
