@@ -256,5 +256,4 @@ def _read_features(fh) -> FeatureMatrix:
     end = base + pos
     if size > end:
         raise ValueError(f"{size - end} trailing bytes after the id table")
-    return FeatureMatrix(data, tuple(ids),
-                         Provenance(FEATURIZERS[feat_code], fingerprint=fp, seed=seed))
+    return FeatureMatrix(data, ids, Provenance(FEATURIZERS[feat_code], fingerprint=fp, seed=seed))
