@@ -101,28 +101,14 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
     return _direct_sqdist(rows, np.zeros((1, rows.shape[1])))[0]
 
 
-_SEED_PRODUCT_ROWS = 128  # rows per block of a k-means++ trial product
-
-
-def _sqdist(rows: np.ndarray, sq: np.ndarray, centers: np.ndarray, csq=None,
-            block: int | None = None) -> np.ndarray:
+def _sqdist(rows: np.ndarray, sq: np.ndarray, centers: np.ndarray, csq=None) -> np.ndarray:
     """(n, m) squared distances ||x||^2 - 2 x.c + ||c||^2; sq holds ||x||^2
     and csq, if given, ||c||^2.
 
     Doubles the product rather than the rows: doubling is exact, so this is
-    bit-equal to (2 * rows) @ centers.T and allocates only n x m. Given
-    `block`, the product is taken that many rows at a time into the result:
-    several times faster for a few centers, but a small product may take
-    another BLAS kernel (OpenBLAS's small-matrix GEMM), whose bits differ,
-    so only callers whose result is exact under any rounding within the
-    bounds pass it (k-means++ seeding).
+    bit-equal to (2 * rows) @ centers.T and allocates only n x m.
     """
-    if block is None:
-        d2 = rows @ centers.T
-    else:
-        d2 = np.empty((rows.shape[0], centers.shape[0]))
-        for start in range(0, rows.shape[0], block):
-            np.matmul(rows[start : start + block], centers.T, out=d2[start : start + block])
+    d2 = rows @ centers.T
     d2 *= -2.0
     d2 += sq[:, None]
     d2 += (_sq_norms(centers) if csq is None else csq)[None, :]
@@ -174,10 +160,9 @@ def _shrink(rows, sq, d2, points, prod) -> np.ndarray:
 def _kmeanspp(rows: np.ndarray, sq: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """D^2-weighted seeding with greedy local trials per step.
 
-    A step scores all its trials in one n x trials _sqdist product, taken
-    _SEED_PRODUCT_ROWS rows at a time, then re-scores those within its
-    rounding bound of the best from direct differences, so exact ties keep
-    the first trial. The running distance d2
+    A step scores all its trials in one n x trials _sqdist product, then
+    re-scores those within its rounding bound of the best from direct
+    differences, so exact ties keep the first trial. The running distance d2
     is the winner's direct column, exact (duplicates of a chosen row sit at 0
     and draw no mass), though only the rows the product cannot rule out are
     measured (_shrink), a block at a time: no step allocates n x d.
@@ -197,7 +182,7 @@ def _kmeanspp(rows: np.ndarray, sq: np.ndarray, k: int, rng: np.random.Generator
             chosen[i] = rng.choice(pool) if pool.size else chosen[0]
             continue
         candidates = rng.choice(n, size=trials, p=d2 / total)
-        prod = _sqdist(rows, sq, rows[candidates], sq[candidates], _SEED_PRODUCT_ROWS)
+        prod = _sqdist(rows, sq, rows[candidates], sq[candidates])
         pots = np.minimum(d2[:, None], prod).sum(axis=0)
         close = pots <= pots.min() + slack
         near = candidates[close]

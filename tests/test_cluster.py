@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -468,32 +467,3 @@ def test_kmeans_bytes_do_not_depend_on_one_blas_thread(grow_features, n):
     same = held.to_json() == fit.to_json()
     assert same
     assert held_nearest.tobytes() == fit.nearest_centroid(batch).tobytes()
-
-
-@pytest.fixture(scope="module")
-def select_features():
-    """Gradient features at the select workload's shape: 3000 rows of the
-    default model and projection."""
-    model = ProxyModel.create()
-    return featurize(model, ProjectionSpec(model.n_params), template_corpus(30, 100, 411))
-
-
-@pytest.mark.parametrize("held", [False, True], ids=["default-threads", "one-thread"])
-@pytest.mark.parametrize("shape", ["grow", "select"])
-def test_blocked_trial_products_seed_the_whole_products_centers(monkeypatch, request, shape,
-                                                                 held):
-    """k-means++ takes each trial product 128 rows at a time. A block's bits
-    may differ from the whole product's (OpenBLAS's small-matrix GEMM takes
-    the small blocks), but seeding filters on the product only within its
-    rounding bounds, so it picks the centers that one whole product picks."""
-    feats = request.getfixturevalue(f"{shape}_features")
-    k = dynamic_k(feats.rows) if shape == "grow" else 20
-    rows = feats.data.astype(np.float64)
-    sq = cluster._sq_norms(rows)
-    with blas.one_thread() if held else nullcontext():
-        for seed in range(3):
-            blocked = cluster._kmeanspp(rows, sq, k, rng_from(seed, 0xC15))
-            with monkeypatch.context() as m:
-                m.setattr(cluster, "_SEED_PRODUCT_ROWS", rows.shape[0])
-                whole = cluster._kmeanspp(rows, sq, k, rng_from(seed, 0xC15))
-            assert blocked.tobytes() == whole.tobytes(), f"seed {seed}"
