@@ -139,10 +139,12 @@ class FeatureStream:
 
     Its ids, width and provenance are known up front; `blocks(emit)` calls
     `emit` with each block of rows, 2-D and float32, in row order,
-    len(sample_ids) rows in all. `store` writes each block to the file as it
-    comes and `collect` gathers them into a FeatureMatrix: one holds a block
-    at a time, the other the whole matrix. Both check every row as a
-    FeatureMatrix does.
+    len(sample_ids) rows in all. A block is lent to `emit` for that call
+    only: the producer may write a later block into its memory once `emit`
+    returns, so a consumer that keeps rows copies them. `store` writes each
+    block to the file as it comes and `collect` copies them into a
+    FeatureMatrix: one holds a block at a time, the other the whole matrix.
+    Both check every row as a FeatureMatrix does.
     """
 
     sample_ids: tuple[str, ...]

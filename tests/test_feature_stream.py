@@ -209,3 +209,19 @@ def test_collect_is_the_feature_matrix_of_the_blocks():
     expected = FeatureMatrix(rows, tuple("abcde"), Provenance("external", 7, 8))
     assert feats.data.tobytes() == expected.data.tobytes()
     assert (feats.sample_ids, feats.provenance) == (expected.sample_ids, expected.provenance)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_featurize_blocks_are_lent_for_their_emit_call_only(monkeypatch, workers):
+    """The chunk loop writes later chunks into a block's memory once `emit`
+    returns: blocks kept as handed end up holding other rows, while copies
+    taken during the call are collect()'s rows."""
+    monkeypatch.setattr(proxy, "_featurize_workers", lambda chunks: min(workers, chunks))
+    model = ProxyModel.create()
+    stream = proxy.featurize_stream(model, ProjectionSpec(model.n_params, 64, seed=4),
+                                    template_corpus(1, 5 * 128, seed=3, name="pool"))
+    kept, copied = [], []
+    stream.blocks(lambda block: (kept.append(block), copied.append(block.copy())))
+    whole = stream.collect().data
+    assert np.concatenate(copied).tobytes() == whole.tobytes()
+    assert np.concatenate(kept).tobytes() != whole.tobytes()
