@@ -160,11 +160,22 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _summarize(summary: dict, *outputs: str | None) -> None:
+    """Print a command's JSON summary on stdout, or on stderr where one of
+    its `outputs` is the file fd 1 writes to (`--output /dev/stdout`), so
+    the summary does not join that file."""
+    try:
+        shared = any(os.path.samestat(os.stat(p), os.fstat(1)) for p in outputs if p)
+    except OSError:
+        shared = False
+    print(json.dumps(summary, sort_keys=True), file=sys.stderr if shared else sys.stdout)
+
+
 def cmd_ingest(args: argparse.Namespace) -> None:
     corpus = ingest_jsonl(_need(args, "input"))
     out = _need(args, "output")
     write_jsonl(corpus, out)
-    print(json.dumps({"samples": len(corpus), "output": out}, sort_keys=True))
+    _summarize({"samples": len(corpus), "output": out}, out)
 
 
 def cmd_featurize(args: argparse.Namespace) -> None:
@@ -177,7 +188,7 @@ def cmd_featurize(args: argparse.Namespace) -> None:
     else:
         raise ValueError(f"unknown featurizer {args.featurizer!r} (expected gradient or embedding)")
     stream.store(out)
-    print(json.dumps({"rows": stream.rows, "dim": stream.dim, "output": out}, sort_keys=True))
+    _summarize({"rows": stream.rows, "dim": stream.dim, "output": out}, out)
 
 
 def _load_selection(path: str, sample_ids: Sequence[str]) -> list[int]:
@@ -369,17 +380,12 @@ def cmd_synthesize(args: argparse.Namespace) -> None:
             close = getattr(endpoint, "close", None)
             if close:
                 close()
-    print(
-        json.dumps(
-            {
-                "iterations": state.iteration,
-                "pool_size": len(state.pool),
-                "pool_g_vendi": state.history[-1]["pool_g_vendi"] if state.history else None,
-                "outdir": outdir,
-            },
-            sort_keys=True,
-        )
-    )
+    _summarize({
+        "iterations": state.iteration,
+        "pool_size": len(state.pool),
+        "pool_g_vendi": state.history[-1]["pool_g_vendi"] if state.history else None,
+        "outdir": outdir,
+    })
 
 
 def cmd_decontaminate(args: argparse.Namespace) -> None:
@@ -389,8 +395,8 @@ def cmd_decontaminate(args: argparse.Namespace) -> None:
     write_jsonl(Corpus(tuple(kept), name=corpus.name), _need(args, "output"))
     if args.flagged:
         write_jsonl(Corpus(tuple(flagged), name=corpus.name), args.flagged)
-    print(json.dumps({"kept": len(kept), "flagged": len(flagged), "ngram": args.ngram},
-                     sort_keys=True))
+    _summarize({"kept": len(kept), "flagged": len(flagged), "ngram": args.ngram},
+               args.output, args.flagged)
 
 
 def _diversity_map(path: str) -> dict[str, float]:
@@ -565,7 +571,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _resolve(args, parse_config(config_path) if config_path else {})
         args.fn(args)
-    except (ValueError, OSError, KeyError, EndpointError) as e:
+    except (ValueError, OSError, KeyError, EndpointError, MemoryError) as e:
         msg = str(e).replace("\n", " ")
         print(f"error: {type(e).__name__}: {msg}", file=sys.stderr)
         return 1

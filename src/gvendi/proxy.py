@@ -19,10 +19,13 @@ from __future__ import annotations
 import contextvars
 import hashlib
 import os
+import queue
 import threading
-from contextlib import nullcontext
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -356,17 +359,20 @@ def featurize_stream(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) ->
     other samples of its chunk, except that a 1-row corpus takes `project`'s
     matrix-vector path.
 
-    The chunks run on `_featurize_workers` threads, each with its own
-    float32 gradient buffer of one chunk, while OpenBLAS is held at one
-    thread; with one worker the caller runs every chunk and the BLAS thread
-    count is left alone. The calling thread hands the blocks on in corpus
-    order. Workers run in copies of the caller's context (numpy's errstate
-    lives there), and a failure raises the error of the first failing chunk
-    in corpus order, once every block before it has been handed on. The sign
-    matrix is `proj.signs` (source_dim x target_dim float32, 64 MB at the
-    defaults), built before the workers start and kept by `proj`. With at
-    most _MAX_WORKERS gradient buffers and two chunk results per worker,
-    the stream's memory is flat in the corpus size and the CPU count.
+    The chunks run on a pool of `_featurize_workers` threads, each running
+    chunk in one of as many float32 gradient buffers, while OpenBLAS is held
+    at one thread; with one worker the caller runs every chunk and the BLAS
+    thread count is left alone. The calling thread keeps a window of at most
+    two chunks per worker submitted and hands their blocks on in corpus
+    order. Each chunk runs in a copy of the caller's context (numpy's
+    errstate lives there). A failure raises the error of the first failing
+    chunk in corpus order, once every block before it has been handed on;
+    once a chunk has failed no later chunk starts, and those still queued
+    are cancelled.
+    The sign matrix is `proj.signs` (source_dim x target_dim float32, 64 MB
+    at the defaults), built before the workers start and kept by `proj`.
+    With at most _MAX_WORKERS gradient buffers and two chunk results per
+    worker, the stream's memory is flat in the corpus size and the CPU count.
     """
     if proj.source_dim != model.n_params:
         raise ValueError(
@@ -382,73 +388,58 @@ def _featurize_blocks(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus,
     """Each chunk's unit rows to `emit`, in corpus order, on the calling
     thread; see `featurize_stream`."""
     bounds = _chunk_bounds(len(corpus))
-    chunks = enumerate(zip(bounds, bounds[1:]))
-    workers = _featurize_workers(len(bounds) - 1)
+    chunks = len(bounds) - 1
+    workers = _featurize_workers(chunks)
     rows = max(np.diff(bounds), default=0)
-    buffers = [np.empty((rows, model.n_params), dtype=np.float32) for _ in range(workers)]
-    # a worker may finish one chunk ahead of `emit` before it waits for a free result
-    free = [np.empty((rows, proj.target_dim), dtype=np.float32) for _ in range(2 * workers)]
+    grads, results = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(workers):
+        grads.put(np.empty((rows, model.n_params), dtype=np.float32))
+    # one per chunk of the window, so no chunk waits for a result buffer
+    for _ in range(2 * workers):
+        results.put(np.empty((rows, proj.target_dim), dtype=np.float32))
     proj.signs  # built once, before the workers share it
-    cond = threading.Condition()
-    done: dict[int, np.ndarray] = {}
-    failed: dict[int, BaseException] = {}
-    stopped = False
+    lock = threading.Lock()
+    first_failed = chunks
 
-    def run_next(grads: np.ndarray) -> bool:
-        """Run the next chunk into a free result; False once none is left to run."""
-        with cond:
-            cond.wait_for(lambda: free or failed or stopped)
-            # every chunk left after a failure comes after the failed one
-            task = None if failed or stopped else next(chunks, None)
-            if task is None:
-                return False
-            result = free.pop()
-        i, (start, stop) = task
+    def run(i: int) -> np.ndarray | None:
+        """Chunk i's rows in a result buffer; None, never read, after a failed chunk."""
+        nonlocal first_failed
+        if i > first_failed:
+            return None
+        start, stop = bounds[i], bounds[i + 1]
+        g, result = grads.get(), results.get()
         try:
-            _featurize_chunk(model, proj, corpus.samples[start:stop], grads[: stop - start],
+            _featurize_chunk(model, proj, corpus.samples[start:stop], g[: stop - start],
                              result[: stop - start])
-        except BaseException as e:
-            with cond:
-                failed[i] = e
-                cond.notify_all()
-            return False
-        with cond:
-            done[i] = result
-            cond.notify_all()
-        return True
+        except BaseException:
+            with lock:
+                first_failed = min(first_failed, i)
+            raise
+        finally:
+            grads.put(g)
+        return result
 
-    def work(grads: np.ndarray) -> None:
-        while run_next(grads):
-            pass
+    def hand_on(i: int, result: np.ndarray) -> None:
+        emit(result[: bounds[i + 1] - bounds[i]])
+        results.put(result)
 
+    if workers == 1:
+        for i in range(chunks):
+            hand_on(i, run(i))
+        return
     # the caller only waits and emits, so no chunk runs beside another on its
     # stack (bench/tracer.py parents each thread's spans to the caller's)
-    threads = [] if workers == 1 else [
-        threading.Thread(target=contextvars.copy_context().run, args=(work, grads))
-        for grads in buffers
-    ]
-    with one_thread() if threads else nullcontext():
-        for t in threads:
-            t.start()
+    with one_thread():
+        pool = ThreadPoolExecutor(workers)
         try:
-            for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-                if not threads:
-                    run_next(buffers[0])  # chunk i, on the caller
-                with cond:
-                    cond.wait_for(lambda: i in done or i in failed)
-                    if i in failed:  # every chunk before it has been emitted
-                        raise failed[i]
-                    result = done.pop(i)
-                emit(result[: stop - start])
-                with cond:
-                    free.append(result)
-                    cond.notify_all()
+            submit = (pool.submit(contextvars.copy_context().run, run, i) for i in range(chunks))
+            window = deque(islice(submit, 2 * workers))
+            for i in range(chunks):
+                # raises the first failure in corpus order, every block before it emitted
+                hand_on(i, window.popleft().result())
+                window.extend(islice(submit, 1))
         finally:
-            with cond:
-                stopped = True
-                cond.notify_all()
-            for t in threads:
-                t.join()
+            pool.shutdown(cancel_futures=True)
 
 
 class TfidfRows(NamedTuple):

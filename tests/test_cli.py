@@ -2,8 +2,10 @@ import fcntl
 import inspect
 import json
 import os
+import resource
 import shlex
 import stat
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 
 import numpy as np
 
+import gvendi
 from gvendi import (
     Corpus,
     FeatureMatrix,
@@ -918,3 +921,59 @@ def test_output_to_a_dev_fd_path_writes_the_open_file(tmp_path):
         _write_text(f"/dev/fd/{held.fileno()}", "through the descriptor")
     assert path.read_text() == "through the descriptor\n" and path.stat().st_ino == inode
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def _child(*argv: str, stdout=subprocess.PIPE, address_space: int | None = None):
+    """gvendi argv in a child process, its address space capped at
+    `address_space` bytes if given."""
+    # the child imports the same gvendi as this test, installed or not
+    src = str(Path(gvendi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env, cap = {**os.environ, "PYTHONPATH": path}, None
+    if address_space is not None:
+        env["OPENBLAS_NUM_THREADS"] = "1"  # so BLAS thread stacks do not count against the cap
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+    return subprocess.run([sys.executable, "-m", "gvendi.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, preexec_fn=cap, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this platform")
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+@pytest.mark.parametrize("command", ["featurize", "ingest"])
+def test_output_to_stdout_gets_no_summary(toy, command, stdout):
+    """`--output /dev/stdout | ...` and `--output /dev/stdout > file` carry
+    the artifact alone; the summary goes to stderr."""
+    tmp_path, pool = toy
+    extra = ["--feature-dim", "32", "--proj-dim", "32"] if command == "featurize" else []
+    expected = tmp_path / "expected"
+    assert run_cli(command, "--input", pool, "--output", str(expected), *extra) == 0
+    argv = [command, "--input", pool, "--output", "/dev/stdout", *extra]
+    if stdout == "pipe":
+        proc = _child(*argv)
+        written = proc.stdout
+    else:
+        with open(tmp_path / "redirected", "wb") as fh:
+            proc = _child(*argv, stdout=fh)
+        written = (tmp_path / "redirected").read_bytes()
+    assert proc.returncode == 0, proc.stderr
+    assert written == expected.read_bytes()
+    assert json.loads(proc.stderr)["output"] == "/dev/stdout"
+
+
+@pytest.mark.parametrize("argv", [
+    ["featurize", "--input", "{pool}", "--vocab-size", "256", "--feature-dim", "4096"],
+    ["featurize", "--input", "{pool}", "--featurizer", "embedding", "--embed-dim", "536870912"],
+    ["diversity", "--corpus", "{pool}", "--metric", "g-vendi", "--feature-dim", "4096"],
+], ids=["sign-matrix", "embedding", "g-vendi"])
+def test_allocation_failure_is_one_error_line(toy, argv):
+    """4 GiB outputs under a 1 GiB address space: exit 1 with one `error:`
+    line, and the existing output kept."""
+    tmp_path, pool = toy
+    out = tmp_path / "out"
+    out.write_bytes(b"old bytes")
+    proc = _child(*[a.format(pool=pool) for a in argv], "--output", str(out),
+                  address_space=1 << 30)
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == 1 and len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: MemoryError: Unable to allocate ")
+    assert out.read_bytes() == b"old bytes"

@@ -203,8 +203,9 @@ def test_spectrum_overlapping_featurize_restores_blas_threads(monkeypatch, spect
 @needs_blas_count
 def test_many_workers_and_spectra_under_fast_thread_switching(monkeypatch):
     """Eight workers on 4-row chunks while three threads take and release
-    one BLAS thread in a loop: a lost update to the chunk queue, the failure
-    map or the holder count shows as other bytes or another final count."""
+    one BLAS thread in a loop: a lost update to the buffer queues, the
+    first failed chunk or the holder count shows as other bytes or another
+    final count."""
     model = ProxyModel.create()
     proj = ProjectionSpec(model.n_params, 32, seed=13)
     corpus = _short_and_long_outputs(41)
@@ -231,3 +232,29 @@ def test_many_workers_and_spectra_under_fast_thread_switching(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in others)
     assert _count() == before
+
+
+@needs_blas_count
+def test_emit_that_raises_stops_the_pool_and_restores_blas_threads(monkeypatch):
+    """A write that fails on block 2 at two workers: its error propagates,
+    the pool's threads are gone, the BLAS count is back, and at most two
+    chunks per worker ran beyond the blocks emitted."""
+    _workers(monkeypatch, 2)
+    ran = []
+    run_chunk = proxy._featurize_chunk
+    monkeypatch.setattr(proxy, "_featurize_chunk", lambda *a: ran.append(a) or run_chunk(*a))
+    model = ProxyModel.create()
+    stream = proxy.featurize_stream(model, ProjectionSpec(model.n_params, 32, seed=13),
+                                    _short_and_long_outputs(41))  # 10 chunks
+    emitted = []
+
+    def emit(block):
+        if len(emitted) == 2:
+            raise OSError("write failed")
+        emitted.append(block)
+
+    threads, before = threading.active_count(), _count()
+    with pytest.raises(OSError, match="^write failed$"):
+        stream.blocks(emit)
+    assert threading.active_count() == threads and _count() == before
+    assert len(emitted) == 2 and len(ran) <= len(emitted) + 2 * 2
