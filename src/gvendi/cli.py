@@ -2,11 +2,11 @@
 
 Every run is reproducible: all randomness flows from named seeds with
 documented defaults, flags override config-file keys which override
-defaults, and no command reads the clock. Config files are flat
-`key = value` text; the GVENDI_CONFIG environment variable names a default
-config path. Each option is declared once (`_opt`) with its flag, config
-key, type and either a CLI default or the library parameter whose default
-applies; `gvendi <command> --help` lists them.
+defaults, and no command reads the clock but for an endpoint's deadline.
+Config files are flat `key = value` text; the GVENDI_CONFIG environment
+variable names a default config path. Each option is declared once (`_opt`)
+with its flag, config key, type and either a CLI default or the library
+parameter whose default applies; `gvendi <command> --help` lists them.
 
 Exit codes: 0 success, 1 runtime failure (one-line `error: ...` on stderr),
 2 usage errors.
@@ -371,6 +371,10 @@ def cmd_synthesize(args: argparse.Namespace) -> None:
     model, proj = _gradient_from(args)
     try:
         with _DirLock(outdir):
+            for endpoint in (generator, solver):
+                start = getattr(endpoint, "start", None)
+                if start:
+                    start()
             state = run_synthesis(
                 seed_corpus, config, generator, solver, model, proj,
                 protected=protected, checkpoint_dir=outdir,
@@ -457,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help=f"config file (default: ${CONFIG_ENV})")
     parser.set_defaults(keyed={})
-    _opt(parser, "--threads", "threads", int, help="max request parallelism (synthesize)",
+    _opt(parser, "--threads", "threads", int,
+         help="max request parallelism of http(s):// and in-process endpoints (synthesize)",
          library=(SynthesisConfig, "max_workers"))
     sub = parser.add_subparsers(dest="command", required=True)
 

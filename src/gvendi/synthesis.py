@@ -8,9 +8,9 @@ sits in a sparse cluster. Accepted samples are appended to the pool, so the
 loop preferentially fills the underrepresented regions of gradient space.
 
 Generators and solvers are pluggable: in-process built-ins for testing
-(RecombinationGenerator, EchoSolver), child processes speaking
-newline-delimited UTF-8 JSON over stdio, or HTTP targets receiving the same
-objects via POST. Wire protocol:
+(RecombinationGenerator, EchoSolver), child processes answering
+newline-delimited UTF-8 JSON requests over stdio in order, or HTTP targets
+receiving the same objects via POST. Wire protocol:
 
     {"type": "generate", "exemplars": [sample...], "count": n, "seed": s}
         -> {"samples": [{"input": ..., "output": ...}, ...]}
@@ -22,15 +22,18 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
+import select
 import shlex
 import subprocess
 import threading
+import time
 import urllib.request
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -199,42 +202,146 @@ def _json_object(text: str | bytes, source: str) -> dict:
     return out
 
 
-class JsonLinesProcess:
-    """One request/response JSON line pair per call to a child process, which
-    serves one request at a time and is respawned when it has died."""
+def _wire_line(obj: dict) -> bytes:
+    return (json.dumps(obj, ensure_ascii=False) + "\n").encode("utf-8")
 
-    def __init__(self, command: str | Sequence[str]):
+
+class _Slot:
+    """One request line sent to the worker, and its reply line or error
+    once the worker has answered or failed it."""
+
+    __slots__ = ("line", "reply", "error")
+
+    def __init__(self, line: bytes):
+        self.line = line
+        self.reply: bytearray | None = None
+        self.error: str | None = None
+
+
+class JsonLinesProcess:
+    """JSON lines to and from a child process, which answers each request
+    line with one reply line, in order, and is respawned when it has died.
+
+    Requests may be sent ahead (`send_ahead`): the worker's input then holds
+    a queue, and `request` picks up the reply of its queued twin. The thread
+    in `request` moves the bytes both ways in one non-blocking loop, so no
+    pipe size can deadlock it. When the worker dies, or gives no reply byte
+    for `timeout` s (it is then killed), the first unanswered request fails
+    with EndpointError and the ones queued behind it go again to a fresh
+    worker.
+    """
+
+    def __init__(self, command: str | Sequence[str], timeout: float = 60.0):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
+        self.timeout = timeout
         self._proc: subprocess.Popen | None = None
         self._lock = threading.Lock()
+        self._slots: deque[_Slot] = deque()  # sent to this worker, unanswered, in order
+        self._unsent = bytearray()  # request bytes the worker has not taken yet
+        self._partial = bytearray()  # reply bytes after the last newline
+        self._ahead: dict[bytes, deque[_Slot]] = {}  # sent ahead, not yet requested
 
-    def _ensure(self) -> subprocess.Popen:
-        if self._proc is not None and self._proc.poll() is not None:
-            self._release()
-        if self._proc is None:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                encoding="utf-8",
-                bufsize=1,
-            )
-        return self._proc
+    def start(self) -> None:
+        """Start the worker now, so its start-up overlaps the caller's work."""
+        with self._lock:
+            self._spawned()
+
+    def send_ahead(self, objs: Sequence[dict]) -> None:
+        """Queue each request for the worker; a later `request` of an equal
+        object picks up its reply instead of sending it again. Requests sent
+        ahead by an earlier call and never requested are forgotten."""
+        with self._lock:
+            self._ahead.clear()
+            for obj in objs:
+                line = _wire_line(obj)
+                self._ahead.setdefault(line, deque()).append(self._send(line))
 
     def request(self, obj: dict) -> dict:
+        line = _wire_line(obj)
         with self._lock:
-            proc = self._ensure()
+            queued = self._ahead.get(line)
+            if queued:
+                slot = queued.popleft()
+                if not queued:
+                    del self._ahead[line]
+            else:
+                slot = self._send(line)
+            deadline = time.monotonic() + self.timeout
+            while slot.reply is None and slot.error is None:
+                if self._pump(deadline - time.monotonic()):
+                    deadline = time.monotonic() + self.timeout
+        if slot.error is not None:
+            raise EndpointError(slot.error)
+        try:
+            text = slot.reply.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise EndpointError(f"worker reply is not UTF-8: {e}") from e
+        return _json_object(text, "worker")
+
+    def _send(self, line: bytes) -> _Slot:
+        # a worker that exited with nothing outstanding is replaced at once,
+        # so the request it never saw does not take the blame for its exit
+        if not self._slots and self._proc is not None and self._proc.poll() is not None:
+            self._release()
+        slot = _Slot(line)
+        self._slots.append(slot)
+        self._unsent += line
+        return slot
+
+    def _spawned(self) -> subprocess.Popen:
+        if self._proc is None:
+            self._proc = subprocess.Popen(
+                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
+            )
+            os.set_blocking(self._proc.stdin.fileno(), False)
+        return self._proc
+
+    def _pump(self, wait: float) -> bool:
+        """Wait up to `wait` s for the worker; write what its input accepts
+        and hand each complete reply line to the oldest slot. Whether a reply
+        byte came in or a request failed."""
+        proc = self._spawned()
+        out_fd = proc.stdout.fileno()
+        poll = select.poll()
+        poll.register(out_fd, select.POLLIN)
+        if self._unsent and not proc.stdin.closed:
+            poll.register(proc.stdin.fileno(), select.POLLOUT)
+        events = poll.poll(max(0, math.ceil(wait * 1000)))
+        if not events:
+            self._fail_first(f"worker gave no reply within {self.timeout} s; killed")
+            return True
+        for fd, _ in events:
+            if fd != out_fd:
+                try:
+                    del self._unsent[: os.write(fd, self._unsent)]
+                except BlockingIOError:
+                    pass
+                except OSError:  # the worker stopped reading: its output tells what it answered
+                    proc.stdin.close()
+                continue
             try:
-                proc.stdin.write(json.dumps(obj, ensure_ascii=False) + "\n")
-                proc.stdin.flush()
-                line = proc.stdout.readline()
-            except (OSError, UnicodeDecodeError) as e:  # a non-UTF-8 line spoils the decoder
-                self._drop()
-                raise EndpointError(f"worker pipe failed: {e}") from e
-            if not line:
-                self._drop()
-                raise EndpointError("worker closed its output stream")
-        return _json_object(line, "worker")
+                data = os.read(out_fd, 1 << 16)
+            except OSError as e:
+                self._fail_first(f"worker pipe failed: {e}")
+                return True
+            if not data:
+                self._fail_first("worker closed its output stream")
+                return True
+            start = len(self._partial)
+            self._partial += data
+            while (end := self._partial.find(b"\n", start)) >= 0:
+                if self._slots:  # else a line nobody asked for: dropped
+                    self._slots.popleft().reply = self._partial[:end]
+                del self._partial[: end + 1]
+                start = 0
+            return True
+        return False
+
+    def _fail_first(self, error: str) -> None:
+        """Fail the first unanswered request and kill the worker; the rest
+        go again to a fresh worker."""
+        self._slots.popleft().error = error
+        self._drop()
 
     def _drop(self) -> None:
         """Kill the worker, close its pipes and reap it."""
@@ -242,22 +349,28 @@ class JsonLinesProcess:
         self._release()
 
     def close(self) -> None:
-        """Let the worker exit on end of input (killed after 5 s), then
-        close its pipes and reap it."""
-        if self._proc is None:
-            return
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-        self._release()
+        """Let the worker exit on end of input (killed after 5 s, or at once
+        while requests are outstanding), then close its pipes and reap it."""
+        if self._proc is not None:
+            if self._slots:
+                self._proc.kill()  # nobody waits for those replies any more
+            elif self._proc.poll() is None:
+                try:
+                    self._proc.stdin.close()
+                except OSError:
+                    pass
+                try:
+                    self._proc.wait(timeout=5)
+                except subprocess.TimeoutExpired:
+                    self._proc.kill()
+            self._release()
+        self._slots.clear()
+        self._ahead.clear()
+        self._unsent.clear()
 
     def _release(self) -> None:
+        """Close the worker's pipes and reap it; the requests it left
+        unanswered go again to the next worker, whole."""
         for pipe in (self._proc.stdin, self._proc.stdout):
             try:
                 pipe.close()
@@ -265,6 +378,8 @@ class JsonLinesProcess:
                 pass
         self._proc.wait()
         self._proc = None
+        self._unsent = bytearray(b"".join(slot.line for slot in self._slots))
+        self._partial.clear()
 
     def __enter__(self):
         return self
@@ -293,6 +408,9 @@ class HttpJson:
             raise EndpointError(f"http request to {self.url} failed: {e}") from e
         return _json_object(payload, self.url)
 
+    def start(self) -> None:
+        """Nothing to start: each request opens its own connection."""
+
     def close(self) -> None:
         """Nothing to release: each request opens its own connection."""
 
@@ -305,15 +423,32 @@ class RemoteEndpoint:
     def __init__(self, transport: JsonLinesProcess | HttpJson):
         self.transport = transport
 
+    @staticmethod
+    def _generate_request(exemplars: Sequence[Sample], count: int, seed: int) -> dict:
+        return {
+            "type": "generate",
+            "exemplars": [s.to_json_dict() for s in exemplars],
+            "count": count,
+            "seed": seed,
+        }
+
+    @staticmethod
+    def _solve_request(sample: Sample, n: int, seed: int) -> dict:
+        return {"type": "solve", "problem": sample.input, "n": n, "seed": seed}
+
+    def send_ahead(self, kind: str, jobs: Sequence[tuple[tuple, int]]) -> bool:
+        """Queue the `kind` ("generate" or "solve") request of each
+        (args, seed) job, when the transport takes requests ahead; whether
+        it does."""
+        send = getattr(self.transport, "send_ahead", None)
+        if send is None:
+            return False
+        build = self._generate_request if kind == "generate" else self._solve_request
+        send([build(*args, seed) for args, seed in jobs])
+        return True
+
     def generate(self, exemplars: Sequence[Sample], count: int, seed: int) -> list[dict]:
-        resp = self.transport.request(
-            {
-                "type": "generate",
-                "exemplars": [s.to_json_dict() for s in exemplars],
-                "count": count,
-                "seed": seed,
-            }
-        )
+        resp = self.transport.request(self._generate_request(exemplars, count, seed))
         samples = resp.get("samples")
         if not isinstance(samples, list):
             raise EndpointError("generator response missing 'samples' list")
@@ -323,9 +458,7 @@ class RemoteEndpoint:
         return samples
 
     def solve(self, sample: Sample, n: int, seed: int) -> tuple[list[str], list[str]]:
-        resp = self.transport.request(
-            {"type": "solve", "problem": sample.input, "n": n, "seed": seed}
-        )
+        resp = self.transport.request(self._solve_request(sample, n, seed))
         answers = resp.get("answers")
         traces = resp.get("traces")
         if not isinstance(answers, list) or len(answers) != n:
@@ -333,6 +466,10 @@ class RemoteEndpoint:
         if not isinstance(traces, list) or len(traces) != n:
             raise EndpointError(f"solver response needs {n} traces")
         return [str(a) for a in answers], [str(t) for t in traces]
+
+    def start(self) -> None:
+        """Start the transport's worker, if it has one, ahead of the first request."""
+        self.transport.start()
 
     def close(self) -> None:
         self.transport.close()
@@ -345,11 +482,14 @@ class RemoteEndpoint:
 _ATTEMPTS = 3  # tries per generate or solve request
 
 
-def _request_all(call: Callable, jobs: list, max_workers: int) -> tuple[list, int]:
-    """(results, failed) of call(*args, seed) per (args, seed) job, on a pool
-    of max_workers threads. Try a of a job uses `seed`, then mix64(seed, a);
-    a job whose _ATTEMPTS tries all raise EndpointError gives None and counts
-    once in `failed`."""
+def _request_all(endpoint, kind: str, jobs: list, max_workers: int) -> tuple[list, int]:
+    """(results, failed) of endpoint.<kind>(*args, seed) per (args, seed)
+    job. Try a of a job uses `seed`, then mix64(seed, a); a job whose
+    _ATTEMPTS tries all raise EndpointError gives None and counts once in
+    `failed`. When the endpoint takes requests ahead, every job's first try
+    is queued before the jobs run, in order, on the calling thread; else
+    they run on a pool of max_workers threads."""
+    call = getattr(endpoint, kind)
 
     def run(job):
         args, seed = job
@@ -360,8 +500,12 @@ def _request_all(call: Callable, jobs: list, max_workers: int) -> tuple[list, in
                 pass
         return None
 
-    with ThreadPoolExecutor(max_workers=max_workers) as ex:
-        results = list(ex.map(run, jobs))
+    send_ahead = getattr(endpoint, "send_ahead", None)
+    if send_ahead is not None and send_ahead(kind, jobs):
+        results = [run(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=max_workers) as ex:
+            results = list(ex.map(run, jobs))
     return results, sum(res is None for res in results)
 
 
@@ -392,7 +536,7 @@ def generate_candidates(
         idx = rng.choice(len(pool), size=fewshot_count, replace=False)
         # the golden artifacts pin this first-try seed, mix64(slot seed, 0)
         jobs.append((([pool[int(i)] for i in idx], 1), mix64(mix64(rng_seed, 0x6E1, c), 0)))
-    results, failures = _request_all(generator.generate, jobs, max_workers)
+    results, failures = _request_all(generator, "generate", jobs, max_workers)
 
     known = {s.content_id() for s in pool} | set(pool.ids())
     candidates: list[Sample] = []
@@ -439,7 +583,7 @@ def majority_vote_filter(
         raise ValueError("need 1 <= vote_tau <= vote_n")
 
     jobs = [((cand, vote_n), mix64(rng_seed, 0x50F, i)) for i, cand in enumerate(candidates)]
-    results, failures = _request_all(solver.solve, jobs, max_workers)
+    results, failures = _request_all(solver, "solve", jobs, max_workers)
 
     verified: list[VerifiedCandidate] = []
     for cand, res in zip(candidates, results):

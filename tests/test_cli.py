@@ -446,6 +446,19 @@ def test_synthesize_resume_with_another_featurizer_names_the_features(toy, capsy
     assert [(outdir / f).read_bytes() for f in files] == before
 
 
+def test_synthesize_starts_its_worker_before_any_featurize(toy, capsys):
+    tmp_path, pool = toy
+    outdir = tmp_path / "run"
+    rc = run_cli("synthesize", "--corpus", pool, "--outdir", str(outdir),
+                 "--iterations", "1", "--gen-batch", "4", "--feature-dim", "32",
+                 "--proj-dim", "32", "--generator", "cmd:/nonexistent/worker")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError: ") and err.count("\n") == 1, err
+    assert not (outdir / "state.json").exists()
+    assert not (outdir / "pool.jsonl").exists()
+
+
 def test_synthesize_lock_conflict(toy, capsys):
     tmp_path, pool = toy
     outdir = tmp_path / "locked"
@@ -606,7 +619,8 @@ def test_input_files_not_mutated(toy):
 
 def test_synthesize_threads_change_no_artifact(tmp_path):
     """The golden synthesize runs, built-in and `cmd:` endpoints, write the
-    same bytes at --threads 1 and --threads 3."""
+    same bytes at --threads 1 and --threads 3, and leave no thread behind."""
+    active = threading.active_count()
     corpus = tmp_path / "pool.jsonl"
     write_jsonl(template_corpus(6, 20, seed=17, name="golden"), corpus)
     protected = tmp_path / "protected.jsonl"
@@ -631,6 +645,7 @@ def test_synthesize_threads_change_no_artifact(tmp_path):
                             for name in ("pool.jsonl", "features.gvfm", "state.json")})
         assert written[0]["pool.jsonl"].count(b"\n") > len(lines), f"{way} admitted nothing"
         assert written[0] == written[1], way
+    assert threading.active_count() == active
 
 
 # ---------------------------------------------------------------------------

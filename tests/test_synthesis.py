@@ -1,14 +1,17 @@
 import contextlib
 import gc
+import glob
 import http.server
 import json
 import socketserver
+import subprocess
 import sys
 import threading
 import textwrap
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -714,14 +717,15 @@ def test_process_non_utf8_line_counts_as_failure(tmp_path, small_pool):
         gen.close()
 
 
-@pytest.mark.parametrize("script", [WORKER, "import sys; sys.exit(0)\n"],
-                         ids=["close-live-worker", "drop-exited-worker"])
+@pytest.mark.parametrize("script", [WORKER, "import sys; sys.exit(0)\n",
+                                    "import time; time.sleep(60)\n"],
+                         ids=["close-live-worker", "drop-exited-worker", "kill-hung-worker"])
 def test_process_transport_releases_pipes(tmp_path, script):
     path = tmp_path / "worker.py"
     path.write_text(script, encoding="utf-8")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        transport = JsonLinesProcess([sys.executable, str(path)])
+        transport = JsonLinesProcess([sys.executable, str(path)], timeout=0.5)
         try:
             transport.request({"type": "solve", "problem": "q", "n": 1, "seed": 1})
         except EndpointError:
@@ -730,6 +734,171 @@ def test_process_transport_releases_pipes(tmp_path, script):
         del transport
         gc.collect()
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+# A worker for the send-ahead tests: each reply names its request's seed, so a
+# reply handed to the wrong request shows. A "poison" problem makes it exit,
+# after half a reply line if the problem holds "half", and after hanging if it
+# holds "hang"; a "pad" field asks for that many more reply bytes.
+SEED_WORKER = textwrap.dedent(
+    """
+    import json, sys, time
+    for line in sys.stdin:
+        req = json.loads(line)
+        problem = req.get("problem", "")
+        if "poison" in problem:
+            if "half" in problem:
+                sys.stdout.write('{"answers": ')
+                sys.stdout.flush()
+            if "hang" in problem:
+                time.sleep(60)
+            sys.exit(3)
+        n, s = req.get("n", 1), req["seed"]
+        reply = {"answers": [str((s >> v) % 3) for v in range(n)],
+                 "traces": [f"seed {s} vote {v}" for v in range(n)], "seed": s}
+        if "pad" in req:
+            reply["pad"] = "y" * req["pad"]
+        print(json.dumps(reply), flush=True)
+    """
+)
+
+
+@pytest.fixture()
+def seed_worker(tmp_path):
+    path = tmp_path / "seed_worker.py"
+    path.write_text(SEED_WORKER, encoding="utf-8")
+    return [sys.executable, "-S", str(path)]
+
+
+def _one_at_a_time(self, obj: dict) -> dict:
+    """Reference `JsonLinesProcess.request` without send-ahead: one line
+    written and one line read per call, on a worker respawned once dead."""
+    with self._lock:
+        if self._proc is not None and self._proc.poll() is not None:
+            self._release()
+        if self._proc is None:
+            self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
+                                          stdout=subprocess.PIPE, encoding="utf-8", bufsize=1)
+        try:
+            self._proc.stdin.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            self._proc.stdin.flush()
+            line = self._proc.stdout.readline()
+        except OSError as e:
+            self._drop()
+            raise EndpointError(f"worker pipe failed: {e}") from e
+        if not line:
+            self._drop()
+            raise EndpointError("worker closed its output stream")
+    return synthesis._json_object(line, "worker")
+
+
+def _children() -> set[str]:
+    """Pids of this process's children, live or unreaped (empty where /proc
+    does not list them)."""
+    return {pid for path in glob.glob("/proc/self/task/*/children")
+            for pid in Path(path).read_text().split()}
+
+
+def _candidates(n: int, poison: int) -> list[Sample]:
+    return [Sample(id=f"c{i}", input=("poison " if i == poison else "") + f"problem {i}",
+                   output=f"o {i}") for i in range(n)]
+
+
+def test_dead_worker_fails_one_job_like_one_at_a_time(seed_worker, monkeypatch):
+    threads, children = threading.active_count(), _children()
+    candidates = _candidates(20, poison=9)
+
+    def vote():
+        solver = RemoteEndpoint(JsonLinesProcess(seed_worker, timeout=10.0))
+        try:
+            return majority_vote_filter(solver, candidates, 3, 2, rng_seed=4, max_workers=2)
+        finally:
+            solver.close()
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        verified, failed = vote()
+        with monkeypatch.context() as m:
+            m.setattr(JsonLinesProcess, "request", _one_at_a_time)
+            m.delattr(JsonLinesProcess, "send_ahead")
+            reference = vote()
+        gc.collect()
+    assert failed == 1
+    assert (verified, failed) == reference
+    assert "poison problem 9" not in {v.sample.input for v in verified}
+    assert len(verified) > 5
+    assert (threading.active_count(), _children()) == (threads, children)
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_shared_transport_under_threads_gets_each_its_own_reply(seed_worker):
+    """Four threads claim requests sent ahead, out of their order, and send
+    new ones, while a poison request kills the worker once, half-way
+    through its reply line."""
+    children = _children()
+    transport = JsonLinesProcess(seed_worker, timeout=10.0)
+    requests = [{"type": "solve", "problem": "poison half" if s == 13 else f"p{s}", "n": 1,
+                 "seed": s}
+                for s in range(40)]
+    transport.send_ahead(requests[:30])
+    replies: dict[int, object] = {}
+
+    def claim(part):
+        for req in requests[part::4][::-1]:
+            try:
+                replies[req["seed"]] = transport.request(req)["seed"]
+            except EndpointError as e:
+                replies[req["seed"]] = str(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=claim, args=(part,)) for part in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(interval)
+        transport.close()
+    assert replies.pop(13) == "worker closed its output stream"
+    assert replies == {s: s for s in range(40) if s != 13}
+    assert _children() == children
+
+
+def test_hung_worker_fails_one_job_within_its_deadline(seed_worker):
+    threads, children = threading.active_count(), _children()
+    candidates = [replace(c, input=c.input.replace("poison", "poison half hang"))
+                  for c in _candidates(8, poison=3)]
+    solver = RemoteEndpoint(JsonLinesProcess(seed_worker, timeout=0.5))
+    start = time.perf_counter()
+    try:
+        with pytest.raises(EndpointError, match="no reply within 0.5 s"):
+            solver.solve(candidates[3], 1, seed=1)
+        verified, failed = majority_vote_filter(solver, candidates, 1, 1, rng_seed=4)
+    finally:
+        solver.close()
+    assert time.perf_counter() - start < 30
+    assert failed == 1
+    seeds = [mix64(4, 0x50F, i) for i in range(8) if i != 3]
+    assert [v.sample.output for v in verified] == [f"seed {s} vote 0" for s in seeds]
+    assert (threading.active_count(), _children()) == (threads, children)
+
+
+def test_send_ahead_never_deadlocks_on_full_pipes(seed_worker):
+    """Requests and replies far above a 64 KB pipe buffer, all queued first,
+    come back whole and in order."""
+    transport = JsonLinesProcess(seed_worker, timeout=30.0)
+    requests = [{"type": "solve", "problem": "z" * 200_000, "n": 1, "seed": s, "pad": 256_000}
+                for s in range(64)]
+    try:
+        transport.send_ahead(requests)
+        for req in requests:
+            reply = transport.request(req)
+            assert (reply["seed"], len(reply["pad"])) == (req["seed"], 256_000)
+    finally:
+        transport.close()
 
 
 # ---------------------------------------------------------------------------
