@@ -229,6 +229,11 @@ class JsonLinesProcess:
     for `timeout` s (it is then killed), the first unanswered request fails
     with EndpointError and the ones queued behind it go again to a fresh
     worker.
+
+    A worker's start-up, up to its first reply byte, is not held to
+    `timeout`, since loading a model can take minutes: the first worker is
+    waited for without bound, and each later one for as long as the first
+    took plus `timeout`.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float = 60.0):
@@ -240,6 +245,9 @@ class JsonLinesProcess:
         self._unsent = bytearray()  # request bytes the worker has not taken yet
         self._partial = bytearray()  # reply bytes after the last newline
         self._ahead: dict[bytes, deque[_Slot]] = {}  # sent ahead, not yet requested
+        self._born = 0.0  # when this worker was spawned (time.monotonic)
+        self._heard = False  # whether this worker has sent a reply byte
+        self._startup: float | None = None  # the first worker's s to its first reply byte
 
     def start(self) -> None:
         """Start the worker now, so its start-up overlaps the caller's work."""
@@ -268,7 +276,7 @@ class JsonLinesProcess:
                 slot = self._send(line)
             deadline = time.monotonic() + self.timeout
             while slot.reply is None and slot.error is None:
-                if self._pump(deadline - time.monotonic()):
+                if self._pump(deadline):
                     deadline = time.monotonic() + self.timeout
         if slot.error is not None:
             raise EndpointError(slot.error)
@@ -294,21 +302,32 @@ class JsonLinesProcess:
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
             )
             os.set_blocking(self._proc.stdin.fileno(), False)
+            self._born, self._heard = time.monotonic(), False
         return self._proc
 
-    def _pump(self, wait: float) -> bool:
-        """Wait up to `wait` s for the worker; write what its input accepts
-        and hand each complete reply line to the oldest slot. Whether a reply
-        byte came in or a request failed."""
+    def _pump(self, deadline: float) -> bool:
+        """Wait for the worker until `deadline` (time.monotonic), or while it
+        starts up; write what its input accepts and hand each complete reply
+        line to the oldest slot. Whether a reply byte came in or a request
+        failed."""
         proc = self._spawned()
+        error = f"worker gave no reply within {self.timeout} s; killed"
+        if not self._heard:  # still starting up
+            if self._startup is None:
+                deadline = math.inf
+            elif deadline < self._born + self._startup + self.timeout:
+                deadline = self._born + self._startup + self.timeout
+                error = (f"worker gave no reply within {self._startup + self.timeout:.3g} s"
+                         " of its start; killed")
         out_fd = proc.stdout.fileno()
         poll = select.poll()
         poll.register(out_fd, select.POLLIN)
         if self._unsent and not proc.stdin.closed:
             poll.register(proc.stdin.fileno(), select.POLLOUT)
-        events = poll.poll(max(0, math.ceil(wait * 1000)))
+        wait = deadline - time.monotonic()
+        events = poll.poll(None if wait == math.inf else max(0, math.ceil(wait * 1000)))
         if not events:
-            self._fail_first(f"worker gave no reply within {self.timeout} s; killed")
+            self._fail_first(error)
             return True
         for fd, _ in events:
             if fd != out_fd:
@@ -327,6 +346,10 @@ class JsonLinesProcess:
             if not data:
                 self._fail_first("worker closed its output stream")
                 return True
+            if not self._heard:
+                self._heard = True
+                if self._startup is None:
+                    self._startup = time.monotonic() - self._born
             start = len(self._partial)
             self._partial += data
             while (end := self._partial.find(b"\n", start)) >= 0:

@@ -718,7 +718,8 @@ def test_process_non_utf8_line_counts_as_failure(tmp_path, small_pool):
 
 
 @pytest.mark.parametrize("script", [WORKER, "import sys; sys.exit(0)\n",
-                                    "import time; time.sleep(60)\n"],
+                                    "import sys, time; print('{', end='', flush=True); "
+                                    "time.sleep(60)\n"],
                          ids=["close-live-worker", "drop-exited-worker", "kill-hung-worker"])
 def test_process_transport_releases_pipes(tmp_path, script):
     path = tmp_path / "worker.py"
@@ -874,15 +875,37 @@ def test_hung_worker_fails_one_job_within_its_deadline(seed_worker):
     solver = RemoteEndpoint(JsonLinesProcess(seed_worker, timeout=0.5))
     start = time.perf_counter()
     try:
-        with pytest.raises(EndpointError, match="no reply within 0.5 s"):
-            solver.solve(candidates[3], 1, seed=1)
         verified, failed = majority_vote_filter(solver, candidates, 1, 1, rng_seed=4)
+        # a fresh worker that hangs on its first request, silent, is killed too
+        with pytest.raises(EndpointError, match="no reply within .* of its start"):
+            solver.solve(replace(candidates[3], input="poison hang"), 1, seed=1)
     finally:
         solver.close()
     assert time.perf_counter() - start < 30
     assert failed == 1
     seeds = [mix64(4, 0x50F, i) for i in range(8) if i != 3]
     assert [v.sample.output for v in verified] == [f"seed {s} vote 0" for s in seeds]
+    assert (threading.active_count(), _children()) == (threads, children)
+
+
+def test_slow_starting_worker_is_not_killed_by_the_deadline(tmp_path):
+    """Each worker sleeps twice the deadline before it reads a request; a
+    poison problem makes the second stage respawn it twice."""
+    threads, children = threading.active_count(), _children()
+    path = tmp_path / "slow_worker.py"
+    path.write_text("import time\ntime.sleep(0.6)\n" + SEED_WORKER, encoding="utf-8")
+    solver = RemoteEndpoint(JsonLinesProcess([sys.executable, "-S", str(path)], timeout=0.3))
+    start = time.perf_counter()
+    try:
+        verified, failed = majority_vote_filter(solver, _candidates(8, poison=-1), 1, 1,
+                                                rng_seed=4)
+        assert (len(verified), failed) == (8, 0)
+        verified, failed = majority_vote_filter(solver, _candidates(8, poison=3), 1, 1,
+                                                rng_seed=4)
+        assert (len(verified), failed) == (7, 1)
+    finally:
+        solver.close()
+    assert time.perf_counter() - start < 30
     assert (threading.active_count(), _children()) == (threads, children)
 
 
