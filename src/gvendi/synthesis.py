@@ -311,14 +311,11 @@ class JsonLinesProcess:
         line to the oldest slot. Whether a reply byte came in or a request
         failed."""
         proc = self._spawned()
-        error = f"worker gave no reply within {self.timeout} s; killed"
         if not self._heard:  # still starting up
             if self._startup is None:
                 deadline = math.inf
-            elif deadline < self._born + self._startup + self.timeout:
-                deadline = self._born + self._startup + self.timeout
-                error = (f"worker gave no reply within {self._startup + self.timeout:.3g} s"
-                         " of its start; killed")
+            else:
+                deadline = max(deadline, self._born + self._startup + self.timeout)
         out_fd = proc.stdout.fileno()
         poll = select.poll()
         poll.register(out_fd, select.POLLIN)
@@ -327,7 +324,11 @@ class JsonLinesProcess:
         wait = deadline - time.monotonic()
         events = poll.poll(None if wait == math.inf else max(0, math.ceil(wait * 1000)))
         if not events:
-            self._fail_first(error)
+            if self._heard:
+                self._fail_first(f"worker gave no reply within {self.timeout} s; killed")
+            else:
+                self._fail_first(f"worker gave no reply within {self._startup + self.timeout:.3g}"
+                                 " s of its start; killed")
             return True
         for fd, _ in events:
             if fd != out_fd:
