@@ -233,11 +233,7 @@ def ngram_entropy(corpus: Corpus, order: int = 2) -> float:
     for s in corpus:
         toks = _sample_tokens(s)
         counts.update(tuple(toks[i : i + order]) for i in range(len(toks) - order + 1))
-    total = sum(counts.values())
-    if total == 0:
-        raise ValueError(f"no {order}-grams: every sample has fewer than {order} tokens")
-    p = np.array(list(counts.values()), dtype=np.float64) / total
-    return float(-(p * np.log(p)).sum())
+    return _count_entropy(counts, f"no {order}-grams: every sample has fewer than {order} tokens")
 
 
 def tag_entropy(corpus: Corpus) -> float:
@@ -250,9 +246,14 @@ def tag_entropy(corpus: Corpus) -> float:
     for s in corpus:
         if s.tags:
             counts.update(set(s.tags))
+    return _count_entropy(counts, "tag_entropy: no sample carries tags")
+
+
+def _count_entropy(counts: Counter, empty: str) -> float:
+    """Shannon entropy (nats) of `counts`; ValueError(empty) if they total 0."""
     total = sum(counts.values())
     if total == 0:
-        raise ValueError("tag_entropy: no sample carries tags")
+        raise ValueError(empty)
     p = np.array(list(counts.values()), dtype=np.float64) / total
     return float(-(p * np.log(p)).sum())
 

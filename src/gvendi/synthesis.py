@@ -223,12 +223,15 @@ class JsonLinesProcess:
     line with one reply line, in order, and is respawned when it has died.
 
     Requests may be sent ahead (`send_ahead`): the worker's input then holds
-    a queue, and `request` picks up the reply of its queued twin. The thread
-    in `request` moves the bytes both ways in one non-blocking loop, so no
-    pipe size can deadlock it. When the worker dies, or gives no reply byte
-    for `timeout` s (it is then killed), the first unanswered request fails
-    with EndpointError and the ones queued behind it go again to a fresh
-    worker.
+    a queue, and a `request` equal to the oldest request sent ahead picks up
+    its reply; any other request (a retry, or one claimed out of order) is
+    sent again and gets its own reply. The thread in `request` moves the
+    bytes both ways in one non-blocking loop, so no pipe size can deadlock
+    it. When the worker dies, or gives no reply byte for `timeout` s (it is
+    then killed), the first unanswered request fails with EndpointError and
+    the ones queued behind it go again to a fresh worker. A worker that
+    needs longer for one reply keeps it alive by writing spaces before the
+    reply's JSON, never a newline.
 
     A worker's start-up, up to its first reply byte, is not held to
     `timeout`, since loading a model can take minutes: the first worker is
@@ -244,7 +247,7 @@ class JsonLinesProcess:
         self._slots: deque[_Slot] = deque()  # sent to this worker, unanswered, in order
         self._unsent = bytearray()  # request bytes the worker has not taken yet
         self._partial = bytearray()  # reply bytes after the last newline
-        self._ahead: dict[bytes, deque[_Slot]] = {}  # sent ahead, not yet requested
+        self._ahead: deque[_Slot] = deque()  # sent ahead, not yet requested, in order
         self._born = 0.0  # when this worker was spawned (time.monotonic)
         self._heard = False  # whether this worker has sent a reply byte
         self._startup: float | None = None  # the first worker's s to its first reply byte
@@ -255,23 +258,17 @@ class JsonLinesProcess:
             self._spawned()
 
     def send_ahead(self, objs: Sequence[dict]) -> None:
-        """Queue each request for the worker; a later `request` of an equal
-        object picks up its reply instead of sending it again. Requests sent
-        ahead by an earlier call and never requested are forgotten."""
+        """Queue each request for the worker; `request`s of equal objects,
+        in the same order, pick up their replies instead of sending them
+        again. Requests sent ahead earlier and never requested are forgotten."""
         with self._lock:
-            self._ahead.clear()
-            for obj in objs:
-                line = _wire_line(obj)
-                self._ahead.setdefault(line, deque()).append(self._send(line))
+            self._ahead = deque(self._send(_wire_line(obj)) for obj in objs)
 
     def request(self, obj: dict) -> dict:
         line = _wire_line(obj)
         with self._lock:
-            queued = self._ahead.get(line)
-            if queued:
-                slot = queued.popleft()
-                if not queued:
-                    del self._ahead[line]
+            if self._ahead and self._ahead[0].line == line:
+                slot = self._ahead.popleft()
             else:
                 slot = self._send(line)
             deadline = time.monotonic() + self.timeout
@@ -404,12 +401,6 @@ class JsonLinesProcess:
         self._proc = None
         self._unsent = bytearray(b"".join(slot.line for slot in self._slots))
         self._partial.clear()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 class HttpJson:
@@ -892,8 +883,10 @@ def run_synthesis(
     A step's pool score is computed on a background thread while the next
     step grows the pool; the step is checkpointed once its score is in, so
     at most one score is in flight and a kill costs at most the last two
-    steps. The Gram is built on the calling thread; like the spectrum, it
-    runs on one BLAS thread, so neither's bits depend on the thread count.
+    steps. The Gram is built on the calling thread between steps, so its
+    float64 copy of the pool is never held beside the next step's k-means,
+    which would raise the run's peak memory. Like the spectrum, it runs on
+    one BLAS thread, so neither's bits depend on the thread count.
     When anything raises, the score in flight is awaited and, if it
     succeeded, its step checkpointed first.
     """

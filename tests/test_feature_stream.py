@@ -157,8 +157,11 @@ def _command_peak(tmp_path, n, extra):
 ], ids=["gradient", "embedding"])
 def test_featurize_command_peak_is_flat_in_n(tmp_path, capsys, extra, dim):
     # what still grows is the corpus and, for embeddings, the sparse rows:
-    # well under the n x dim float32 rows a held output would add
-    small, large = (_command_peak(tmp_path, n, extra) for n in (300, 3000))
+    # well under the n x dim float32 rows a held output would add. A size's
+    # peak is the least of 3 runs, since whether two workers' projection
+    # copies are alive at once moves a single run's peak by about 2 MB
+    small, large = (min(_command_peak(tmp_path, n, extra) for _ in range(3))
+                    for n in (300, 3000))
     output_growth = (3000 - 300) * dim * 4
     assert large - small <= output_growth / 4, (
         f"peak grew {(large - small) / output_growth:.2f}x the output from 300 to 3000 rows"

@@ -498,9 +498,10 @@ def _run_bytes(directory):
 
 
 def test_run_synthesis_builds_no_gram_while_a_spectrum_runs(tmp_path, monkeypatch):
-    """A spectrum holds OpenBLAS at one thread, and a Gram built meanwhile
-    would take other bits; the slow spectrum leaves any such Gram no time
-    to slip past it. The run still equals prismatic_step applied in turn."""
+    """A Gram built while a spectrum runs would run beside the next step's
+    k-means, and its float64 copy of the pool would raise the run's peak
+    memory; the slow spectrum leaves any such Gram no time to slip past it.
+    The run still equals prismatic_step applied in turn."""
     pool, model, proj, config = _three_steps()
     threads = threading.active_count()
     plain = SynthesisState(pool, featurize(model, proj, pool), ())
@@ -906,6 +907,71 @@ def test_slow_starting_worker_is_not_killed_by_the_deadline(tmp_path):
     finally:
         solver.close()
     assert time.perf_counter() - start < 30
+    assert (threading.active_count(), _children()) == (threads, children)
+
+
+# A worker that logs each request's seed to the file named by its argument. It
+# answers a "flaky" problem with a JSON array the first time it sees it, and
+# takes 0.9 s over a "slow" problem, writing a space every 0.3 s before the reply.
+LOG_WORKER = textwrap.dedent(
+    """
+    import json, sys, time
+    seen = set()
+    with open(sys.argv[1], "a") as log:
+        for line in sys.stdin:
+            req = json.loads(line)
+            print(req["seed"], file=log, flush=True)
+            problem = req["problem"]
+            if "slow" in problem:
+                for _ in range(3):
+                    time.sleep(0.3)
+                    sys.stdout.write(" ")
+                    sys.stdout.flush()
+            if "flaky" in problem and problem not in seen:
+                seen.add(problem)
+                print("[]", flush=True)
+                continue
+            n = req["n"]
+            print(json.dumps({"answers": ["1"] * n, "traces": ["t"] * n}), flush=True)
+    """
+)
+
+
+def _logging_solver(tmp_path, timeout):
+    path = tmp_path / "log_worker.py"
+    path.write_text(LOG_WORKER, encoding="utf-8")
+    log = tmp_path / "seeds.log"
+    command = [sys.executable, "-S", str(path), str(log)]
+    return RemoteEndpoint(JsonLinesProcess(command, timeout=timeout)), log
+
+
+def test_each_request_sent_ahead_reaches_the_worker_once(tmp_path):
+    solver, log = _logging_solver(tmp_path, timeout=10.0)
+    candidates = [replace(c, input=c.input.replace("poison", "flaky"))
+                  for c in _candidates(12, poison=5)]
+    try:
+        verified, failed = majority_vote_filter(solver, candidates, 1, 1, rng_seed=4)
+    finally:
+        solver.close()
+    assert (len(verified), failed) == (12, 0)
+    seeds = [mix64(4, 0x50F, i) for i in range(12)]
+    assert log.read_text().split() == [str(s) for s in seeds + [mix64(seeds[5], 1)]]
+
+
+def test_worker_writing_spaces_is_not_killed_by_the_deadline(tmp_path):
+    """Each reply takes almost twice the deadline, and the worker writes a
+    space before it every 0.3 s."""
+    threads, children = threading.active_count(), _children()
+    solver, log = _logging_solver(tmp_path, timeout=0.5)
+    candidates = [Sample(id=f"c{i}", input=f"slow problem {i}", output="") for i in range(3)]
+    start = time.perf_counter()
+    try:
+        verified, failed = majority_vote_filter(solver, candidates, 1, 1, rng_seed=4)
+    finally:
+        solver.close()
+    assert time.perf_counter() - start < 20
+    assert (len(verified), failed) == (3, 0)
+    assert log.read_text().split() == [str(mix64(4, 0x50F, i)) for i in range(3)]
     assert (threading.active_count(), _children()) == (threads, children)
 
 
