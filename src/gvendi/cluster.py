@@ -157,39 +157,53 @@ def _shrink(rows, sq, d2, points, prod) -> np.ndarray:
     return cols
 
 
-def _kmeanspp(rows: np.ndarray, sq: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """D^2-weighted seeding with greedy local trials per step.
+def _kmeanspp(
+    rows: np.ndarray, sq: np.ndarray, k: int, rngs: list[np.random.Generator]
+) -> list[np.ndarray]:
+    """D^2-weighted seeding with greedy local trials per step: one (k, d)
+    centre set per generator, seeded in lockstep.
 
-    A step scores all its trials in one n x trials _sqdist product, then
-    re-scores those within its rounding bound of the best from direct
-    differences, so exact ties keep the first trial. The running distance d2
-    is the winner's direct column, exact (duplicates of a chosen row sit at 0
-    and draw no mass), though only the rows the product cannot rule out are
-    measured (_shrink), a block at a time: no step allocates n x d.
+    Each seeding draws from its own generator in the order a lone seeding
+    would, so its centres are the ones a one-generator call returns. A step
+    scores every seeding's trials in one n x (seedings * trials) _sqdist
+    product, so the rows are streamed once per step, not once per seeding.
+    The product is only a filter: each seeding re-scores its trials within
+    its rounding bound of its best from direct differences, so exact ties
+    keep the first trial. Its running distance d2 is the winner's direct
+    column, exact (duplicates of a chosen row sit at 0 and draw no mass),
+    though only the rows the product cannot rule out are measured (_shrink),
+    a block at a time: no step allocates n x d.
     """
     n, dim = rows.shape
     trials = 2 + int(math.log(k)) if k > 1 else 1
     # twice the worst-case gap between a product-scored and a direct potential
     slack = 16 * n * (n + dim + 2) * np.finfo(np.float64).eps * float(sq.max())
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = rng.integers(0, n)
-    d2 = _direct_sqdist(rows, rows[chosen[:1]])[0]
+    chosen = np.empty((len(rngs), k), dtype=np.int64)
+    chosen[:, 0] = [rng.integers(0, n) for rng in rngs]
+    d2 = _direct_sqdist(rows, rows[chosen[:, 0]])  # row r: seeding r's running distance
     for i in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            # all remaining mass on duplicates of existing centroids
-            pool = np.setdiff1d(np.arange(n), chosen[:i])
-            chosen[i] = rng.choice(pool) if pool.size else chosen[0]
+        drawn = []  # (seeding, its trials) for each seeding with mass left
+        for r, rng in enumerate(rngs):
+            total = d2[r].sum()
+            if total <= 0.0:
+                # all remaining mass on duplicates of existing centroids
+                pool = np.setdiff1d(np.arange(n), chosen[r, :i])
+                chosen[r, i] = rng.choice(pool) if pool.size else chosen[r, 0]
+            else:
+                drawn.append((r, rng.choice(n, size=trials, p=d2[r] / total)))
+        if not drawn:
             continue
-        candidates = rng.choice(n, size=trials, p=d2 / total)
+        candidates = np.concatenate([c for _, c in drawn])
         prod = _sqdist(rows, sq, rows[candidates], sq[candidates])
-        pots = np.minimum(d2[:, None], prod).sum(axis=0)
-        close = pots <= pots.min() + slack
-        near = candidates[close]
-        cols = _shrink(rows, sq, d2, rows[near], prod[:, close])
-        best = int(np.argmin(cols.sum(axis=1)))
-        chosen[i], d2 = near[best], cols[best]
-    return rows[chosen].copy()
+        for j, (r, cand) in enumerate(drawn):
+            mine = prod[:, j * trials : (j + 1) * trials]
+            pots = np.minimum(d2[r][:, None], mine).sum(axis=0)
+            close = pots <= pots.min() + slack
+            near = cand[close]
+            cols = _shrink(rows, sq, d2[r], rows[near], mine[:, close])
+            best = int(np.argmin(cols.sum(axis=1)))
+            chosen[r, i], d2[r] = near[best], cols[best]
+    return [rows[c] for c in chosen]
 
 
 def _update_centroids(rows, labels, counts, centroids) -> None:
@@ -215,13 +229,14 @@ def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> C
     assignment step are refilled with the point farthest from its own
     centroid, so exactly k clusters survive. With n_init > 1, the best of
     n_init seeded runs (lowest inertia, ties to the earliest run) is returned.
-    Row norms are computed once per fit. Each k-means++ step costs one
-    n x trials product plus direct differences on the rows that product
-    cannot rule out, and keeps its running distance exact. Apart from its
-    float64 copy of the rows, a fit allocates no n x d array: direct
-    differences and row norms go a block of rows at a time, products are
-    n x k, and a centroid update sorts the labels once and gathers one
-    cluster's rows at a time.
+    Row norms are computed once per fit. The n_init seedings run in
+    lockstep: each k-means++ step costs one n x (n_init * trials) product
+    that serves every seeding, plus direct differences on the rows that
+    product cannot rule out, and keeps each running distance exact; Lloyd
+    then runs per seeding. Apart from its float64 copy of the rows, a fit
+    allocates no n x d array: direct differences and row norms go a block
+    of rows at a time, products are n x k, and a centroid update sorts the
+    labels once and gathers one cluster's rows at a time.
     """
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
@@ -231,10 +246,9 @@ def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> C
         raise ValueError(f"k={k} exceeds number of rows {features.rows}")
     rows = features.data.astype(np.float64)
     sq = _sq_norms(rows)  # shared by every seeding and assignment below
+    seeds = [seed] if n_init == 1 else [mix64(seed, 0xC17, trial) for trial in range(n_init)]
     best: ClusterModel | None = None
-    for trial in range(n_init):
-        init_seed = seed if n_init == 1 else mix64(seed, 0xC17, trial)
-        centroids = _kmeanspp(rows, sq, k, rng_from(init_seed, 0xC15))
+    for centroids in _kmeanspp(rows, sq, k, [rng_from(s, 0xC15) for s in seeds]):
         prev = math.inf
         for step in range(_MAX_ITERS + 1):
             labels, d2 = _assign(rows, sq, centroids)

@@ -126,16 +126,81 @@ def _gram_vendi(gram: np.ndarray) -> float:
     return float(np.exp(effective_rank_entropy(_eigvalsh(gram))))
 
 
+_PAIR_BLOCK = 1 << 15  # products per block of a `_sparse_gram` pass
+
+
+def _sparse_gram(rows: TfidfRows) -> np.ndarray:
+    """`_gram` of nonzero CSR rows over the u buckets they use, from their
+    nonzeros alone: the n x u matrix is never built.
+
+    The n x n side (n <= u) groups the nonzeros by bucket, rows ascending
+    within one, and bucket b's c_b rows give its c_b^2 products: sum_b c_b^2
+    in all. The u x u side takes each row's nnz^2 products: n * nnz^2 in all.
+    Products of float32 weights are exact in float64, and each entry adds
+    its products from 0 in bucket (or row) order, as a dense product walks
+    its inner dimension. There is no BLAS, so the bits do not depend on the
+    thread count. The products go _PAIR_BLOCK at a time, so the pass holds
+    the min(n, u)^2 Gram, a few arrays of nnz and a fixed buffer. A Gram
+    that cannot be allocated is a MemoryError naming its size.
+    """
+    n = len(rows.indptr) - 1
+    buckets, col = np.unique(rows.bucket, return_inverse=True)
+    u = buckets.size
+    if n <= u:
+        order = np.argsort(col, kind="stable")
+        key = np.repeat(np.arange(n), np.diff(rows.indptr))[order]  # each nonzero's row
+        weight = rows.weight[order].astype(np.float64)
+        sizes = np.bincount(col, minlength=u)
+    else:
+        key, weight, sizes = col, rows.weight.astype(np.float64), np.diff(rows.indptr)
+    m = min(n, u)
+    try:
+        gram = np.zeros((m, m))
+    except MemoryError:
+        raise MemoryError(
+            f"the embedding Gram needs min(n, u)^2 x 8 B = {m}^2 x 8 B = {m * m * 8} B "
+            f"for n={n} rows over u={u} buckets; a smaller --embed-dim bounds u"
+        ) from None
+    flat = gram.reshape(-1)
+    starts = np.cumsum(sizes) - sizes
+    pairs = sizes.astype(np.int64) ** 2
+    ends = np.cumsum(pairs)
+    total = int(ends[-1])
+    for lo in range(0, total, _PAIR_BLOCK):
+        p = np.arange(lo, min(lo + _PAIR_BLOCK, total))
+        g = np.searchsorted(ends, p, side="right")  # the group of each product
+        first, second = np.divmod(p - (ends[g] - pairs[g]), sizes[g])
+        first += starts[g]
+        second += starts[g]
+        np.add.at(flat, key[first] * m + key[second], weight[first] * weight[second])
+    gram /= n
+    return gram
+
+
+def _csr(data: np.ndarray) -> TfidfRows:
+    """The nonzero rows of a dense matrix in CSR form."""
+    row, column = np.nonzero(data)
+    counts = np.bincount(row, minlength=data.shape[0])
+    indptr = np.r_[0, np.cumsum(counts[counts > 0])]
+    return TfidfRows(indptr, column.astype(np.int64), data[row, column])
+
+
 def _features_gram(features: FeatureMatrix) -> np.ndarray:
     """The `_gram` that `vendi_score` scores.
 
-    Columns that are zero in every row add only zero eigenvalues, so they
-    are dropped before the float64 Gram; when every column is used, as for
-    gradient features, no column is gathered.
+    Embedding rows (TF-IDF, mostly zero) take `_sparse_gram`, as a corpus's
+    embedding-vendi does, so a stored embedding `.gvfm` scores as its corpus
+    does by construction. Other rows take the BLAS Gram. Columns that are
+    zero in every row add only zero eigenvalues, so they are dropped before
+    the float64 Gram; when every column is used, as for gradient features,
+    no column is gathered.
     """
     zero = features.degenerate_mask()
     data = features.data
-    if _counted_rows(features.rows, zero, "vendi_score") < features.rows:
+    counted = _counted_rows(features.rows, zero, "vendi_score")
+    if features.provenance.featurizer == "embedding":
+        return _sparse_gram(_csr(data))
+    if counted < features.rows:
         data = data[~zero]
     used = np.flatnonzero(data.any(axis=0))
     if used.size < features.dim:
@@ -177,8 +242,9 @@ def report_from_tfidf(
     params)`, bit for bit, from the sparse TF-IDF rows: the n x dim matrix is
     never built.
 
-    Vendi takes the n x u float64 matrix over the u distinct buckets;
-    `embedding_dissim` sums each column in row order, as the dense sum does.
+    Vendi takes `_sparse_gram` of the nonzero rows, as `vendi_score` does for
+    embedding rows; `embedding_dissim` sums each column in row order, as the
+    dense sum does.
     """
     rows = _tfidf_rows(corpus, dim, seed)
     n = len(corpus)
@@ -190,7 +256,7 @@ def report_from_tfidf(
         value = _mean_dissimilarity(total, used)
     else:
         kept = TfidfRows(np.r_[0, rows.indptr[1:][~zero]], rows.bucket, rows.weight)
-        value = _gram_vendi(_gram(kept.scatter(np.unique(rows.bucket), np.float64)))
+        value = _gram_vendi(_sparse_gram(kept))
     return DiversityReport(metric, value, used, {**params, "degenerate_dropped": n - used})
 
 

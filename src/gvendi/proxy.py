@@ -460,13 +460,11 @@ class TfidfRows(NamedTuple):
         lo, hi = self.indptr[start], self.indptr[stop]
         return TfidfRows(self.indptr[start : stop + 1] - lo, self.bucket[lo:hi], self.weight[lo:hi])
 
-    def scatter(self, columns: np.ndarray, dtype) -> np.ndarray:
-        """The rows as a dense matrix over the sorted `columns`, which must
-        hold every bucket."""
+    def scatter(self, dim: int) -> np.ndarray:
+        """The rows as a dense n x dim float32 matrix."""
         n = len(self.indptr) - 1
-        out = np.zeros((n, len(columns)), dtype=dtype)
-        rows = np.repeat(np.arange(n), np.diff(self.indptr))
-        out[rows, np.searchsorted(columns, self.bucket)] = self.weight
+        out = np.zeros((n, dim), dtype=np.float32)
+        out[np.repeat(np.arange(n), np.diff(self.indptr)), self.bucket] = self.weight
         return out
 
 
@@ -487,30 +485,30 @@ def _tfidf_rows(corpus: Corpus, dim: int, seed: int) -> TfidfRows:
     if dim < 2:
         raise ValueError("embedding dim must be >= 2")
     memo: dict[tuple[str, str], int] = {}
-    cols: list[np.ndarray] = []
-    counts: list[np.ndarray] = []
+    buckets: list[int] = []
+    lengths: list[int] = []
     for s in corpus:
         tokens = _sample_tokens(s)
-        buckets = []
         for pair in zip(tokens, tokens[1:]):
             b = memo.get(pair)
             if b is None:
                 b = memo[pair] = _tfidf_bucket(*pair, seed, dim)
             buckets.append(b)
-        c, k = np.unique(np.array(buckets, dtype=np.int64), return_counts=True)
-        cols.append(c)
-        counts.append(k)
+        lengths.append(max(len(tokens) - 1, 0))
     n = len(corpus)
+    # one sort of row * dim + bucket lists each row's distinct buckets, ascending
+    row = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keys, counts = np.unique(row * dim + np.array(buckets, dtype=np.int64), return_counts=True)
+    row, bucket = np.divmod(keys, dim)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([c.size for c in cols], dtype=np.int64)
-    bucket = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
     df = np.bincount(bucket, minlength=dim).astype(np.float64)
     idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
     weight = np.empty(bucket.size, dtype=np.float32)
-    for i, (c, k) in enumerate(zip(cols, counts)):
-        if c.size:
-            w = k * idf[c]
-            weight[indptr[i] : indptr[i + 1]] = w / np.sqrt(w @ w)
+    for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        if hi > lo:
+            w = counts[lo:hi] * idf[bucket[lo:hi]]
+            weight[lo:hi] = w / np.sqrt(w @ w)
     return TfidfRows(indptr, bucket, weight)
 
 
@@ -536,12 +534,11 @@ def embed_stream(corpus: Corpus, dim: int = TFIDF_DIM, seed: int = TFIDF_SEED) -
     about _EMBED_BLOCK_BYTES is scattered from them only when it is emitted,
     so a stored `.gvfm` never needs the n x dim matrix."""
     rows = _tfidf_rows(corpus, dim, seed)
-    columns = np.arange(dim)
     step = max(1, _EMBED_BLOCK_BYTES // (4 * dim))
 
     def blocks(emit: Callable[[np.ndarray], None]) -> None:
         for start in range(0, len(corpus), step):
-            emit(rows.block(start, start + step).scatter(columns, np.float32))
+            emit(rows.block(start, start + step).scatter(dim))
 
     return FeatureStream(corpus.ids(), dim, Provenance("embedding", fingerprint=0, seed=seed),
                          blocks)

@@ -992,3 +992,23 @@ def test_allocation_failure_is_one_error_line(toy, argv):
     assert proc.returncode == 1 and len(lines) == 1, proc.stderr
     assert lines[0].startswith("error: MemoryError: Unable to allocate ")
     assert out.read_bytes() == b"old bytes"
+
+
+def test_embedding_gram_that_cannot_fit_is_one_error_line(tmp_path):
+    """12000 rows of two bigrams each, 24000 distinct ones in some 17000
+    buckets, need a 12000 x 12000 embedding Gram (1.15 GB) under a 1 GiB
+    address space: exit 1 with one `error:` line that names the Gram's size
+    and `--embed-dim`."""
+    samples = tuple(Sample(id=f"s{i}", input=f"a{i} b{i} c{i}", output="") for i in range(12000))
+    pool, out = tmp_path / "pool.jsonl", tmp_path / "out.json"
+    write_jsonl(Corpus(samples, name="wide"), pool)
+    proc = _child("diversity", "--corpus", str(pool), "--metric", "embedding-vendi",
+                  "--output", str(out), address_space=1 << 30)
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == 1 and len(lines) == 1, proc.stderr
+    assert lines[0].startswith(
+        "error: MemoryError: the embedding Gram needs min(n, u)^2 x 8 B = 12000^2 x 8 B"
+        " = 1152000000 B for n=12000 rows over u="
+    )
+    assert lines[0].endswith("; a smaller --embed-dim bounds u")
+    assert not out.exists()

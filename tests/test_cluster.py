@@ -19,7 +19,7 @@ from gvendi import (
 )
 from gvendi import blas, cluster
 from gvendi.cluster import ClusterModel
-from gvendi.rng import rng_from
+from gvendi.rng import mix64, rng_from
 
 
 def fm(data):
@@ -220,6 +220,12 @@ def _per_trial_kmeanspp(rows, sq, k, rng):
     return rows[chosen].copy()
 
 
+def _each_generator(reference):
+    """A one-generator seeding in `_kmeanspp`'s form: one centre set per
+    generator, each seeded on its own."""
+    return lambda rows, sq, k, rngs: [reference(rows, sq, k, rng) for rng in rngs]
+
+
 def _blobs(seed):
     return blob_features(5, 40, dim=64, center_seed=seed, point_seed=seed + 1, spread=0.3), 8
 
@@ -240,10 +246,50 @@ def test_seeding_matches_per_trial_reference(monkeypatch, make, n_init):
         feats, k = make(seed)
         fit = kmeans_fit(feats, k, seed=seed, n_init=n_init).to_json()
         with monkeypatch.context() as m:
-            m.setattr(cluster, "_kmeanspp", _per_trial_kmeanspp)
+            m.setattr(cluster, "_kmeanspp", _each_generator(_per_trial_kmeanspp))
             ref = kmeans_fit(feats, k, seed=seed, n_init=n_init).to_json()
         same = fit == ref  # a bool, so a failure does not diff two long JSON strings
         assert same, f"seed {seed}"
+
+
+def _assert_lockstep_matches_alone(feats, k, seeds):
+    """`_kmeanspp` with one generator per seed gives each seed the bytes a
+    one-generator call gives it."""
+    rows = feats.data.astype(np.float64)
+    sq = cluster._sq_norms(rows)
+    together = cluster._kmeanspp(rows, sq, k, [rng_from(s, 0xC15) for s in seeds])
+    assert len(together) == len(seeds)
+    for s, centres in zip(seeds, together):
+        [alone] = cluster._kmeanspp(rows, sq, k, [rng_from(s, 0xC15)])
+        assert centres.shape == (k, rows.shape[1])
+        assert centres.tobytes() == alone.tobytes(), f"seed {s}"
+    return together
+
+
+def test_lockstep_seeding_matches_one_generator_on_blobs():
+    for seed in range(5000, 5004):
+        feats, k = _blobs(seed)
+        _assert_lockstep_matches_alone(feats, k, [mix64(seed, 0xC17, t) for t in range(4)])
+
+
+def test_lockstep_seeding_matches_one_generator_past_the_distinct_rows():
+    # 7 distinct rows and k = 21: each step adds one distinct row, so every
+    # seeding draws its last 14 centres from the duplicates-only branch
+    for seed in range(5100, 5104):
+        feats, k = _duplicate_heavy(seed)
+        together = _assert_lockstep_matches_alone(
+            feats, k, [mix64(seed, 0xC17, t) for t in range(3)]
+        )
+        for centres in together:
+            assert len(np.unique(centres, axis=0)) == 7 < k
+
+
+def test_lockstep_seeding_matches_one_generator_at_select_shape():
+    # the select workload's pool: 3000 gradient rows of 1024 columns, k=20, 4 seedings
+    model = ProxyModel.create()
+    feats = featurize(model, ProjectionSpec(model.n_params), template_corpus(30, 100, 71))
+    assert feats.data.shape == (3000, 1024)
+    _assert_lockstep_matches_alone(feats, 20, [mix64(71, 0xC17, t) for t in range(4)])
 
 
 # The kernels as first written, unblocked: each builds n x d temporaries.
@@ -317,7 +363,7 @@ def test_blocked_kernels_match_unblocked_reference(monkeypatch, make, n_init, bl
         model = kmeans_fit(feats, k, seed=seed, n_init=n_init)
         with monkeypatch.context() as m:
             m.setattr(cluster, "_sqdist", _reference_sqdist)
-            m.setattr(cluster, "_kmeanspp", _reference_kmeanspp)
+            m.setattr(cluster, "_kmeanspp", _each_generator(_reference_kmeanspp))
             m.setattr(cluster, "_sq_norms", _reference_sq_norms)
             ref = kmeans_fit(feats, k, seed=seed, n_init=n_init)
             ref_nearest = ref.nearest_centroid(rows[::7])
@@ -346,7 +392,7 @@ def test_seeding_on_gradient_features_matches_references(
     for seed in range(3000, 3004):
         fit = kmeans_fit(feats, k, seed=seed, n_init=n_init).to_json()
         with monkeypatch.context() as m:
-            m.setattr(cluster, "_kmeanspp", reference)
+            m.setattr(cluster, "_kmeanspp", _each_generator(reference))
             ref = kmeans_fit(feats, k, seed=seed, n_init=n_init).to_json()
         same = fit == ref
         assert same, f"seed {seed}"

@@ -27,13 +27,16 @@ from gvendi import (
     template_corpus,
     vendi_score,
 )
-from gvendi import blas
+from gvendi import blas, metrics
 from gvendi.metrics import (
+    _csr,
     _eigvalsh,
+    _sparse_gram,
     effective_rank_entropy,
     report_from_features,
     report_from_tfidf,
 )
+from gvendi.proxy import _tfidf_rows
 from gvendi.rng import rng_from
 
 
@@ -335,6 +338,78 @@ def test_embedding_vendi_never_builds_the_dense_rows():
     dense_bytes = len(corpus) * 32768 * 4
     _, peak = _traced_peak(lambda: embedding_vendi(corpus, dim=32768))
     assert peak <= 0.5 * dense_bytes, f"peak {peak / dense_bytes:.2f}x the dense rows"
+
+
+def test_vendi_score_on_embedding_rows_takes_the_sparse_gram(monkeypatch):
+    corpus = _with_zero_rows(template_corpus(6, 25, 5))
+    feats = embed_hashed_tfidf(corpus)
+    expected = embedding_vendi(corpus)
+
+    def no_dense_gram(mat):
+        raise AssertionError("embedding rows took the dense Gram")
+
+    monkeypatch.setattr(metrics, "_gram", no_dense_gram)
+    assert vendi_score(feats) == expected.value
+    assert report_from_features("embedding_vendi", feats, {"dim": 32768}).to_json() == (
+        expected.to_json()
+    )
+
+
+def _sequential_gram(mat):
+    """The Gram of dense float64 rows, each entry summed from 0 in the order
+    of the inner dimension: one outer product per column (n x n side) or per
+    row (u x u side), divided by n."""
+    n, u = mat.shape
+    gram = np.zeros((min(n, u),) * 2)
+    for vec in (mat.T if n <= u else mat):
+        gram += np.outer(vec, vec)
+    return gram / n
+
+
+@pytest.mark.parametrize(
+    "corpus, dim, n_above_u",
+    [
+        (template_corpus(6, 20, 1), 32768, False),
+        (template_corpus(5, 40, 3), 64, True),
+        (template_corpus(4, 100, 9), 128, True),
+    ],
+    ids=["n-by-n", "u-by-u-64", "u-by-u-128"],
+)
+def test_sparse_gram_matches_dense_references(corpus, dim, n_above_u):
+    feats = embed_hashed_tfidf(corpus, dim=dim)
+    data = feats.data[~feats.degenerate_mask()]
+    mat = data[:, data.any(axis=0)].astype(np.float64)
+    assert (mat.shape[0] > mat.shape[1]) == n_above_u
+    gram = _sparse_gram(_csr(data))
+    assert gram.shape == (min(mat.shape),) * 2
+    assert gram.tobytes() == _sequential_gram(mat).tobytes()
+    if not n_above_u:
+        # an n x n entry of TF-IDF rows adds a few products, and the BLAS
+        # Gram gives the same bits; a u x u entry adds one per row sharing
+        # both buckets, and OpenBLAS's blocked sums may round otherwise
+        assert gram.tobytes() == (mat @ mat.T / mat.shape[0]).tobytes()
+
+
+def test_sparse_gram_matches_its_reference_on_dense_signed_rows():
+    # many shared columns per entry, negative and zero weights: the order of
+    # the sum, not the sparsity, fixes the bits
+    rng = rng_from(61)
+    for n, u in ((30, 80), (80, 30)):
+        data = unit_rows(rng.normal(size=(n, u)) * (rng.random((n, u)) < 0.6)).astype(np.float32)
+        mat = data[:, data.any(axis=0)].astype(np.float64)
+        assert _sparse_gram(_csr(data)).tobytes() == _sequential_gram(mat).tobytes()
+
+
+@pytest.mark.parametrize("families", [8, 20])
+def test_sparse_gram_peak_is_the_gram_plus_a_fixed_buffer(families):
+    rows = _tfidf_rows(template_corpus(families, 100, 2), 32768, 404)
+    n, u = len(rows.indptr) - 1, np.unique(rows.bucket).size
+    gram_bytes = min(n, u) ** 2 * 8
+    _, peak = _traced_peak(lambda: _sparse_gram(rows))
+    # the buffer holds one block of products and a few arrays as long as the
+    # nonzeros (22k and 54k here); a dense n x u float64 copy would add 19
+    # and 100 MB, and all the products at once 10 and 38 MB
+    assert peak <= gram_bytes + (6 << 20), (peak - gram_bytes) / 2**20
 
 
 def test_dissimilarity_identical_rows():
