@@ -371,10 +371,6 @@ def cmd_synthesize(args: argparse.Namespace) -> None:
     model, proj = _gradient_from(args)
     try:
         with _DirLock(outdir):
-            for endpoint in (generator, solver):
-                start = getattr(endpoint, "start", None)
-                if start:
-                    start()
             state = run_synthesis(
                 seed_corpus, config, generator, solver, model, proj,
                 protected=protected, checkpoint_dir=outdir,

@@ -218,6 +218,9 @@ class _Slot:
         self.error: str | None = None
 
 
+_START_TIMEOUTS = 10  # a worker's silence before its first byte, in timeouts
+
+
 class JsonLinesProcess:
     """JSON lines to and from a child process, which answers each request
     line with one reply line, in order, and is respawned when it has died.
@@ -227,16 +230,17 @@ class JsonLinesProcess:
     its reply; any other request (a retry, or one claimed out of order) is
     sent again and gets its own reply. The thread in `request` moves the
     bytes both ways in one non-blocking loop, so no pipe size can deadlock
-    it. When the worker dies, or gives no reply byte for `timeout` s (it is
-    then killed), the first unanswered request fails with EndpointError and
-    the ones queued behind it go again to a fresh worker. A worker that
-    needs longer for one reply keeps it alive by writing spaces before the
-    reply's JSON, never a newline.
+    it; requests sent ahead wait in the transport until then.
 
-    A worker's start-up, up to its first reply byte, is not held to
-    `timeout`, since loading a model can take minutes: the first worker is
-    waited for without bound, and each later one for as long as the first
-    took plus `timeout`.
+    Each worker has one silence clock. It starts at the spawn, restarts
+    when a `request` begins to wait and on every byte the worker writes, and
+    runs out after `timeout` s, or `_START_TIMEOUTS` × `timeout` s before
+    the worker's first byte, since loading a model can take minutes. When the
+    worker dies or its clock runs out (it is then killed), the first
+    unanswered request fails with EndpointError and the ones queued behind
+    it go again to a fresh worker. A worker that needs longer, to start or
+    for one reply, keeps its clock going by writing spaces before the
+    reply's JSON, never a newline.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float = 60.0):
@@ -248,9 +252,8 @@ class JsonLinesProcess:
         self._unsent = bytearray()  # request bytes the worker has not taken yet
         self._partial = bytearray()  # reply bytes after the last newline
         self._ahead: deque[_Slot] = deque()  # sent ahead, not yet requested, in order
-        self._born = 0.0  # when this worker was spawned (time.monotonic)
+        self._quiet_since = 0.0  # when the silence clock last restarted (time.monotonic)
         self._heard = False  # whether this worker has sent a reply byte
-        self._startup: float | None = None  # the first worker's s to its first reply byte
 
     def start(self) -> None:
         """Start the worker now, so its start-up overlaps the caller's work."""
@@ -271,10 +274,9 @@ class JsonLinesProcess:
                 slot = self._ahead.popleft()
             else:
                 slot = self._send(line)
-            deadline = time.monotonic() + self.timeout
+            self._quiet_since = time.monotonic()
             while slot.reply is None and slot.error is None:
-                if self._pump(deadline):
-                    deadline = time.monotonic() + self.timeout
+                self._pump()
         if slot.error is not None:
             raise EndpointError(slot.error)
         try:
@@ -299,34 +301,28 @@ class JsonLinesProcess:
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
             )
             os.set_blocking(self._proc.stdin.fileno(), False)
-            self._born, self._heard = time.monotonic(), False
+            self._quiet_since, self._heard = time.monotonic(), False
         return self._proc
 
-    def _pump(self, deadline: float) -> bool:
-        """Wait for the worker until `deadline` (time.monotonic), or while it
-        starts up; write what its input accepts and hand each complete reply
-        line to the oldest slot. Whether a reply byte came in or a request
-        failed."""
+    def _pump(self) -> None:
+        """Wait for the worker until its silence clock runs out; write what
+        its input accepts and hand each complete reply line to the oldest
+        slot."""
         proc = self._spawned()
-        if not self._heard:  # still starting up
-            if self._startup is None:
-                deadline = math.inf
-            else:
-                deadline = max(deadline, self._born + self._startup + self.timeout)
+        limit = self.timeout if self._heard else _START_TIMEOUTS * self.timeout
         out_fd = proc.stdout.fileno()
         poll = select.poll()
         poll.register(out_fd, select.POLLIN)
         if self._unsent and not proc.stdin.closed:
             poll.register(proc.stdin.fileno(), select.POLLOUT)
-        wait = deadline - time.monotonic()
-        events = poll.poll(None if wait == math.inf else max(0, math.ceil(wait * 1000)))
+        wait = self._quiet_since + limit - time.monotonic()
+        events = poll.poll(max(0, math.ceil(wait * 1000)))
         if not events:
             if self._heard:
-                self._fail_first(f"worker gave no reply within {self.timeout} s; killed")
+                self._fail_first(f"worker gave no reply within {limit} s; killed")
             else:
-                self._fail_first(f"worker gave no reply within {self._startup + self.timeout:.3g}"
-                                 " s of its start; killed")
-            return True
+                self._fail_first(f"worker gave no reply within {limit:.3g} s of its start; killed")
+            return
         for fd, _ in events:
             if fd != out_fd:
                 try:
@@ -340,14 +336,11 @@ class JsonLinesProcess:
                 data = os.read(out_fd, 1 << 16)
             except OSError as e:
                 self._fail_first(f"worker pipe failed: {e}")
-                return True
+                return
             if not data:
                 self._fail_first("worker closed its output stream")
-                return True
-            if not self._heard:
-                self._heard = True
-                if self._startup is None:
-                    self._startup = time.monotonic() - self._born
+                return
+            self._quiet_since, self._heard = time.monotonic(), True
             start = len(self._partial)
             self._partial += data
             while (end := self._partial.find(b"\n", start)) >= 0:
@@ -355,8 +348,6 @@ class JsonLinesProcess:
                     self._slots.popleft().reply = self._partial[:end]
                 del self._partial[: end + 1]
                 start = 0
-            return True
-        return False
 
     def _fail_first(self, error: str) -> None:
         """Fail the first unanswered request and kill the worker; the rest
@@ -878,7 +869,10 @@ def run_synthesis(
     run resumes from the last completed step; seeds derive from (config.seed,
     iteration), so a resumed run reproduces an uninterrupted one exactly.
     A checkpoint whose features carry another provenance than
-    `gradient_provenance(model, proj)` fails before any step.
+    `gradient_provenance(model, proj)` fails before any step, and before
+    any endpoint is started. After that check, each endpoint with a
+    `start` method is started, so a worker's start-up overlaps the seed
+    featurize; closing the endpoints is left to the caller.
 
     A step's pool score is computed on a background thread while the next
     step grows the pool; the step is checkpointed once its score is in, so
@@ -900,6 +894,10 @@ def run_synthesis(
                 f"but this run featurizes with {made}; resume with the settings that "
                 "wrote it, or delete and rerun"
             )
+    for endpoint in (generator, solver):
+        start = getattr(endpoint, "start", None)
+        if start:
+            start()
     if state is None:
         state = SynthesisState(
             pool=seed_corpus,

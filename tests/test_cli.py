@@ -18,6 +18,7 @@ import gvendi
 from gvendi import (
     Corpus,
     FeatureMatrix,
+    JsonLinesProcess,
     Provenance,
     Sample,
     content_id,
@@ -444,6 +445,27 @@ def test_synthesize_resume_with_another_featurizer_names_the_features(toy, capsy
     assert err.count("\n") == 1, err
     assert not log.exists(), "an endpoint request ran before the check"
     assert [(outdir / f).read_bytes() for f in files] == before
+
+
+def test_synthesize_resume_refused_for_provenance_spawns_no_worker(toy, capsys, monkeypatch):
+    tmp_path, pool = toy
+    outdir = tmp_path / "run"
+    args = ["synthesize", "--corpus", pool, "--outdir", str(outdir),
+            "--gen-batch", "4", "--feature-dim", "32", "--proj-dim", "32"]
+    assert run_cli(*args, "--iterations", "1", "--proj-seed", "7") == 0
+    calls = []
+    start, spawned = JsonLinesProcess.start, JsonLinesProcess._spawned
+    monkeypatch.setattr(JsonLinesProcess, "start",
+                        lambda self: calls.append("start") or start(self))
+    monkeypatch.setattr(JsonLinesProcess, "_spawned",
+                        lambda self: calls.append("spawn") or spawned(self))
+    worker = "cmd:" + shlex.join([sys.executable, "-c", "import sys; sys.stdin.read()"])
+    capsys.readouterr()
+    rc = run_cli(*args, "--iterations", "2", "--proj-seed", "8",
+                 "--generator", worker, "--solver", worker)
+    assert rc == 1
+    assert "rows written with" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_synthesize_starts_its_worker_before_any_featurize(toy, capsys):

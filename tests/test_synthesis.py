@@ -910,6 +910,92 @@ def test_slow_starting_worker_is_not_killed_by_the_deadline(tmp_path):
     assert (threading.active_count(), _children()) == (threads, children)
 
 
+def test_silent_first_worker_is_killed_within_its_start_bound(tmp_path):
+    """A first worker that never writes fails its request after
+    _START_TIMEOUTS × timeout; a watchdog turns a wait without bound into a
+    failure instead of a hang."""
+    path = tmp_path / "silent_worker.py"
+    path.write_text("import time\ntime.sleep(60)\n", encoding="utf-8")
+    timeout = 0.2
+    bound = synthesis._START_TIMEOUTS * timeout
+    transport = JsonLinesProcess([sys.executable, "-S", str(path)], timeout=timeout)
+    outcome = []
+
+    def ask():
+        try:
+            outcome.append(transport.request({"type": "solve", "problem": "q", "n": 1, "seed": 1}))
+        except Exception as e:  # handed to the test's thread
+            outcome.append(e)
+
+    waiter = threading.Thread(target=ask)
+    start = time.monotonic()
+    waiter.start()
+    waiter.join(timeout=bound + 10)
+    elapsed, waiting = time.monotonic() - start, waiter.is_alive()
+    transport.close()
+    waiter.join(timeout=10)
+    assert not waiting, "the request still waited on a silent worker"
+    assert [type(o) for o in outcome] == [EndpointError], outcome
+    assert str(outcome[0]) == f"worker gave no reply within {bound:.3g} s of its start; killed"
+    assert bound <= elapsed < bound + 10
+
+
+def test_worker_writing_spaces_through_a_long_start_gets_every_reply(tmp_path):
+    """The worker writes a space every 0.05 s through 3.5 s of start-up,
+    longer than the bound on a silent start, then answers."""
+    path = tmp_path / "loading_worker.py"
+    path.write_text("import sys, time\n"
+                    "for _ in range(70):\n"
+                    "    sys.stdout.write(' ')\n"
+                    "    sys.stdout.flush()\n"
+                    "    time.sleep(0.05)\n" + SEED_WORKER, encoding="utf-8")
+    timeout = 0.3
+    assert synthesis._START_TIMEOUTS * timeout < 3.5
+    solver = RemoteEndpoint(JsonLinesProcess([sys.executable, "-S", str(path)], timeout=timeout))
+    try:
+        verified, failed = majority_vote_filter(solver, _candidates(6, poison=-1), 1, 1,
+                                                rng_seed=4)
+    finally:
+        solver.close()
+    assert failed == 0
+    seeds = [mix64(4, 0x50F, i) for i in range(6)]
+    assert [v.sample.output for v in verified] == [f"seed {s} vote 0" for s in seeds]
+
+
+def test_run_synthesis_starts_its_workers_before_the_seed_featurize(worker_script,
+                                                                     monkeypatch):
+    pool, model, proj, config = loop_fixture()
+    events = []
+    start, spawned, featurize_ = JsonLinesProcess.start, JsonLinesProcess._spawned, featurize
+
+    def recording_start(self):
+        events.append("start")
+        start(self)
+
+    def recording_spawned(self):
+        if self._proc is None:
+            events.append("spawn")
+        return spawned(self)
+
+    def recording_featurize(*args):
+        events.append("featurize")
+        return featurize_(*args)
+
+    monkeypatch.setattr(JsonLinesProcess, "start", recording_start)
+    monkeypatch.setattr(JsonLinesProcess, "_spawned", recording_spawned)
+    monkeypatch.setattr(synthesis, "featurize", recording_featurize)
+    generator = RemoteEndpoint(JsonLinesProcess([sys.executable, worker_script]))
+    solver = RemoteEndpoint(JsonLinesProcess([sys.executable, worker_script]))
+    try:
+        state = run_synthesis(pool, replace(config, iterations=1), generator, solver, model,
+                              proj)
+    finally:
+        generator.close()
+        solver.close()
+    assert state.iteration == 1
+    assert events[:5] == ["start", "spawn", "start", "spawn", "featurize"]
+
+
 # A worker that logs each request's seed to the file named by its argument. It
 # answers a "flaky" problem with a JSON array the first time it sees it, and
 # takes 0.9 s over a "slow" problem, writing a space every 0.3 s before the reply.
