@@ -18,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 
-from .blas import one_thread
+from .blas import eigvalsh_in_place, one_thread
 from .corpus import Corpus
 from .featmat import FeatureMatrix
 from .proxy import (
@@ -94,7 +94,11 @@ def effective_rank_entropy(eigenvalues: np.ndarray) -> float:
 
 
 def _eigvalsh(gram: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, computed on one BLAS thread.
+    """Eigenvalues of a symmetric matrix, read from its lower triangle and
+    computed on one BLAS thread. It consumes the matrix: with numpy's bundled
+    OpenBLAS, LAPACK computes them in the matrix's own buffer
+    (`eigvalsh_in_place`), so a spectrum holds one Gram, not two. Other BLAS
+    builds keep `np.linalg.eigvalsh` and its copy.
 
     LAPACK's tridiagonal reduction makes one small threaded BLAS call per
     column; on a loaded host each call waits for a descheduled worker (a
@@ -103,7 +107,8 @@ def _eigvalsh(gram: np.ndarray) -> np.ndarray:
     thread count, which `one_thread` restores afterwards.
     """
     with one_thread():
-        return np.linalg.eigvalsh(gram)
+        lam = eigvalsh_in_place(gram)
+        return np.linalg.eigvalsh(gram) if lam is None else lam
 
 
 def _gram(mat: np.ndarray) -> np.ndarray:
@@ -122,7 +127,8 @@ def _gram(mat: np.ndarray) -> np.ndarray:
 
 
 def _gram_vendi(gram: np.ndarray) -> float:
-    """Vendi score from a `_gram`: exp of its eigenvalue entropy."""
+    """Vendi score from a `_gram`: exp of its eigenvalue entropy. It consumes
+    the Gram, whose buffer the spectrum overwrites (`_eigvalsh`)."""
     return float(np.exp(effective_rank_entropy(_eigvalsh(gram))))
 
 

@@ -28,6 +28,7 @@ from gvendi import (
     template_corpus,
     write_jsonl,
 )
+from gvendi import blas
 from gvendi.cli import _write_text, main, parse_config
 from gvendi.metrics import report_from_tfidf
 from gvendi.proxy import TFIDF_DIM, TFIDF_SEED
@@ -1034,3 +1035,41 @@ def test_embedding_gram_that_cannot_fit_is_one_error_line(tmp_path):
     )
     assert lines[0].endswith("; a smaller --embed-dim bounds u")
     assert not out.exists()
+
+
+def _distinct_bigram_pool(path, n):
+    """n rows of two bigrams each, all distinct: an n x n embedding Gram."""
+    samples = tuple(Sample(id=f"s{i}", input=f"a{i} b{i} c{i}", output="") for i in range(n))
+    write_jsonl(Corpus(samples, name="wide"), path)
+    return str(path)
+
+
+def _least_address_space(*argv, step=4 << 20):
+    """The least address space, to `step` bytes, in which gvendi argv exits 0."""
+    low, high = 0, 1 << 30
+    assert _child(*argv, address_space=high).returncode == 0
+    while high - low > step:
+        mid = (low + high) // 2
+        low, high = (low, mid) if _child(*argv, address_space=mid).returncode == 0 else (mid, high)
+    return high
+
+
+def test_embedding_vendi_scores_a_gram_that_fits_once_but_not_twice(tmp_path):
+    """A 3000 x 3000 embedding Gram (72 MB) under an address space of the
+    child's own baseline plus 1.25 Grams: the spectrum runs in the Gram's
+    buffer, so the capped run prints what the uncapped one does. The
+    baseline scores 300 such rows, which loads every library and the BLAS
+    buffers a spectrum of that size uses, and holds a 0.7 MB Gram."""
+    if blas._dsyevd() is None:
+        pytest.skip("this numpy's BLAS has no LAPACKE_dsyevd binding")
+    n = 3000
+    small = _distinct_bigram_pool(tmp_path / "small.jsonl", 300)
+    pool = _distinct_bigram_pool(tmp_path / "pool.jsonl", n)
+    argv = ("diversity", "--metric", "embedding-vendi", "--corpus")
+    baseline = _least_address_space(*argv, small)
+    uncapped = _child(*argv, pool)
+    capped = _child(*argv, pool, address_space=baseline + n * n * 8 * 5 // 4)
+    assert uncapped.returncode == 0, uncapped.stderr
+    assert capped.returncode == 0, capped.stderr
+    assert capped.stdout == uncapped.stdout
+    assert json.loads(capped.stdout)["n"] == n

@@ -4,7 +4,8 @@ The demos run in `test_demos.py`, but the README's snippets run nowhere, so a
 removed public name or a renamed flag could leave them stale. Every
 `gv.<name>` in README.md and demos/*.py must be in `gvendi.__all__`, every
 entry of `__all__` must resolve, and every `gvendi ...` line of the README's
-bash blocks must parse with the CLI's own parser.
+bash blocks must parse with the CLI's own parser. The README's module map
+must name every module of the package.
 """
 
 import re
@@ -52,3 +53,11 @@ def test_readme_cli_lines_parse(line):
         cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
     except SystemExit as e:
         pytest.fail(f"README line does not parse (exit {e.code}): {line}")
+
+
+def test_readme_module_map_names_every_module():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Module map\n", 1)[1].split("\n## ", 1)[0]
+    mapped = set(re.findall(r"^\| `gvendi\.(\w+)`", section, flags=re.M))
+    modules = {p.stem for p in Path(gvendi.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(modules - mapped) == [] and sorted(mapped - modules) == []

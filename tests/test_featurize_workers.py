@@ -15,6 +15,9 @@ from test_proxy import test_featurize_peak_is_flat_in_n as _peak_is_flat_in_n
 needs_blas_count = pytest.mark.skipif(
     not blas.can_set_threads(), reason="this numpy's BLAS thread count cannot be set"
 )
+needs_dsyevd = pytest.mark.skipif(
+    blas._dsyevd() is None, reason="this numpy's BLAS has no LAPACKE_dsyevd binding"
+)
 
 
 def _count():
@@ -151,7 +154,7 @@ def test_failing_worker_restores_blas_threads(monkeypatch):
     assert _count() == before
 
 
-@needs_blas_count
+@needs_dsyevd
 @pytest.mark.parametrize("spectrum_ends", ["during", "after"])
 def test_spectrum_overlapping_featurize_restores_blas_threads(monkeypatch, spectrum_ends):
     """A spectrum on another thread enters while featurize holds one BLAS
@@ -159,14 +162,14 @@ def test_spectrum_overlapping_featurize_restores_blas_threads(monkeypatch, spect
     _workers(monkeypatch, 2)
     featurizing, spectrum_in, spectrum_out, featurized = (threading.Event() for _ in range(4))
     seen = []
-    eigvalsh = np.linalg.eigvalsh
+    dsyevd = blas._dsyevd()
 
-    def spectrum(gram):
+    def spectrum(*args):
         spectrum_in.set()
         if spectrum_ends == "after":
             featurized.wait(10)
         seen.append(("spectrum", featurized.is_set(), _count()))
-        return eigvalsh(gram)
+        return dsyevd(*args)
 
     run_chunk = proxy._featurize_chunk
 
@@ -181,7 +184,7 @@ def test_spectrum_overlapping_featurize_restores_blas_threads(monkeypatch, spect
         metrics._eigvalsh(np.eye(3))
         spectrum_out.set()
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spectrum)
+    monkeypatch.setattr(blas, "_dsyevd", lambda: spectrum)
     monkeypatch.setattr(proxy, "_featurize_chunk", chunk)
     model = ProxyModel.create()
     before = _count()

@@ -282,12 +282,20 @@ def test_vendi_score_drops_unused_dense_columns():
     assert vendi_score(feats) == pytest.approx(_full_width_vendi(feats.data), rel=1e-12)
 
 
+needs_dsyevd = pytest.mark.skipif(
+    blas._dsyevd() is None, reason="this numpy's BLAS has no LAPACKE_dsyevd binding"
+)
+
+
+@needs_dsyevd
 def test_spectrum_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
     threads = blas._openblas_threads()
     count = threads[0] if threads else (lambda: None)
     seen = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda gram: seen.append(count()) or eigvalsh(gram))
+    dsyevd = blas._dsyevd()
+    monkeypatch.setattr(
+        blas, "_dsyevd", lambda: lambda *args: seen.append(count()) or dsyevd(*args)
+    )
     before = count()
     _eigvalsh(np.eye(3))
     assert seen == [1 if threads else None]
@@ -296,15 +304,20 @@ def test_spectrum_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
 
 def test_spectrum_bits_do_not_depend_on_blas_threads():
     """A 1024 x 1024 spectrum in child processes at the default, 1 and 3
-    OpenBLAS threads. The Gram's entries are sums of small integers, exact in
-    any order, so only the spectrum could move."""
+    OpenBLAS threads, in place and, with the binding made absent, through
+    `np.linalg.eigvalsh`. The Gram's entries are sums of small integers,
+    exact in any order, so only the spectrum could move."""
     script = (
         "import hashlib\n"
         "import numpy as np\n"
+        "from gvendi import blas\n"
         "from gvendi.metrics import _eigvalsh\n"
         "from gvendi.rng import rng_from\n"
         "m = rng_from(43).integers(-3, 4, size=(1024, 1500)).astype(np.float64)\n"
-        "print(hashlib.sha256(_eigvalsh(m @ m.T / 1500).tobytes()).hexdigest())\n"
+        "gram = m @ m.T / 1500\n"
+        "print(hashlib.sha256(_eigvalsh(gram.copy())).hexdigest())\n"
+        "blas._dsyevd = lambda: None\n"
+        "print(hashlib.sha256(_eigvalsh(gram)).hexdigest())\n"
     )
     src = str(Path(gvendi.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -319,8 +332,94 @@ def test_spectrum_bits_do_not_depend_on_blas_threads():
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        digests[threads] = proc.stdout.strip()
+        digests[threads] = proc.stdout.split()
+    assert len(digests["1"]) == 2
     assert digests["1"] == digests["3"] == digests[None]
+    assert digests["1"][0] == digests["1"][1]  # in place == through eigvalsh
+
+
+def _reference_spectrum(gram):
+    """`np.linalg.eigvalsh` of a copy on one BLAS thread, as it was computed
+    before the spectrum ran in place."""
+    with blas.one_thread():
+        return np.linalg.eigvalsh(gram.copy())
+
+
+def _assert_spectrum_bits(monkeypatch, gram, in_place):
+    """`_eigvalsh(gram)` has the reference's bits, and it called the binding
+    once if `in_place`, else not at all."""
+    expected = _reference_spectrum(gram)
+    calls, dsyevd = [], blas._dsyevd()
+    if dsyevd is not None:
+        monkeypatch.setattr(blas, "_dsyevd", lambda: lambda *a: calls.append(a[3]) or dsyevd(*a))
+    got = _eigvalsh(gram)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert calls == ([len(expected)] if in_place else [])
+
+
+@pytest.fixture(scope="module")
+def gradient_rows():
+    model = ProxyModel.create()
+    proj = ProjectionSpec(model.n_params, 1024, seed=7)
+    feats = featurize(model, proj, template_corpus(8, 130, 5))  # 1040 rows
+    return feats.data.astype(np.float64)
+
+
+@needs_dsyevd
+@pytest.mark.parametrize("n", [1, 2, 3, 600, 1031])
+@pytest.mark.parametrize("side", ["n x n", "d x d"])
+def test_spectrum_in_place_keeps_eigvalsh_bits_on_gradient_grams(
+    monkeypatch, gradient_rows, n, side
+):
+    mat = gradient_rows[:n]
+    gram = (mat @ mat.T if side == "n x n" else mat.T @ mat) / n
+    _assert_spectrum_bits(monkeypatch, gram, in_place=True)
+
+
+@needs_dsyevd
+def test_spectrum_in_place_keeps_eigvalsh_bits_on_a_sparse_gram(monkeypatch):
+    rows = _tfidf_rows(template_corpus(6, 50, 2), 4096, 11)
+    gram = _sparse_gram(rows)
+    assert 1 < gram.shape[0] == len(rows.indptr) - 1
+    _assert_spectrum_bits(monkeypatch, gram, in_place=True)
+
+
+@needs_dsyevd
+@pytest.mark.parametrize("m", [2, 17, 600])
+def test_spectrum_in_place_reads_the_lower_triangle(monkeypatch, m):
+    gram = rng_from(53, m).normal(size=(m, m))
+    assert not np.array_equal(gram, gram.T)
+    _assert_spectrum_bits(monkeypatch, gram, in_place=True)
+
+
+@pytest.mark.parametrize("m", [1, 3, 600])
+def test_spectrum_without_the_binding_takes_eigvalsh_with_the_same_bits(monkeypatch, m):
+    mat = rng_from(59, m).normal(size=(m, 700))
+    gram = mat @ mat.T / m
+    gram[np.triu_indices(m, 1)] += 1.0  # an upper triangle that must not be read
+    monkeypatch.setattr(blas, "_dsyevd", lambda: None)
+    _assert_spectrum_bits(monkeypatch, gram, in_place=False)
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        np.asfortranarray(np.diag([3.0, 1.0, 2.0]) + 0.5),
+        np.diag([3.0, 1.0, 2.0]).astype(np.float32),
+        np.arange(16.0).reshape(4, 4)[::2, ::2],
+    ],
+    ids=["fortran-order", "float32", "strided"],
+)
+def test_spectrum_of_other_arrays_takes_eigvalsh(monkeypatch, gram):
+    _assert_spectrum_bits(monkeypatch, gram, in_place=False)
+
+
+@pytest.mark.parametrize("info, error", [(1, np.linalg.LinAlgError), (-5, ValueError)])
+def test_spectrum_in_place_raises_when_lapack_fails(monkeypatch, info, error):
+    # info > 0: no convergence, as numpy raises it; info < 0: a bad argument
+    monkeypatch.setattr(blas, "_dsyevd", lambda: lambda *args: info)
+    with pytest.raises(error):
+        _eigvalsh(np.eye(3))
 
 
 def test_vendi_score_gathers_no_column_of_gradient_features():
