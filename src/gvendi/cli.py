@@ -369,17 +369,11 @@ def cmd_synthesize(args: argparse.Namespace) -> None:
     generator = _make_generator(args.generator)
     solver = _make_solver(args.solver)
     model, proj = _gradient_from(args)
-    try:
-        with _DirLock(outdir):
-            state = run_synthesis(
-                seed_corpus, config, generator, solver, model, proj,
-                protected=protected, checkpoint_dir=outdir,
-            )
-    finally:
-        for endpoint in (generator, solver):
-            close = getattr(endpoint, "close", None)
-            if close:
-                close()
+    with _DirLock(outdir):
+        state = run_synthesis(
+            seed_corpus, config, generator, solver, model, proj,
+            protected=protected, checkpoint_dir=outdir,
+        )
     _summarize({
         "iterations": state.iteration,
         "pool_size": len(state.pool),

@@ -80,16 +80,10 @@ def relative_perf(table: AccuracyTable, model: str) -> float:
 
 def _ranks(values: np.ndarray) -> np.ndarray:
     """Fractional ranks with average-rank tie handling, 1-based."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a group of equal values fills sorted positions i..j: each gets (i + j) / 2 + 1
+    stop = np.cumsum(counts)
+    return ((2 * stop - counts - 1) / 2.0 + 1.0)[group]
 
 
 def _paired(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -110,8 +104,9 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     xa, ya = _paired(x, y)
     if np.all(xa == xa[0]) or np.all(ya == ya[0]):
         raise ValueError("rank correlation undefined for constant input")
-    rx = _ranks(xa) - _ranks(xa).mean()
-    ry = _ranks(ya) - _ranks(ya).mean()
+    rx, ry = _ranks(xa), _ranks(ya)
+    rx -= rx.mean()
+    ry -= ry.mean()
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
 
 

@@ -16,6 +16,7 @@ entirely by writing the binary FeatureMatrix format.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import hashlib
 import os
@@ -178,12 +179,12 @@ def _context_features(model: ProxyModel, sample: Sample) -> tuple[np.ndarray, np
     base = len(x) + 2  # context length at step 0: start byte + input + separator
     counts = np.zeros((t_steps, model.feature_dim), dtype=np.float64)
     counts[0] = np.bincount(buckets[: base - 1], minlength=model.feature_dim)
-    if t_steps > 1:
-        grow = np.zeros((t_steps - 1, model.feature_dim), dtype=np.float64)
-        grow[np.arange(t_steps - 1), buckets[base - 1 : base - 2 + t_steps]] = 1.0
-        counts[1:] = counts[0] + np.cumsum(grow, axis=0)
-    norms = np.linalg.norm(counts, axis=1)
-    return counts / norms[:, None], targets
+    # row t >= 1 first holds the one bigram its context adds to row t-1's; the
+    # cumsum then makes every row its own context's counts
+    counts[np.arange(1, t_steps), buckets[base - 1 : base - 2 + t_steps]] = 1.0
+    np.cumsum(counts, axis=0, out=counts)
+    counts /= np.linalg.norm(counts, axis=1)[:, None]
+    return counts, targets
 
 
 def _token_pass(model: ProxyModel, samples: Sequence[Sample],
@@ -316,8 +317,8 @@ def gradient_provenance(model: ProxyModel, proj: ProjectionSpec) -> Provenance:
 
 def _featurize_workers(chunks: int) -> int:
     """How many threads `featurize` runs `chunks` chunks on: one per usable
-    CPU, at most _MAX_WORKERS and at most one per chunk, or only the
-    caller's where the BLAS thread count cannot be held at one."""
+    CPU, at most _MAX_WORKERS and at most one per chunk, or one where the
+    BLAS thread count cannot be held at one."""
     if not can_set_threads():
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -360,11 +361,11 @@ def featurize_stream(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) ->
     matrix-vector path.
 
     The chunks run on a pool of `_featurize_workers` threads, each running
-    chunk in one of as many float32 gradient buffers, while OpenBLAS is held
-    at one thread; with one worker the caller runs every chunk and the BLAS
-    thread count is left alone. The calling thread keeps a window of at most
-    two chunks per worker submitted and hands their blocks on in corpus
-    order. Each chunk runs in a copy of the caller's context (numpy's
+    chunk in one of as many float32 gradient buffers. With two or more
+    workers OpenBLAS is held at one thread; a single worker leaves the BLAS
+    thread count as it finds it. The calling thread runs no chunk: it keeps
+    a window of at most two chunks per worker submitted and hands their
+    blocks on in corpus order. Each chunk runs in a copy of the caller's context (numpy's
     errstate lives there). A failure raises the error of the first failing
     chunk in corpus order, once every block before it has been handed on;
     once a chunk has failed no later chunk starts, and those still queued
@@ -419,24 +420,19 @@ def _featurize_blocks(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus,
             grads.put(g)
         return result
 
-    def hand_on(i: int, result: np.ndarray) -> None:
-        emit(result[: bounds[i + 1] - bounds[i]])
-        results.put(result)
-
-    if workers == 1:
-        for i in range(chunks):
-            hand_on(i, run(i))
-        return
     # the caller only waits and emits, so no chunk runs beside another on its
-    # stack (bench/tracer.py parents each thread's spans to the caller's)
-    with one_thread():
+    # stack (bench/tracer.py parents each thread's spans to the caller's); one
+    # worker runs alone, so its chunks keep every BLAS thread
+    with one_thread() if workers > 1 else contextlib.nullcontext():
         pool = ThreadPoolExecutor(workers)
         try:
             submit = (pool.submit(contextvars.copy_context().run, run, i) for i in range(chunks))
             window = deque(islice(submit, 2 * workers))
             for i in range(chunks):
                 # raises the first failure in corpus order, every block before it emitted
-                hand_on(i, window.popleft().result())
+                result = window.popleft().result()
+                emit(result[: bounds[i + 1] - bounds[i]])
+                results.put(result)
                 window.extend(islice(submit, 1))
         finally:
             pool.shutdown(cancel_futures=True)

@@ -20,6 +20,7 @@ receiving the same objects via POST. Wire protocol:
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import math
@@ -32,7 +33,7 @@ import time
 import urllib.request
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -600,22 +601,9 @@ def majority_vote_filter(
         if count < vote_tau:
             continue
         trace = next(t for a, t in zip(answers, traces) if a == majority)
-        sample = Sample(
-            id=content_id(cand.input, trace, cand.label),
-            input=cand.input,
-            output=trace,
-            label=cand.label,
-            tags=cand.tags,
-            split=cand.split,
-            extra=cand.extra,
-        )
-        verified.append(
-            VerifiedCandidate(
-                sample=sample,
-                votes=tuple(answers),
-                majority_answer=majority,
-            )
-        )
+        # replace builds a new Sample from the fields, so no cached content id carries over
+        sample = replace(cand, id=content_id(cand.input, trace, cand.label), output=trace)
+        verified.append(VerifiedCandidate(sample, tuple(answers), majority))
     return verified, failures
 
 
@@ -870,9 +858,11 @@ def run_synthesis(
     iteration), so a resumed run reproduces an uninterrupted one exactly.
     A checkpoint whose features carry another provenance than
     `gradient_provenance(model, proj)` fails before any step, and before
-    any endpoint is started. After that check, each endpoint with a
-    `start` method is started, so a worker's start-up overlaps the seed
-    featurize; closing the endpoints is left to the caller.
+    any endpoint is started, and so does a `fewshot_count` larger than the
+    pool, whenever a step remains to run. After those checks, each endpoint
+    with a `start` method is started, so a worker's start-up overlaps the
+    seed featurize. Once the run returns or raises, each endpoint with a
+    `close` method is closed, after the score in flight is settled.
 
     A step's pool score is computed on a background thread while the next
     step grows the pool; the step is checkpointed once its score is in, so
@@ -894,43 +884,51 @@ def run_synthesis(
                 f"but this run featurizes with {made}; resume with the settings that "
                 "wrote it, or delete and rerun"
             )
-    for endpoint in (generator, solver):
-        start = getattr(endpoint, "start", None)
-        if start:
-            start()
-    if state is None:
-        state = SynthesisState(
-            pool=seed_corpus,
-            pool_features=featurize(model, proj, seed_corpus),
-            history=(),
-        )
-        if checkpoint_dir is not None:
-            save_checkpoint(state, checkpoint_dir)
-    pending = None  # (state whose last record awaits its score, the score's future)
+    pool, done = (seed_corpus, 0) if state is None else (state.pool, state.iteration)
+    if done < config.iterations and config.fewshot_count > len(pool):
+        # the pool only grows, so no later step can fail this check
+        raise ValueError(f"fewshot_count must be in [1, {len(pool)}]")
+    with contextlib.ExitStack() as endpoints:
+        for endpoint in (generator, solver):
+            close = getattr(endpoint, "close", None)
+            if close:
+                endpoints.callback(close)
+            start = getattr(endpoint, "start", None)
+            if start:
+                start()
+        if state is None:
+            state = SynthesisState(
+                pool=seed_corpus,
+                pool_features=featurize(model, proj, seed_corpus),
+                history=(),
+            )
+            if checkpoint_dir is not None:
+                save_checkpoint(state, checkpoint_dir)
+        pending = None  # (state whose last record awaits its score, the score's future)
 
-    def settle():
-        # pending is cleared before the save, so a failed save is not retried
-        # on the way out, and no name keeps the previous pool's features alive
-        nonlocal state, pending
-        state, pending = _scored(*pending), None
-        if checkpoint_dir is not None:
-            save_checkpoint(state, checkpoint_dir)
+        def settle():
+            # pending is cleared before the save, so a failed save is not retried
+            # on the way out, and no name keeps the previous pool's features alive
+            nonlocal state, pending
+            state, pending = _scored(*pending), None
+            if checkpoint_dir is not None:
+                save_checkpoint(state, checkpoint_dir)
 
-    with ThreadPoolExecutor(max_workers=1) as spectra:
-        try:
-            while state.iteration < config.iterations:
-                pool, features, record = _grow(state, config, generator, solver, model, proj,
-                                               protected)
+        with ThreadPoolExecutor(max_workers=1) as spectra:
+            try:
+                while state.iteration < config.iterations:
+                    pool, features, record = _grow(state, config, generator, solver, model,
+                                                   proj, protected)
+                    if pending is not None:
+                        settle()
+                    state = SynthesisState(pool, features, state.history + (record,))
+                    pending = state, spectra.submit(_gram_vendi, _features_gram(features))
                 if pending is not None:
                     settle()
-                state = SynthesisState(pool, features, state.history + (record,))
-                pending = state, spectra.submit(_gram_vendi, _features_gram(features))
-            if pending is not None:
-                settle()
-        except BaseException:
-            if pending is not None and pending[1].exception() is None:
-                settle()
-            raise
+            except BaseException:
+                if pending is not None and pending[1].exception() is None:
+                    settle()
+                raise
     return state
 
 

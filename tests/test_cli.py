@@ -469,6 +469,27 @@ def test_synthesize_resume_refused_for_provenance_spawns_no_worker(toy, capsys, 
     assert calls == []
 
 
+def test_synthesize_fewshot_larger_than_the_pool_fails_first(tmp_path, capsys, monkeypatch):
+    pool = tmp_path / "pool.jsonl"
+    write_jsonl(template_corpus(2, 2, seed=17, name="tiny"), pool)
+    outdir = tmp_path / "run"
+    calls = []
+    start, spawned = JsonLinesProcess.start, JsonLinesProcess._spawned
+    monkeypatch.setattr(JsonLinesProcess, "start",
+                        lambda self: calls.append("start") or start(self))
+    monkeypatch.setattr(JsonLinesProcess, "_spawned",
+                        lambda self: calls.append("spawn") or spawned(self))
+    worker = "cmd:" + shlex.join([sys.executable, "-c", "import sys; sys.stdin.read()"])
+    rc = run_cli("synthesize", "--corpus", str(pool), "--outdir", str(outdir),
+                 "--iterations", "1", "--gen-batch", "4", "--fewshot", "10",
+                 "--feature-dim", "32", "--proj-dim", "32",
+                 "--generator", worker, "--solver", worker)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: ValueError: fewshot_count must be in [1, 4]\n"
+    assert calls == []
+    assert not (outdir / "state.json").exists()
+
+
 def test_synthesize_starts_its_worker_before_any_featurize(toy, capsys):
     tmp_path, pool = toy
     outdir = tmp_path / "run"

@@ -11,6 +11,7 @@ from gvendi import (
     relative_perf,
     spearman,
 )
+from gvendi import evalstats
 from gvendi.rng import rng_from
 
 
@@ -101,6 +102,35 @@ def test_spearman_matches_oracle_with_ties():
         if np.all(x == x[0]) or np.all(y == y[0]):
             continue
         assert spearman(x, y) == pytest.approx(brute_force_spearman(x, y), abs=1e-9)
+
+
+def _loop_ranks(values: np.ndarray) -> np.ndarray:
+    """Reference average ranks: walk each run of equal values in stable sort order."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@pytest.mark.parametrize("kind", ["untied", "tied", "all-equal"])
+def test_ranks_equal_the_loop_bit_for_bit(kind):
+    for trial in range(50):
+        rng = rng_from(760 + trial)
+        n = int(rng.integers(1, 40))
+        if kind == "untied":
+            values = rng.permutation(n) * 0.5 - 3.0
+        elif kind == "tied":
+            values = rng.integers(-2, 3, size=n).astype(float)
+            values[values == 0] = -0.0 if trial % 2 else 0.0
+        else:
+            values = np.full(n, 1.5)
+        assert evalstats._ranks(values).tobytes() == _loop_ranks(values).tobytes()
 
 
 def test_spearman_errors():

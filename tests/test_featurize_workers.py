@@ -108,7 +108,7 @@ def test_error_names_the_first_failing_chunk_in_corpus_order(monkeypatch):
     assert third_failed.is_set()
 
 
-def test_one_cpu_runs_on_the_caller_and_leaves_blas_alone(monkeypatch):
+def test_one_cpu_runs_every_chunk_on_one_worker_and_leaves_blas_alone(monkeypatch):
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no sched_setaffinity on this platform")
     monkeypatch.setattr(proxy, "_CHUNK_ROWS", 4)
@@ -125,7 +125,10 @@ def test_one_cpu_runs_on_the_caller_and_leaves_blas_alone(monkeypatch):
         featurize(model, proj, _short_and_long_outputs(12))
     finally:
         os.sched_setaffinity(0, cpus)
-    assert seen == [(threading.current_thread(), before)] * 3
+    # one worker thread, not the caller, runs all three chunks on the BLAS
+    # threads it found
+    assert len(seen) == 3 and seen[0][0] is not threading.current_thread()
+    assert seen == [(seen[0][0], before)] * 3
     assert _count() == before
 
 

@@ -435,6 +435,33 @@ def test_run_synthesis_resume_matches_uninterrupted(tmp_path):
     assert list(resumed.history) == list(full.history)
 
 
+def test_run_synthesis_checks_fewshot_against_the_resumed_pool_first(tmp_path):
+    pool, model, proj, config = loop_fixture()
+    ckpt = str(tmp_path / "run")
+    grown = run_synthesis(pool, replace(config, iterations=1), RecombinationGenerator(),
+                          EchoSolver(), model, proj, checkpoint_dir=ckpt).pool
+    started = []
+
+    class Recording(RecombinationGenerator):
+        def start(self):
+            started.append(self)
+
+    tiny = Corpus(tuple(pool)[:2])
+    too_many = replace(config, fewshot_count=len(grown) + 1)
+    with pytest.raises(ValueError, match=rf"^fewshot_count must be in \[1, {len(grown)}\]$"):
+        run_synthesis(tiny, too_many, Recording(), EchoSolver(), model, proj,
+                      checkpoint_dir=ckpt)
+    assert started == [] and load_checkpoint(ckpt).iteration == 1
+    # with no step left to run there is nothing to check
+    done = run_synthesis(tiny, replace(too_many, iterations=1), Recording(), EchoSolver(),
+                         model, proj, checkpoint_dir=ckpt)
+    assert done.pool.ids() == grown.ids()
+    # the resumed pool, not the seed corpus, bounds the exemplars
+    resumed = run_synthesis(tiny, replace(config, fewshot_count=len(grown)), Recording(),
+                            EchoSolver(), model, proj, checkpoint_dir=ckpt)
+    assert resumed.iteration == config.iterations and len(started) == 2
+
+
 def test_run_synthesis_builds_one_sign_matrix_per_run(tmp_path, monkeypatch):
     pool, model, _, _ = loop_fixture()
     calls = []
@@ -994,6 +1021,30 @@ def test_run_synthesis_starts_its_workers_before_the_seed_featurize(worker_scrip
         solver.close()
     assert state.iteration == 1
     assert events[:5] == ["start", "spawn", "start", "spawn", "featurize"]
+
+
+@pytest.mark.parametrize("ends", ["returns", "raises"])
+def test_run_synthesis_closes_the_workers_it_starts(worker_script, monkeypatch, ends):
+    pool, model, proj, config = loop_fixture()
+    children = _children()
+    if ends == "raises":
+        def failing(g):
+            raise FloatingPointError("spectrum failed")
+
+        monkeypatch.setattr(synthesis, "_gram_vendi", failing)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # the caller never closes these endpoints
+        endpoints = [RemoteEndpoint(JsonLinesProcess([sys.executable, worker_script]))
+                     for _ in range(2)]
+        with pytest.raises(FloatingPointError) if ends == "raises" else contextlib.nullcontext():
+            run_synthesis(pool, config, *endpoints, model, proj)
+        assert _children() == children
+        assert [e.transport._proc for e in endpoints] == [None, None]
+        del endpoints
+        gc.collect()
+    assert _children() == children
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 # A worker that logs each request's seed to the file named by its argument. It
