@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_thread
 from .featmat import FeatureMatrix
 from .rng import mix64, rng_from
 
@@ -105,24 +106,41 @@ def _sqdist(rows: np.ndarray, sq: np.ndarray, centers: np.ndarray, csq=None) -> 
     """(n, m) squared distances ||x||^2 - 2 x.c + ||c||^2; sq holds ||x||^2
     and csq, if given, ||c||^2.
 
-    Doubles the product rather than the rows: doubling is exact, so this is
-    bit-equal to (2 * rows) @ centers.T and allocates only n x m.
+    Takes the product as centers @ rows.T and returns the transposed view of
+    that (m, n) array: at 2 OpenBLAS threads, five 3000 x 1024 by 20 products
+    grew process RSS by 2.2 MB this way and by 10.0 MB as rows @ centers.T,
+    and ran faster. Doubling the product rather than the rows is exact, so at
+    one thread count this is bit-equal to (2 * rows) @ centers.T on OpenBLAS's
+    SkylakeX kernels whenever n is a multiple of 8 or m < 12. Otherwise the
+    last n mod 8 rows may differ in the last bit, and with the thread count.
     """
-    d2 = rows @ centers.T
+    d2 = centers @ rows.T
     d2 *= -2.0
-    d2 += sq[:, None]
-    d2 += (_sq_norms(centers) if csq is None else csq)[None, :]
-    return d2
+    d2 += sq[None, :]
+    d2 += (_sq_norms(centers) if csq is None else csq)[:, None]
+    return d2.T
 
 
 def _assign(
     rows: np.ndarray, sq: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per row and the squared distance to it."""
-    d2 = _sqdist(rows, sq, centroids)
-    labels = np.argmin(d2, axis=1)  # on the unclamped distances, so ties at 0 keep their order
-    best = np.maximum(d2[np.arange(rows.shape[0]), labels], 0.0)
-    return labels.astype(np.int64), best
+    """Nearest centroid per row and the squared distance to it.
+
+    The distances become labels and inertia, so their product runs on one
+    BLAS thread: its bits then do not depend on the thread count. argmin
+    copies an input that is not C-contiguous, as the (n, k) view of the
+    k x n product is not, so the labels are taken a block of rows at a time.
+    """
+    with one_thread():
+        d2 = _sqdist(rows, sq, centroids)
+    n = rows.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (8 * d2.shape[1]))
+    for start in range(0, n, step):
+        # on the unclamped distances, so ties at 0 keep their order
+        np.argmin(d2[start : start + step], axis=1, out=labels[start : start + step])
+    best = np.maximum(d2[np.arange(n), labels], 0.0)
+    return labels, best
 
 
 def _repair_empty(rows, centroids, labels, d2, counts) -> None:
@@ -225,17 +243,22 @@ def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> C
     """Lloyd's algorithm with k-means++ seeding; deterministic per seed.
 
     Stops when an assignment improves inertia by at most a relative 1e-6, or
-    assigns one last time after 100 centroid updates. Clusters emptied by an
-    assignment step are refilled with the point farthest from its own
+    assigns one last time after 100 centroid updates, or else when an
+    assignment repeats the labels the centroids were built from and empties
+    no cluster: an update would rebuild the same centroids bit for bit and
+    one more pass would return the same labels and inertia, so the model is
+    the one the inertia test would stop at a step later. Clusters emptied by
+    an assignment step are refilled with the point farthest from its own
     centroid, so exactly k clusters survive. With n_init > 1, the best of
     n_init seeded runs (lowest inertia, ties to the earliest run) is returned.
     Row norms are computed once per fit. The n_init seedings run in
-    lockstep: each k-means++ step costs one n x (n_init * trials) product
+    lockstep: each k-means++ step costs one (n_init * trials) x n product
     that serves every seeding, plus direct differences on the rows that
     product cannot rule out, and keeps each running distance exact; Lloyd
-    then runs per seeding. Apart from its float64 copy of the rows, a fit
-    allocates no n x d array: direct differences and row norms go a block
-    of rows at a time, products are n x k, and a centroid update sorts the
+    then runs per seeding, its products on one BLAS thread (_assign). Apart
+    from its float64 copy of the rows, a fit allocates no n x d array:
+    direct differences and row norms go a block of rows at a time, products
+    are k x n (centres x rows, _sqdist), and a centroid update sorts the
     labels once and gathers one cluster's rows at a time.
     """
     if n_init < 1:
@@ -249,10 +272,13 @@ def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> C
     seeds = [seed] if n_init == 1 else [mix64(seed, 0xC17, trial) for trial in range(n_init)]
     best: ClusterModel | None = None
     for centroids in _kmeanspp(rows, sq, k, [rng_from(s, 0xC15) for s in seeds]):
-        prev = math.inf
+        prev, last = math.inf, None
         for step in range(_MAX_ITERS + 1):
             labels, d2 = _assign(rows, sq, centroids)
             counts = np.bincount(labels, minlength=k)
+            # the labels the centroids were built from; they leave no cluster
+            # empty, so labels equal to them need no repair
+            settled = np.array_equal(labels, last)
             _repair_empty(rows, centroids, labels, d2, counts)
             inertia = float(d2.sum())
             if inertia > prev + 1e-9 * max(prev, 1.0):
@@ -261,7 +287,9 @@ def kmeans_fit(features: FeatureMatrix, k: int, seed: int, n_init: int = 1) -> C
                 prev - inertia <= _TOL * max(prev, 1e-300) and math.isfinite(prev)
             ):
                 break
-            prev = inertia
+            if settled:  # an update would rebuild these centroids bit for bit
+                break
+            prev, last = inertia, labels
             _update_centroids(rows, labels, counts, centroids)
         if best is None or inertia < best.inertia:
             best = ClusterModel(centroids=centroids, assignment=labels, seed=seed, inertia=inertia)

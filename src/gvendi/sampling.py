@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .blas import one_thread
 from .cluster import kmeans_fit
 from .featmat import FeatureMatrix
 from .rng import rng_from
@@ -94,7 +95,9 @@ def sample_lower_diversity(
     When no outsider clears the threshold, the single most-similar outsider
     is admitted so the loop always terminates. The running max-similarity of
     each outsider is maintained incrementally; each round costs one
-    (n x batch) product.
+    (batch x n) product, taken as members x rows (less process memory than
+    rows x members at 2 BLAS threads) on one BLAS thread, so that the
+    similarities' bits do not depend on the thread count.
     """
     n = features.rows
     _check_target(n_target, n)
@@ -110,7 +113,8 @@ def sample_lower_diversity(
     member = np.zeros(n, dtype=bool)
     seed_idx = rng.choice(n, size=n_seed, replace=False)
     member[seed_idx] = True
-    max_sim = (mat @ mat[seed_idx].T).max(axis=1)
+    with one_thread():
+        max_sim = (mat[seed_idx] @ mat.T).max(axis=0)
     last_batch: list[int] = []
     while int(member.sum()) < n_target:
         outsiders = np.flatnonzero(~member)
@@ -123,7 +127,8 @@ def sample_lower_diversity(
             batch = eligible[rng.choice(eligible.size, size=size, replace=False)]
         member[batch] = True
         last_batch = [int(i) for i in batch]
-        max_sim = np.maximum(max_sim, (mat @ mat[batch].T).max(axis=1))
+        with one_thread():
+            max_sim = np.maximum(max_sim, (mat[batch] @ mat.T).max(axis=0))
     overshoot = int(member.sum()) - n_target
     if overshoot > 0:
         drop = rng.choice(len(last_batch), size=overshoot, replace=False)

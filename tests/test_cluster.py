@@ -284,12 +284,18 @@ def test_lockstep_seeding_matches_one_generator_past_the_distinct_rows():
             assert len(np.unique(centres, axis=0)) == 7 < k
 
 
-def test_lockstep_seeding_matches_one_generator_at_select_shape():
-    # the select workload's pool: 3000 gradient rows of 1024 columns, k=20, 4 seedings
+@pytest.fixture(scope="module")
+def select_features():
+    """The select workload's pool: 3000 gradient rows of 1024 columns."""
     model = ProxyModel.create()
     feats = featurize(model, ProjectionSpec(model.n_params), template_corpus(30, 100, 71))
     assert feats.data.shape == (3000, 1024)
-    _assert_lockstep_matches_alone(feats, 20, [mix64(71, 0xC17, t) for t in range(4)])
+    return feats
+
+
+def test_lockstep_seeding_matches_one_generator_at_select_shape(select_features):
+    # k=20, 4 seedings, as `sample --strategy higher` runs on select's pool
+    _assert_lockstep_matches_alone(select_features, 20, [mix64(71, 0xC17, t) for t in range(4)])
 
 
 # The kernels as first written, unblocked: each builds n x d temporaries.
@@ -513,3 +519,143 @@ def test_kmeans_bytes_do_not_depend_on_one_blas_thread(grow_features, n):
     same = held.to_json() == fit.to_json()
     assert same
     assert held_nearest.tobytes() == fit.nearest_centroid(batch).tobytes()
+
+
+@pytest.mark.parametrize("n", [1000, 1400, 3000])
+def test_sqdist_bytes_match_rows_by_centres_at_workload_shapes(select_features, n):
+    """Centres x rows gives today's rows x centres bytes at grow's and
+    select's pool sizes, at the default thread count and on the one thread
+    `_assign` holds."""
+    rows = select_features.data[:n].astype(np.float64)
+    sq = cluster._sq_norms(rows)
+    for m in (1, 4, 5, 13, 16, 20, 30):
+        centres = rows[np.linspace(0, n - 1, m).astype(int)] * 0.75
+        ref = _reference_sqdist(rows, sq, centres).tobytes()
+        assert cluster._sqdist(rows, sq, centres).tobytes() == ref, m
+        if blas.can_set_threads():
+            with blas.one_thread():
+                assert cluster._sqdist(rows, sq, centres).tobytes() == ref, m
+
+
+def test_nearest_centroid_batches_match_rows_by_centres(monkeypatch, grow_features):
+    """A synthesis step's survivors, 1 to 200 rows, against the centroids of
+    grow's pools (k 10 to 14). Centres x rows keeps the bytes of rows x
+    centres where the batch is a multiple of 8 rows or k < 12; otherwise the
+    last n mod 8 rows may round otherwise (batches of 193 to 199 rows at
+    k >= 12 do on one thread). The labels keep theirs at every batch."""
+    batches = grow_features.data.astype(np.float64)[-200:]
+    for k in range(10, 15):
+        model = kmeans_fit(grow_features.take(np.arange(100 * k)), k, seed=k)
+        csq = cluster._sq_norms(model.centroids)
+        got = [model.nearest_centroid(batches[:b]) for b in range(1, 201)]
+        with monkeypatch.context() as m:
+            m.setattr(cluster, "_sqdist", _reference_sqdist)
+            ref = [model.nearest_centroid(batches[:b]) for b in range(1, 201)]
+        for b in range(1, 201):
+            assert got[b - 1].tobytes() == ref[b - 1].tobytes(), (k, b)
+            if b % 8 and k >= 12:
+                continue
+            rows = batches[:b]
+            sq = cluster._sq_norms(rows)
+            assert (cluster._sqdist(rows, sq, model.centroids, csq).tobytes()
+                    == _reference_sqdist(rows, sq, model.centroids).tobytes()), (k, b)
+
+
+@pytest.mark.skipif(not blas.can_set_threads(), reason="needs numpy's bundled OpenBLAS")
+@pytest.mark.parametrize("k, n_init", [(30, 1), (20, 4)], ids=["cluster", "higher"])
+def test_kmeans_bytes_do_not_depend_on_one_blas_thread_at_select_shape(
+    select_features, k, n_init
+):
+    fit = kmeans_fit(select_features, k, seed=71, n_init=n_init)
+    with blas.one_thread():
+        held = kmeans_fit(select_features, k, seed=71, n_init=n_init)
+    same = held.to_json() == fit.to_json()
+    assert same
+
+
+@pytest.mark.skipif(not blas.can_set_threads(), reason="needs numpy's bundled OpenBLAS")
+@pytest.mark.parametrize("n", [2997, 3000])
+def test_assign_bytes_do_not_depend_on_the_thread_count(select_features, n):
+    """Centres x rows rounds the last n mod 8 rows' distances to the first 12
+    centres with the thread count; `_assign` holds one thread, so its labels
+    and distances do not. The last 5 rows are the first 5 centres' nearest."""
+    rows = select_features.data[:n].astype(np.float64)
+    sq = cluster._sq_norms(rows)
+    centres = rows[np.r_[n - 5 : n, np.linspace(0, n - 6, 15).astype(int)]] * 0.75
+    labels, d2 = cluster._assign(rows, sq, centres)
+    with blas.one_thread():
+        held_labels, held_d2 = cluster._assign(rows, sq, centres)
+    assert labels.tobytes() == held_labels.tobytes()
+    assert d2.tobytes() == held_d2.tobytes()
+
+
+def _reference_lloyd_fit(features, k, seed, n_init=1):
+    """`kmeans_fit` as it stood before its repeated-labels stop, on the
+    module's own kernels: Lloyd stops on the inertia test or the step cap
+    alone."""
+    rows = features.data.astype(np.float64)
+    sq = cluster._sq_norms(rows)
+    seeds = [seed] if n_init == 1 else [mix64(seed, 0xC17, trial) for trial in range(n_init)]
+    best = None
+    for centroids in cluster._kmeanspp(rows, sq, k, [rng_from(s, 0xC15) for s in seeds]):
+        prev = math.inf
+        for step in range(cluster._MAX_ITERS + 1):
+            labels, d2 = cluster._assign(rows, sq, centroids)
+            counts = np.bincount(labels, minlength=k)
+            cluster._repair_empty(rows, centroids, labels, d2, counts)
+            inertia = float(d2.sum())
+            if step == cluster._MAX_ITERS or (
+                prev - inertia <= cluster._TOL * max(prev, 1e-300) and math.isfinite(prev)
+            ):
+                break
+            prev = inertia
+            cluster._update_centroids(rows, labels, counts, centroids)
+        if best is None or inertia < best.inertia:
+            best = ClusterModel(centroids=centroids, assignment=labels, seed=seed, inertia=inertia)
+    return best
+
+
+@pytest.mark.parametrize("max_iters", [None, 1, 2], ids=["default", "cap1", "cap2"])
+@pytest.mark.parametrize("n_init", [1, 4])
+@pytest.mark.parametrize("case", ["blobs", "duplicates", "gradient"])
+def test_lloyd_stop_matches_reference_loop(monkeypatch, gradient_features, case, n_init, max_iters):
+    if max_iters is not None:
+        monkeypatch.setattr(cluster, "_MAX_ITERS", max_iters)
+    make = {"blobs": _blobs, "duplicates": _duplicate_heavy,
+            "gradient": lambda seed: (gradient_features, dynamic_k(gradient_features.rows))}[case]
+    for seed in range(6000, 6003):
+        feats, k = make(seed)
+        fit = kmeans_fit(feats, k, seed=seed, n_init=n_init).to_json()
+        same = fit == _reference_lloyd_fit(feats, k, seed, n_init).to_json()
+        assert same, f"seed {seed}"
+
+
+@pytest.mark.parametrize("n_init", [1, 4])
+def test_lloyd_stop_saves_one_assignment_per_restart(monkeypatch, gradient_features, n_init):
+    calls = []
+    assign = cluster._assign
+
+    def counting(rows, sq, centroids):
+        calls.append(1)
+        return assign(rows, sq, centroids)
+
+    monkeypatch.setattr(cluster, "_assign", counting)
+    k = dynamic_k(gradient_features.rows)
+    kmeans_fit(gradient_features, k, seed=6100, n_init=n_init)
+    fit_calls = len(calls)
+    calls.clear()
+    _reference_lloyd_fit(gradient_features, k, 6100, n_init)
+    assert fit_calls == len(calls) - n_init
+
+
+def test_assign_peak_is_one_product():
+    # the distances are the (n, k) view of a k x n product; argmin would copy it whole
+    rows = rng_from(48).normal(size=(20000, 8))
+    sq = cluster._sq_norms(rows)
+    tracemalloc.start()
+    try:
+        cluster._assign(rows, sq, rows[:50].copy())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 20000 * 50 * 8, peak / (20000 * 50 * 8)

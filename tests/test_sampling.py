@@ -3,14 +3,19 @@ import pytest
 
 from gvendi import (
     FeatureMatrix,
+    ProjectionSpec,
     Provenance,
+    ProxyModel,
     blob_features,
+    featurize,
     sample_higher_diversity,
     sample_lower_diversity,
     sample_mixture,
     sample_random,
+    template_corpus,
     vendi_score,
 )
+from gvendi import blas
 from gvendi.rng import rng_from
 
 
@@ -190,3 +195,64 @@ def test_spectrum_property_small():
         )
     assert np.mean(hi) > np.mean(rnd) > np.mean(lo)
     assert all(h > l for h, l in zip(hi, lo))
+
+
+def _reference_lower_diversity(features, n_seed, n_batch, n_target, tau_sim, rng_seed):
+    """`sample_lower_diversity` with its products as first written, rows x
+    members at the caller's thread count."""
+    n = features.rows
+    rng = rng_from(rng_seed, 0x5A3)
+    mat = features.data.astype(np.float64)
+    member = np.zeros(n, dtype=bool)
+    seed_idx = rng.choice(n, size=n_seed, replace=False)
+    member[seed_idx] = True
+    max_sim = (mat @ mat[seed_idx].T).max(axis=1)
+    last_batch = []
+    while int(member.sum()) < n_target:
+        outsiders = np.flatnonzero(~member)
+        eligible = outsiders[max_sim[outsiders] > tau_sim]
+        if eligible.size == 0:
+            best = outsiders[int(np.argmax(max_sim[outsiders]))]
+            batch = np.array([best], dtype=np.int64)
+        else:
+            size = min(n_batch, eligible.size)
+            batch = eligible[rng.choice(eligible.size, size=size, replace=False)]
+        member[batch] = True
+        last_batch = [int(i) for i in batch]
+        max_sim = np.maximum(max_sim, (mat @ mat[batch].T).max(axis=1))
+    overshoot = int(member.sum()) - n_target
+    if overshoot > 0:
+        drop = rng.choice(len(last_batch), size=overshoot, replace=False)
+        member[[last_batch[int(j)] for j in drop]] = False
+    return [int(i) for i in np.flatnonzero(member)]
+
+
+@pytest.fixture(scope="module")
+def select_features():
+    """The select workload's pool: 3000 gradient rows of 1024 columns."""
+    model = ProxyModel.create()
+    return featurize(model, ProjectionSpec(model.n_params), template_corpus(30, 100, 71))
+
+
+def test_lower_matches_rows_by_members_reference_on_gradient_rows(select_features):
+    # the CLI defaults (seed size 5, batch 20, tau 0.8) at select's pick of 600
+    for seed in range(7000, 7004):
+        args = (select_features, 5, 20, 600, 0.8, seed)
+        assert sample_lower_diversity(*args) == _reference_lower_diversity(*args), seed
+
+
+def test_lower_matches_rows_by_members_reference_on_blobs():
+    feats = blob_features(10, 200, dim=16, center_seed=11, point_seed=12, spread=0.1)
+    for seed in range(7100, 7108):
+        for args in [(feats, 5, 20, 200, 0.9, seed), (feats, 1, 1, 60, 0.99, seed)]:
+            assert sample_lower_diversity(*args) == _reference_lower_diversity(*args), args[1:]
+
+
+@pytest.mark.skipif(not blas.can_set_threads(), reason="needs numpy's bundled OpenBLAS")
+def test_lower_does_not_depend_on_one_blas_thread(select_features):
+    for seed in range(7200, 7204):
+        args = (select_features, 5, 20, 600, 0.8, seed)
+        free = sample_lower_diversity(*args)
+        with blas.one_thread():
+            held = sample_lower_diversity(*args)
+        assert free == held, seed
