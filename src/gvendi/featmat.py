@@ -120,18 +120,6 @@ class FeatureMatrix:
         ids = tuple(self.sample_ids[int(i)] for i in idx)
         return FeatureMatrix(self.data[idx], ids, self.provenance)
 
-    def append(self, other: "FeatureMatrix") -> "FeatureMatrix":
-        """Row-wise concatenation; provenance must match."""
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if other.provenance != self.provenance:
-            raise ValueError("cannot append matrices with differing provenance")
-        return FeatureMatrix(
-            np.vstack([self.data, other.data]),
-            self.sample_ids + other.sample_ids,
-            self.provenance,
-        )
-
 
 @dataclass(frozen=True)
 class FeatureStream:

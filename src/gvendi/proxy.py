@@ -41,7 +41,7 @@ _CTX_SEP = 0x1E  # record separator between input and output prefix
 
 _PROJECT_BLOCK_ROWS = 8192
 # mixed into featurize's provenance fingerprint; bumped whenever a change to
-# the kernel moves feature values, so rows of two revisions never append
+# the kernel moves feature values, so rows of two revisions never join one pool
 _FEATURIZE_REVISION = 2  # float32 token pass
 _MIN_LOGIT_ROWS = 8  # rows of the smallest logits GEMM _token_pass runs
 _CHUNK_ROWS = 128  # samples per featurize chunk: one projection GEMM, one gradient buffer
@@ -310,7 +310,7 @@ def _chunk_bounds(n: int) -> list[int]:
 def gradient_provenance(model: ProxyModel, proj: ProjectionSpec) -> Provenance:
     """The provenance `featurize(model, proj, ...)` stamps on its rows: the
     model's fingerprint mixed with _FEATURIZE_REVISION, so rows from an
-    earlier kernel never append to these, and the projection seed."""
+    earlier kernel never join a pool of these, and the projection seed."""
     return Provenance("proxy_gradient", fingerprint=mix64(model.fingerprint(), _FEATURIZE_REVISION),
                       seed=proj.seed)
 

@@ -702,15 +702,30 @@ def prismatic_step(
 ) -> SynthesisState:
     """One cluster -> generate -> vote -> decontaminate -> sparse-filter pass.
 
-    Survivors are featurized with `featurize(model, proj, ...)`. Cluster
-    sizes are frozen at step start: a survivor is judged against the
-    sparsity of its nearest centroid as it was before any admission, so
-    admissions within a step cannot crowd each other out. The step's record
-    ends with the grown pool's `vendi_score`.
+    Survivors are featurized with `featurize(model, proj, ...)`, so the
+    pool's rows must be rows that call writes: a state whose features carry
+    another provenance or width fails before k-means and before any
+    request. Cluster sizes are frozen at step start: a survivor is judged
+    against the sparsity of its nearest centroid as it was before any
+    admission, so admissions within a step cannot crowd each other out. The
+    step's record ends with the grown pool's `vendi_score`.
     """
+    _check_featurizer(state.pool_features, model, proj, "state.pool_features")
     pool, features, record = _grow(state, config, generator, solver, model, proj, protected)
     record["pool_g_vendi"] = vendi_score(features)
     return SynthesisState(pool=pool, pool_features=features, history=state.history + (record,))
+
+
+def _check_featurizer(features: FeatureMatrix, model: ProxyModel, proj: ProjectionSpec,
+                      where: str) -> None:
+    """Raise unless `features` (named `where`) holds rows that
+    `featurize(model, proj, ...)` writes: its provenance and its width."""
+    made = gradient_provenance(model, proj)
+    if (features.provenance, features.dim) != (made, proj.target_dim):
+        raise ValueError(f"{where}: rows written with {features.provenance} at width "
+                         f"{features.dim}, but this run featurizes with {made} at width "
+                         f"{proj.target_dim}; use the settings that wrote them, or delete "
+                         "and rerun")
 
 
 def _grow(
@@ -751,15 +766,10 @@ def _grow(
     survivors, flagged = decontaminate([v.sample for v in verified], protected,
                                        config.decontam_ngram)
 
-    # trace replacement can re-collide ids; keep pool ids unique
-    unique: list[Sample] = []
-    seen: set[str] = set()
-    for s in survivors:
-        if s.id in state.pool or s.id in seen:
-            continue
-        seen.add(s.id)
-        unique.append(s)
-    survivors = sorted(unique, key=lambda s: s.id)
+    # trace replacement can re-collide ids; keep pool ids unique, and of equal
+    # ids the first sample (a dict keeps the last value it is given)
+    first = {s.id: s for s in reversed(survivors) if s.id not in state.pool}
+    survivors = sorted(first.values(), key=lambda s: s.id)
 
     accepted: list[Sample] = []
     new_pool, new_features = state.pool, state.pool_features
@@ -771,7 +781,8 @@ def _grow(
         if keep:
             accepted = [survivors[i] for i in keep]
             new_pool = Corpus(state.pool.samples + tuple(accepted), name=state.pool.name)
-            new_features = state.pool_features.append(cand_feats.take(keep))
+            rows = np.concatenate([state.pool_features.data, cand_feats.data[keep]])
+            new_features = FeatureMatrix(rows, new_pool.ids(), state.pool_features.provenance)
 
     record = {
         "generated": len(candidates),
@@ -809,7 +820,13 @@ def save_checkpoint(state: SynthesisState, directory) -> None:
 
 
 def load_checkpoint(directory) -> SynthesisState | None:
-    """State from a checkpoint directory, or None if no checkpoint exists."""
+    """State from a checkpoint directory, or None if no checkpoint exists.
+
+    `save_checkpoint` writes `state.json` last and a step only appends rows,
+    so after a crash between its files each data file begins with the
+    `pool_size` rows that `state.json` commits: those rows are the state, and
+    any after them, a step that was never committed, are left out.
+    """
     state_path = os.path.join(directory, STATE_FILE)
     if not os.path.exists(state_path):
         return None
@@ -819,25 +836,27 @@ def load_checkpoint(directory) -> SynthesisState | None:
         except ValueError as e:
             raise ValueError(f"{state_path}: {e}") from None
     if not (isinstance(meta, dict) and type(meta.get("iteration")) is int
-            and isinstance(meta.get("history"), list) and type(meta.get("pool_size")) is int):
+            and isinstance(meta.get("history"), list) and type(meta.get("pool_size")) is int
+            and meta["pool_size"] >= 0):  # a negative size would slice rows off the end
         raise ValueError(f"{state_path}: expected an object with an int 'iteration', "
                          "a list 'history' and an int 'pool_size'")
     if len(meta["history"]) != meta["iteration"]:
         raise ValueError(f"{state_path}: history has {len(meta['history'])} entries, "
                          f"iteration is {meta['iteration']}")
+    n = meta["pool_size"]
     pool = ingest_jsonl(os.path.join(directory, POOL_FILE))
-    pool = Corpus(pool.samples, name=meta.get("pool_name", pool.name))
     features = load_features(os.path.join(directory, FEATURES_FILE))
-    if len(pool) != meta["pool_size"]:
-        raise ValueError(f"{directory}: checkpoint pool size mismatch; delete and rerun")
-    if tuple(pool.ids()) != features.sample_ids:
+    for name, rows in ((POOL_FILE, len(pool)), (FEATURES_FILE, features.rows)):
+        if rows < n:
+            raise ValueError(f"{directory}: {name} holds {rows} rows, fewer than the {n} that "
+                             f"{STATE_FILE} commits; delete and rerun")
+    if pool.ids()[:n] != list(features.sample_ids[:n]):
         raise ValueError(f"{directory}: {POOL_FILE} and {FEATURES_FILE} are not row-aligned; "
                          "delete and rerun")
-    return SynthesisState(
-        pool=pool,
-        pool_features=features,
-        history=tuple(meta["history"]),
-    )
+    if features.rows > n:  # a step's rows that state.json never committed
+        features = FeatureMatrix(features.data[:n], features.sample_ids[:n], features.provenance)
+    return SynthesisState(Corpus(pool.samples[:n], name=meta.get("pool_name", pool.name)),
+                          features, tuple(meta["history"]))
 
 
 def run_synthesis(
@@ -855,14 +874,16 @@ def run_synthesis(
 
     With a checkpoint_dir, state is persisted after every step and a partial
     run resumes from the last completed step; seeds derive from (config.seed,
-    iteration), so a resumed run reproduces an uninterrupted one exactly.
+    iteration), so a resumed run reproduces an uninterrupted one exactly,
+    also after a kill between two checkpoint files (see `load_checkpoint`).
     A checkpoint whose features carry another provenance than
-    `gradient_provenance(model, proj)` fails before any step, and before
-    any endpoint is started, and so does a `fewshot_count` larger than the
-    pool, whenever a step remains to run. After those checks, each endpoint
-    with a `start` method is started, so a worker's start-up overlaps the
-    seed featurize. Once the run returns or raises, each endpoint with a
-    `close` method is closed, after the score in flight is settled.
+    `gradient_provenance(model, proj)`, or another width than
+    `proj.target_dim`, fails before any step, and before any endpoint is
+    started, and so does a `fewshot_count` larger than the pool, whenever a
+    step remains to run. After those checks, each endpoint with a `start`
+    method is started, so a worker's start-up overlaps the seed featurize.
+    Once the run returns or raises, each endpoint with a `close` method is
+    closed, after the score in flight is settled.
 
     A step's pool score is computed on a background thread while the next
     step grows the pool; the step is checkpointed once its score is in, so
@@ -876,14 +897,8 @@ def run_synthesis(
     """
     state = load_checkpoint(checkpoint_dir) if checkpoint_dir is not None else None
     if state is not None:
-        found = state.pool_features.provenance
-        made = gradient_provenance(model, proj)
-        if found != made:
-            raise ValueError(
-                f"{os.path.join(checkpoint_dir, FEATURES_FILE)}: rows written with {found}, "
-                f"but this run featurizes with {made}; resume with the settings that "
-                "wrote it, or delete and rerun"
-            )
+        _check_featurizer(state.pool_features, model, proj,
+                          os.path.join(checkpoint_dir, FEATURES_FILE))
     pool, done = (seed_corpus, 0) if state is None else (state.pool, state.iteration)
     if done < config.iterations and config.fewshot_count > len(pool):
         # the pool only grows, so no later step can fail this check
@@ -897,11 +912,7 @@ def run_synthesis(
             if start:
                 start()
         if state is None:
-            state = SynthesisState(
-                pool=seed_corpus,
-                pool_features=featurize(model, proj, seed_corpus),
-                history=(),
-            )
+            state = SynthesisState(seed_corpus, featurize(model, proj, seed_corpus))
             if checkpoint_dir is not None:
                 save_checkpoint(state, checkpoint_dir)
         pending = None  # (state whose last record awaits its score, the score's future)

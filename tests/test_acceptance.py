@@ -245,7 +245,9 @@ def _uniform_admission_run(seed, per_step_admits, pool, model, proj, config):
         new_pool = gv.Corpus(state.pool.samples + tuple(kept), name=state.pool.name)
         feats = state.pool_features
         if kept:
-            feats = feats.append(gv.featurize(model, proj, gv.Corpus(tuple(kept), name="adds")))
+            adds = gv.featurize(model, proj, gv.Corpus(tuple(kept), name="adds"))
+            feats = gv.FeatureMatrix(np.concatenate([feats.data, adds.data]),
+                                     feats.sample_ids + adds.sample_ids, feats.provenance)
         state = gv.SynthesisState(new_pool, feats, state.history + ({},))
     return state
 

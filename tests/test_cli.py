@@ -1,5 +1,8 @@
+import contextlib
 import fcntl
+import http.server
 import inspect
+import itertools
 import json
 import os
 import resource
@@ -381,7 +384,7 @@ def test_synthesize_corrupt_state_names_the_file(toy, capsys):
     expected = (f"error: ValueError: {state}: expected an object with an int 'iteration', "
                 "a list 'history' and an int 'pool_size'\n")
     no_iteration = {k: v for k, v in good.items() if k != "iteration"}
-    for corrupt in ([good], no_iteration, {**good, "history": 5}):
+    for corrupt in ([good], no_iteration, {**good, "history": 5}, {**good, "pool_size": -1}):
         state.write_text(json.dumps(corrupt))
         capsys.readouterr()
         assert run_cli(*args) == 1, corrupt
@@ -467,6 +470,37 @@ def test_synthesize_resume_refused_for_provenance_spawns_no_worker(toy, capsys, 
     assert rc == 1
     assert "rows written with" in capsys.readouterr().err
     assert calls == []
+
+
+def test_synthesize_resume_with_another_width_fails_before_any_worker(toy, capsys, monkeypatch):
+    """The provenance does not hold the width: resuming 32-wide rows with
+    --proj-dim 16 and the same seed is refused by the width alone."""
+    tmp_path, pool = toy
+    outdir = tmp_path / "run"
+    args = ["synthesize", "--corpus", pool, "--outdir", str(outdir),
+            "--gen-batch", "4", "--feature-dim", "32"]
+    assert run_cli(*args, "--iterations", "1", "--proj-dim", "32") == 0
+    files = ("state.json", "pool.jsonl", "features.gvfm")
+    before = [(outdir / f).read_bytes() for f in files]
+    log = tmp_path / "requests.log"
+    worker = tmp_path / "worker.py"
+    worker.write_text("import sys\nfor line in sys.stdin:\n"
+                      f"    open({str(log)!r}, 'a').write(line)\n"
+                      "    print('{\"samples\": []}', flush=True)\n")
+    spawned = []
+    spawn = JsonLinesProcess._spawned
+    monkeypatch.setattr(JsonLinesProcess, "_spawned",
+                        lambda self: spawned.append(self) or spawn(self))
+    capsys.readouterr()
+    rc = run_cli(*args, "--iterations", "2", "--proj-dim", "16",
+                 "--generator", "cmd:" + shlex.join([sys.executable, str(worker)]))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {outdir / 'features.gvfm'}: rows written with "), err
+    assert "at width 32" in err and "at width 16" in err, err
+    assert err.count("\n") == 1, err
+    assert spawned == [] and not log.exists(), "a worker started before the check"
+    assert [(outdir / f).read_bytes() for f in files] == before
 
 
 def test_synthesize_fewshot_larger_than_the_pool_fails_first(tmp_path, capsys, monkeypatch):
@@ -690,6 +724,67 @@ def test_synthesize_threads_change_no_artifact(tmp_path):
         assert written[0]["pool.jsonl"].count(b"\n") > len(lines), f"{way} admitted nothing"
         assert written[0] == written[1], way
     assert threading.active_count() == active
+
+
+class _GoldenHttpHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST as the golden `cmd:` worker answers its line, and
+    holds the server's first two requests at its barrier until both are in."""
+
+    def do_POST(self):
+        req = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        server = self.server
+        if server.barrier is not None and next(server.arrivals) < 2:
+            server.barrier.wait()  # raises BrokenBarrierError once its timeout is up
+            server.overlapped = True
+        payload = json.dumps(server.worker.request(req)).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _golden_http_server(worker: Path, barrier: threading.Barrier | None):
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _GoldenHttpHandler)
+    server.worker = JsonLinesProcess([sys.executable, str(worker)])
+    server.barrier, server.arrivals, server.overlapped = barrier, itertools.count(), False
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+        server.worker.close()
+
+
+def test_synthesize_http_endpoints_on_four_threads_change_no_artifact(tmp_path):
+    """`--threads 4` sends an http:// endpoint's requests from four threads
+    at once (the server sees two in flight together) and writes the bytes
+    `--threads 1` writes."""
+    corpus = tmp_path / "pool.jsonl"
+    write_jsonl(template_corpus(6, 20, seed=17, name="golden"), corpus)
+    worker = tmp_path / "worker.py"
+    worker.write_text(GOLDEN_WORKER, encoding="utf-8")
+    written = []
+    for threads, barrier in (("1", None), ("4", threading.Barrier(2, timeout=30))):
+        outdir = tmp_path / f"threads-{threads}"
+        with _golden_http_server(worker, barrier) as server:
+            url = f"http://127.0.0.1:{server.server_address[1]}/"
+            assert run_cli("--threads", threads, "synthesize", "--corpus", str(corpus),
+                           "--iterations", "2", "--gen-batch", "12", "--k-fraction", "0.1",
+                           "--seed", "5", *GOLDEN_PROXY, "--outdir", str(outdir),
+                           "--generator", url, "--solver", url) == 0
+            assert server.overlapped == (barrier is not None)
+        written.append({name: (outdir / name).read_bytes()
+                        for name in ("pool.jsonl", "features.gvfm", "state.json")})
+    assert written[0]["pool.jsonl"].count(b"\n") > 120, "nothing was admitted"
+    assert written[0] == written[1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import gc
 import glob
 import http.server
 import json
+import os
 import socketserver
 import subprocess
 import sys
@@ -40,7 +41,7 @@ from gvendi import (
     template_corpus,
     vendi_score,
 )
-from gvendi import metrics, proxy, synthesis
+from gvendi import corpus, featmat, metrics, proxy, synthesis
 from gvendi.rng import mix64
 from gvendi.synthesis import load_checkpoint
 
@@ -406,6 +407,28 @@ def test_prismatic_step_decontaminates_against_protected():
     assert rec["decontam_flagged"] > 0
 
 
+@pytest.mark.parametrize("generator", [RecombinationGenerator, FlakyGenerator],
+                         ids=["admits", "admits-nothing"])
+@pytest.mark.parametrize("other", ["projection-seed", "width", "model-weights"])
+def test_prismatic_step_refuses_rows_of_another_featurizer_before_any_request(
+    monkeypatch, other, generator
+):
+    pool, model, proj, config = loop_fixture()
+    state = SynthesisState(pool, featurize(model, proj, pool), ())
+    step_model, step_proj = {
+        "projection-seed": (model, ProjectionSpec(model.n_params, 64, seed=proj.seed + 1)),
+        "width": (model, ProjectionSpec(model.n_params, 32, seed=proj.seed)),
+        "model-weights": (ProxyModel.create(vocab_size=256, feature_dim=64, hash_seed=101,
+                                            weight_seed=203), proj),
+    }[other]
+    fits = []
+    monkeypatch.setattr(synthesis, "kmeans_fit", lambda *args, **kw: fits.append(args))
+    gen, solver = RecordingEndpoint(generator()), RecordingEndpoint(EchoSolver())
+    with pytest.raises(ValueError, match=r"state\.pool_features: rows written with"):
+        prismatic_step(state, config, gen, solver, step_model, step_proj)
+    assert gen.calls == solver.calls == fits == []
+
+
 def test_run_synthesis_zero_iterations():
     pool, model, proj, _ = loop_fixture()
     config = SynthesisConfig(iterations=0, gen_batch=5, vote_n=3, vote_tau=2,
@@ -614,6 +637,137 @@ def test_run_synthesis_failed_spectrum_is_raised_and_never_checkpointed(
                       checkpoint_dir=ckpt)
     assert threading.active_count() == threads
     assert load_checkpoint(ckpt).iteration == fail_at - 1
+
+
+# ---------------------------------------------------------------------------
+# a fault between checkpoint files
+
+def _fault_run_parts():
+    pool = template_corpus(4, 20, seed=3, name="faults")
+    model = ProxyModel.create(vocab_size=256, feature_dim=64, hash_seed=101, weight_seed=202)
+    proj = ProjectionSpec(model.n_params, 64, seed=303)
+    config = SynthesisConfig(iterations=3, gen_batch=20, k_fraction=0.1, fewshot_count=3, seed=7)
+    return pool, model, proj, config
+
+
+# the seed pool's save and one per step, each writing and renaming three files
+_SAVE_POINTS = 4 * 3 * 2
+
+
+def _fault_at_save_point(monkeypatch, fault_at):
+    """Make the `fault_at`-th write or rename of a checkpoint file raise
+    OSError, in the order `save_checkpoint` reaches them: a write fails once
+    its bytes are in the temporary file, a rename before it is made. The
+    list of points reached is returned."""
+    points = []
+    real_open, real_replace = corpus.open_atomic, os.replace
+
+    def reach(point):
+        points.append(point)
+        if len(points) == fault_at:
+            raise OSError(f"injected fault at {point}")
+
+    @contextlib.contextmanager
+    def open_atomic(path, mode="w"):
+        with real_open(path, mode) as fh:
+            yield fh
+            reach(f"write {os.path.basename(path)}")
+
+    def replace(src, dst):
+        reach(f"rename {os.path.basename(dst)}")
+        real_replace(src, dst)
+
+    for module in (corpus, featmat, synthesis):
+        monkeypatch.setattr(module, "open_atomic", open_atomic)
+    monkeypatch.setattr(os, "replace", replace)
+    return points
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_run(tmp_path_factory):
+    pool, model, proj, config = _fault_run_parts()
+    directory = tmp_path_factory.mktemp("uninterrupted")
+    with pytest.MonkeyPatch.context() as m:
+        points = _fault_at_save_point(m, 0)
+        run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
+                      checkpoint_dir=str(directory))
+    assert len(points) == _SAVE_POINTS
+    assert points[:6] == ["write pool.jsonl", "rename pool.jsonl", "write features.gvfm",
+                          "rename features.gvfm", "write state.json", "rename state.json"]
+    return _run_bytes(directory)
+
+
+@pytest.mark.parametrize("fault_at", range(1, _SAVE_POINTS + 1))
+def test_run_synthesis_resumes_after_a_fault_at_any_checkpoint_point(
+    tmp_path, monkeypatch, uninterrupted_run, fault_at
+):
+    """A step only appends rows and state.json is written last, so a fault
+    between two checkpoint files leaves data files that begin with the
+    committed pool; the resume takes that prefix and ends in the
+    uninterrupted run's bytes."""
+    pool, model, proj, config = _fault_run_parts()
+    ckpt = str(tmp_path / "run")
+    with monkeypatch.context() as m:
+        points = _fault_at_save_point(m, fault_at)
+        with pytest.raises(OSError, match="injected fault"):
+            run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
+                          checkpoint_dir=ckpt)
+    assert len(points) == fault_at
+    run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
+                  checkpoint_dir=ckpt)
+    assert _run_bytes(tmp_path / "run") == uninterrupted_run
+
+
+def test_run_synthesis_resumes_after_a_fault_while_a_score_is_in_flight(
+    tmp_path, monkeypatch, uninterrupted_run
+):
+    """Step 1's score is held until step 2's first request raises, so the
+    fault comes while that score is in flight: the step is checkpointed on
+    the way out, and the resume ends in the uninterrupted run's bytes."""
+    pool, model, proj, config = _fault_run_parts()
+    raised = threading.Event()
+    spectrum = synthesis._gram_vendi
+
+    def held(g):
+        assert raised.wait(30), "step 2 never raised"
+        return spectrum(g)
+
+    class Crashing(RecombinationGenerator):
+        calls = 0
+
+        def generate(self, exemplars, count, seed):
+            self.calls += 1
+            if self.calls > config.gen_batch:  # step 2's first request
+                raised.set()
+                raise OSError("injected fault in a step")
+            return super().generate(exemplars, count, seed)
+
+    ckpt = str(tmp_path / "run")
+    with monkeypatch.context() as m:
+        m.setattr(synthesis, "_gram_vendi", held)
+        with pytest.raises(OSError, match="injected fault in a step"):
+            run_synthesis(pool, config, Crashing(), EchoSolver(), model, proj,
+                          checkpoint_dir=ckpt)
+    assert load_checkpoint(ckpt).iteration == 1
+    run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
+                  checkpoint_dir=ckpt)
+    assert _run_bytes(tmp_path / "run") == uninterrupted_run
+
+
+@pytest.mark.parametrize("behind", ["pool.jsonl", "features.gvfm"])
+def test_load_checkpoint_names_a_data_file_behind_the_state(tmp_path, behind):
+    pool, model, proj, config = loop_fixture()
+    for name, steps in (("step1", 1), ("run", 2)):
+        run_synthesis(pool, replace(config, iterations=steps), RecombinationGenerator(),
+                      EchoSolver(), model, proj, checkpoint_dir=str(tmp_path / name))
+    # that data file goes back to step 1 while state.json commits step 2
+    (tmp_path / "run" / behind).write_bytes((tmp_path / "step1" / behind).read_bytes())
+    rows = len(load_checkpoint(str(tmp_path / "step1")).pool)
+    committed = json.loads((tmp_path / "run" / "state.json").read_text())["pool_size"]
+    assert committed > rows
+    with pytest.raises(ValueError, match=rf"{behind} holds {rows} rows, fewer than the "
+                                         rf"{committed} that state\.json commits"):
+        load_checkpoint(str(tmp_path / "run"))
 
 
 def test_checkpoint_roundtrip(tmp_path):
