@@ -10,7 +10,10 @@ loop preferentially fills the underrepresented regions of gradient space.
 Generators and solvers are pluggable: in-process built-ins for testing
 (RecombinationGenerator, EchoSolver), child processes answering
 newline-delimited UTF-8 JSON requests over stdio in order, or HTTP targets
-receiving the same objects via POST. Wire protocol:
+receiving the same objects via POST. Both transports read each reply as a
+UTF-8 JSON object; one whose text cannot be encoded as UTF-8 again (a lone
+surrogate escape) fails its try. A transport needs only `request`; its
+`start`, `close` and `send_ahead` are optional. Wire protocol:
 
     {"type": "generate", "exemplars": [sample...], "count": n, "seed": s}
         -> {"samples": [{"input": ..., "output": ...}, ...]}
@@ -25,6 +28,7 @@ import http.client
 import json
 import math
 import os
+import re
 import select
 import shlex
 import subprocess
@@ -192,11 +196,17 @@ class EchoSolver:
 # external endpoints
 
 
-def _json_object(text: str | bytes, source: str) -> dict:
-    """The JSON object in a reply from `source`; anything else is EndpointError."""
+def _json_object(raw: bytes, source: str) -> dict:
+    """The JSON object in a reply from `source`, read as UTF-8; anything
+    else, or text that cannot be encoded as UTF-8 again (a lone surrogate
+    escape), is EndpointError."""
     try:
+        text = raw.decode("utf-8")
         out = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError on bytes
+        # only an escape spells a surrogate; a valid pair decodes to one character
+        if re.search(r"\\u[dD][89a-fA-F]", text):
+            _wire_line(out)
+    except ValueError as e:  # UnicodeDecodeError, JSONDecodeError or UnicodeEncodeError
         raise EndpointError(f"invalid JSON from {source}: {e}") from e
     if not isinstance(out, dict):
         raise EndpointError(f"{source}: response is not a JSON object")
@@ -280,11 +290,7 @@ class JsonLinesProcess:
                 self._pump()
         if slot.error is not None:
             raise EndpointError(slot.error)
-        try:
-            text = slot.reply.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise EndpointError(f"worker reply is not UTF-8: {e}") from e
-        return _json_object(text, "worker")
+        return _json_object(slot.reply, "worker")
 
     def _send(self, line: bytes) -> _Slot:
         # a worker that exited with nothing outstanding is replaced at once,
@@ -404,10 +410,8 @@ class HttpJson:
         self.timeout = timeout
 
     def request(self, obj: dict) -> dict:
-        body = json.dumps(obj, ensure_ascii=False).encode("utf-8")
-        req = urllib.request.Request(
-            self.url, data=body, headers={"Content-Type": "application/json"}
-        )
+        req = urllib.request.Request(self.url, data=_wire_line(obj),
+                                     headers={"Content-Type": "application/json"})
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 payload = resp.read()
@@ -415,17 +419,12 @@ class HttpJson:
             raise EndpointError(f"http request to {self.url} failed: {e}") from e
         return _json_object(payload, self.url)
 
-    def start(self) -> None:
-        """Nothing to start: each request opens its own connection."""
-
-    def close(self) -> None:
-        """Nothing to release: each request opens its own connection."""
-
 
 class RemoteEndpoint:
     """Generator and solver behind a JSON request/response transport
     (`JsonLinesProcess` or `HttpJson`): builds the wire requests and
-    validates the responses."""
+    validates the responses. A transport needs only `request(obj) -> dict`;
+    this class alone looks for its optional `start`, `close` and `send_ahead`."""
 
     def __init__(self, transport: JsonLinesProcess | HttpJson):
         self.transport = transport
@@ -476,10 +475,10 @@ class RemoteEndpoint:
 
     def start(self) -> None:
         """Start the transport's worker, if it has one, ahead of the first request."""
-        self.transport.start()
+        getattr(self.transport, "start", lambda: None)()
 
     def close(self) -> None:
-        self.transport.close()
+        getattr(self.transport, "close", lambda: None)()
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +580,10 @@ def majority_vote_filter(
 ) -> tuple[list[VerifiedCandidate], int]:
     """Keep candidates whose answer is reproduced by >= vote_tau of vote_n runs.
 
-    A kept candidate's output is replaced by the first solver trace that
-    yields the majority answer, and its content-hash id is refreshed to
-    match. A candidate whose solver request fails all its tries (see
+    A kept candidate's output is replaced by the first non-empty solver
+    trace that yields the majority answer, and its content-hash id is
+    refreshed to match; with no such trace the candidate is dropped. A
+    candidate whose solver request fails all its tries (see
     `_request_all`) is dropped; the count of those is returned.
     """
     if not 1 <= vote_tau <= vote_n:
@@ -598,9 +598,9 @@ def majority_vote_filter(
             continue
         answers, traces = res
         majority, count = Counter(answers).most_common(1)[0]
-        if count < vote_tau:
+        trace = next((t for a, t in zip(answers, traces) if a == majority and t), "")
+        if count < vote_tau or not trace:
             continue
-        trace = next(t for a, t in zip(answers, traces) if a == majority)
         # replace builds a new Sample from the fields, so no cached content id carries over
         sample = replace(cand, id=content_id(cand.input, trace, cand.label), output=trace)
         verified.append(VerifiedCandidate(sample, tuple(answers), majority))

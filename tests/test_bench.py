@@ -2,6 +2,7 @@
 checks its CLI calls, its invariants and its artifact hashes, and must end
 with a result line that reports them correct, with no failed operation."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -22,3 +23,12 @@ def test_bench_workload_is_correct_at_tiny_scale(workload):
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, run.stdout
+
+
+def test_smoke_grow_check():
+    """bench/smoke.py's grow check: one untraced and two traced tiny runs,
+    which must agree, and must count JsonLinesProcess.request calls."""
+    spec = importlib.util.spec_from_file_location("bench_smoke", ROOT / "bench" / "smoke.py")
+    smoke = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(smoke)
+    smoke.check_workload("grow")

@@ -81,6 +81,20 @@ def test_higher_contract_and_determinism(pool):
     contract_ok(a, 33, pool.rows)
 
 
+def test_higher_skips_an_exhausted_cluster():
+    # two single-row clusters run out in the first cycle; the big one fills
+    # the target over two more, visiting the empty ones each time
+    rng = rng_from(12)
+    big = np.eye(1, 8) + 0.01 * rng.normal(size=(40, 8))
+    big /= np.linalg.norm(big, axis=1)[:, None]
+    data = np.vstack([big, np.eye(8)[[3, 6]]]).astype(np.float32)
+    feats = FeatureMatrix(data, tuple(f"r{i}" for i in range(42)), Provenance("external"))
+    for seed in range(3):
+        sel = sample_higher_diversity(feats, k=3, n_target=30, rng_seed=seed)
+        contract_ok(sel, 30, feats.rows)
+        assert sel == sample_higher_diversity(feats, k=3, n_target=30, rng_seed=seed)
+
+
 def test_lower_stays_in_seed_blob():
     # two orthogonal blobs: cross-blob cosine ~ 0, far below tau
     rng = rng_from(10)
@@ -147,6 +161,17 @@ def test_mixture_overlap_no_duplicates():
     sel = sample_mixture([a, b], [1, 1], 10, rng_seed=5)
     assert len(sel) == len(set(sel)) == 10
     assert set(sel) <= set(a) | set(b)
+
+
+def test_mixture_fills_a_starved_quota_from_the_leftover_union():
+    # quotas 8*[2, 2, 1]/5 -> [3, 3, 2]: the second parent, a copy of the
+    # first, has one index left for its 3, so 2 come from the leftover union
+    parents = [[0, 1, 2, 3], [0, 1, 2, 3], list(range(4, 10))]
+    for seed in range(3):
+        sel = sample_mixture(parents, [2, 2, 1], 8, rng_seed=seed)
+        assert len(sel) == len(set(sel)) == 8
+        assert set(sel) <= set(range(10)) and {0, 1, 2, 3} <= set(sel)
+        assert sel == sample_mixture(parents, [2, 2, 1], 8, rng_seed=seed)
 
 
 def test_mixture_insufficient_union():

@@ -296,6 +296,34 @@ def test_majority_vote_validates_thresholds():
         majority_vote_filter(EchoSolver(), [], 2, 3, rng_seed=1)
 
 
+class FixedTraceSolver:
+    """Votes each candidate's own answer, with the given traces."""
+
+    def __init__(self, traces):
+        self.traces = traces
+
+    def solve(self, sample, n, seed):
+        return [extract_answer(sample.output)] * n, list(self.traces)
+
+
+@pytest.mark.parametrize("traces", [["", ""], ["", "t \\boxed{1}"]], ids=["all-empty", "mixed"])
+def test_empty_majority_trace_is_never_kept(traces):
+    _, model, proj, _ = loop_fixture()
+    pool = template_corpus(4, 20, seed=3)
+    config = SynthesisConfig(iterations=1, gen_batch=10, vote_n=2, vote_tau=2, k_fraction=0.1,
+                             sparse_fraction=1.0, fewshot_count=3, seed=3)
+    state = run_synthesis(pool, config, RecombinationGenerator(), FixedTraceSolver(traces),
+                          model, proj)
+    (record,) = state.history
+    grown = state.pool.samples[len(pool):]
+    assert record["generated"] > 0 and record["solver_failed"] == 0
+    if traces[-1]:  # the first non-empty trace with the majority answer is kept
+        assert record["vote_accepted"] == record["generated"] == len(grown)
+        assert {s.output for s in grown} == {traces[-1]}
+    else:  # no trace to keep: nothing is verified
+        assert record["vote_accepted"] == 0 and grown == ()
+
+
 # ---------------------------------------------------------------------------
 # decontamination
 
@@ -899,6 +927,149 @@ def test_process_non_utf8_line_counts_as_failure(tmp_path, small_pool):
         gen.close()
 
 
+@pytest.mark.parametrize("raw, parsed", [
+    (b'{"t": "\\ud83d\\ude00"}', {"t": "\U0001F600"}),  # an escaped pair is one character
+    (b'{"t": "\\\\ud800"}', {"t": "\\ud800"}),  # an escaped backslash, then text
+    ('{"t": "\u00e9"}'.encode("utf-8"), {"t": "\u00e9"}),
+])
+def test_reply_decoder_reads_utf8_json_objects(raw, parsed):
+    assert synthesis._json_object(raw, "worker") == parsed
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"t": "\\ud800"}', b'{"t": "x \\uDC00"}', b'{"t": "\\ude00\\ud83d"}',
+    b'{"\\ud800": 1}', b'{"t": ["\\udbff"]}', b'{"t": "\xff"}',
+    '{"t": 1}'.encode("utf-16"), '{"t": 1}'.encode("utf-32"),
+], ids=["lone-high", "lone-low", "reversed-pair", "in-a-key", "in-a-list", "not-utf8",
+        "utf16", "utf32"])
+def test_reply_decoder_refuses_text_that_is_not_utf8(raw):
+    with pytest.raises(EndpointError, match="invalid JSON from worker"):
+        synthesis._json_object(raw, "worker")
+
+
+# A worker that answers like WORKER, but with a lone surrogate escape: with
+# the argument "generate", in the input it generates from exemplars whose first
+# input has odd length; with "solve", in the traces for a problem marked
+# "lone", which it generates from odd seeds.
+LONE_WORKER = textwrap.dedent(
+    """
+    import json, sys
+    for line in sys.stdin:
+        req = json.loads(line)
+        if req["type"] == "generate":
+            odd = len(req["exemplars"][0]["input"]) % 2
+            lone = "\\ud800" if sys.argv[1] == "generate" and odd else ""
+            mark = "lone" if req["seed"] % 2 else "fine"
+            out = [{"input": f"{mark} problem {req['seed']}{lone}",
+                    "output": "steps \\\\boxed{9}"} for _ in range(req["count"])]
+            print(json.dumps({"samples": out}), flush=True)
+        else:
+            n = req["n"]
+            lone = "\\ud800" if sys.argv[1] == "solve" and "lone" in req["problem"] else ""
+            print(json.dumps({"answers": ["9"] * n,
+                              "traces": [f"trace{lone} \\\\boxed{{9}}"] * n}), flush=True)
+    """
+)
+
+
+@pytest.mark.parametrize("kind", ["generate", "solve"])
+def test_lone_surrogate_reply_fails_its_try_and_the_run_finishes(tmp_path, kind):
+    path = tmp_path / "lone_worker.py"
+    path.write_text(LONE_WORKER, encoding="utf-8")
+    pool, model, proj, config = loop_fixture()
+    endpoints = [RemoteEndpoint(JsonLinesProcess([sys.executable, "-S", str(path), kind]))
+                 for _ in range(2)]
+    state = run_synthesis(pool, replace(config, sparse_fraction=1.0), *endpoints, model, proj)
+    assert state.iteration == config.iterations
+    grown = state.pool.samples[len(pool):]
+    if kind == "generate":
+        for r in state.history:
+            assert r["generated"] + r["gen_failed"] == config.gen_batch
+            assert r["solver_failed"] == 0 and r["vote_accepted"] == r["generated"]
+        assert sum(r["gen_failed"] for r in state.history) > 0
+    else:
+        for r in state.history:
+            assert r["gen_failed"] == 0 and r["generated"] == config.gen_batch
+            assert r["vote_accepted"] + r["solver_failed"] == r["generated"]
+        assert sum(r["solver_failed"] for r in state.history) > 0
+        assert all(s.input.startswith("fine") for s in grown)
+    assert len(grown) == sum(r["vote_accepted"] for r in state.history) > 0
+
+
+class RequestOnlyTransport:
+    """A transport with `request` alone: generates by recombination and
+    solves every problem with the answer 1, unless `reply` fixes every reply."""
+
+    def __init__(self, reply=None):
+        self.reply, self.requests = reply, 0
+
+    def request(self, obj):
+        self.requests += 1
+        if self.reply is not None:
+            return self.reply
+        if obj["type"] == "generate":
+            exemplars = [Sample.from_json_dict(e) for e in obj["exemplars"]]
+            return {"samples": RecombinationGenerator().generate(exemplars, obj["count"],
+                                                                 obj["seed"])}
+        return {"answers": ["1"] * obj["n"], "traces": [f"t {obj['problem']} \\boxed{{1}}"]
+                * obj["n"]}
+
+
+def test_run_synthesis_runs_a_request_only_transport():
+    pool, model, proj, config = loop_fixture()
+    endpoints = [RemoteEndpoint(RequestOnlyTransport()) for _ in range(2)]
+    state = run_synthesis(pool, config, *endpoints, model, proj)
+    assert state.iteration == config.iterations
+    assert all(r["gen_failed"] == r["solver_failed"] == 0 for r in state.history)
+    assert len(state.pool) > len(pool)
+
+
+@pytest.mark.parametrize("kind, reply, message", [
+    ("generate", {"sample": []}, "missing 'samples' list"),
+    ("generate", {"samples": {"input": "x"}}, "missing 'samples' list"),
+    ("generate", {"samples": [{"output": "x"}]}, "missing 'input'"),
+    ("generate", {"samples": ["x"]}, "missing 'input'"),
+    ("solve", {"answers": ["1"] * 3, "traces": ["t"] * 2}, "needs 3 traces"),
+    ("solve", {"answers": ["1"] * 3, "traces": "ttt"}, "needs 3 traces"),
+], ids=["no-samples", "samples-not-a-list", "no-input", "record-not-an-object",
+        "short-traces", "traces-not-a-list"])
+def test_malformed_reply_shape_costs_one_try(small_pool, kind, reply, message):
+    transport = RequestOnlyTransport(reply)
+    endpoint = RemoteEndpoint(transport)
+    if kind == "generate":
+        with pytest.raises(EndpointError, match=message):
+            endpoint.generate(list(small_pool)[:1], 1, seed=1)
+        result = generate_candidates(endpoint, small_pool, 3, 2, rng_seed=2)
+    else:
+        with pytest.raises(EndpointError, match=message):
+            endpoint.solve(small_pool[0], 3, seed=1)
+        result = majority_vote_filter(endpoint, list(small_pool)[:2], 3, 2, rng_seed=2)
+    assert result == ([], 2)  # each job counts once, after its three tries
+    assert transport.requests == 1 + 2 * 3
+
+
+def test_worker_that_exited_between_requests_is_replaced_first(tmp_path):
+    """A worker that answers one request and exits; the next request goes to
+    a fresh worker and gets its own reply, with no try lost to the exit."""
+    path = tmp_path / "one_shot.py"
+    path.write_text("import json, sys\n"
+                    "req = json.loads(sys.stdin.readline())\n"
+                    "print(json.dumps({'seed': req['seed']}), flush=True)\n", encoding="utf-8")
+    transport = JsonLinesProcess([sys.executable, "-S", str(path)], timeout=10.0)
+    try:
+        assert transport.request({"type": "solve", "problem": "q", "n": 1, "seed": 1}) == {
+            "seed": 1}
+        first, deadline = transport._proc, time.monotonic() + 30
+        while first.poll() is None:
+            assert time.monotonic() < deadline, "the worker did not exit"
+            time.sleep(0.01)
+        assert transport.request({"type": "solve", "problem": "q", "n": 1, "seed": 2}) == {
+            "seed": 2}
+        assert transport._proc is not first
+    finally:
+        transport.close()
+
+
 @pytest.mark.parametrize("script", [WORKER, "import sys; sys.exit(0)\n",
                                     "import sys, time; print('{', end='', flush=True); "
                                     "time.sleep(60)\n"],
@@ -972,7 +1143,7 @@ def _one_at_a_time(self, obj: dict) -> dict:
         if not line:
             self._drop()
             raise EndpointError("worker closed its output stream")
-    return synthesis._json_object(line, "worker")
+    return synthesis._json_object(line.encode("utf-8"), "worker")
 
 
 def _children() -> set[str]:
@@ -1337,15 +1508,17 @@ class _RawReply(socketserver.StreamRequestHandler):
         while (line := self.rfile.readline()) not in (b"\r\n", b""):
             if line.lower().startswith(b"content-length:"):
                 length = int(line.split(b":", 1)[1])
-        self.rfile.read(length)
+        self.server.bodies.append(self.rfile.read(length))
         self.wfile.write(self.server.reply)
 
 
 @contextlib.contextmanager
-def _raw_http_server(reply: bytes):
+def _raw_http_server(reply: bytes, bodies: list | None = None):
+    """A server answering each request with `reply`; it appends each
+    request's body to `bodies`."""
     server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _RawReply)
     server.daemon_threads = True
-    server.reply = reply
+    server.reply, server.bodies = reply, [] if bodies is None else bodies
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -1376,3 +1549,26 @@ def test_http_non_utf8_body_is_endpoint_error(small_pool):
         with pytest.raises(EndpointError, match=f"invalid JSON from {url}"):
             gen.generate(list(small_pool)[:1], 1, seed=1)
         assert generate_candidates(gen, small_pool, 3, 2, rng_seed=2) == ([], 2)
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32"])
+def test_http_reply_in_utf16_or_utf32_is_refused(encoding, small_pool):
+    body = json.dumps({"samples": [{"input": "wide", "output": "x"}]}).encode(encoding)
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    with _raw_http_server(reply) as url:
+        gen = RemoteEndpoint(HttpJson(url, timeout=5.0))
+        with pytest.raises(EndpointError, match=f"invalid JSON from {url}"):
+            gen.generate(list(small_pool)[:1], 1, seed=1)
+        assert generate_candidates(gen, small_pool, 3, 2, rng_seed=2) == ([], 2)
+
+
+def test_http_body_is_the_worker_request_line(small_pool):
+    body = b'{"answers": ["1"], "traces": ["t \xc3\xa9"]}'
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    problem = Sample(id="x", input="q \u00e9 \U0001F600", output="")
+    with _raw_http_server(reply, bodies := []) as url:
+        assert RemoteEndpoint(HttpJson(url, timeout=5.0)).solve(problem, 1, seed=4) == (
+            ["1"], ["t \u00e9"])
+    (sent,) = bodies
+    assert sent == synthesis._wire_line({"type": "solve", "problem": problem.input, "n": 1,
+                                         "seed": 4})
