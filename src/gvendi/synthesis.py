@@ -28,7 +28,6 @@ import http.client
 import json
 import math
 import os
-import re
 import select
 import shlex
 import subprocess
@@ -38,7 +37,7 @@ import urllib.request
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
 import numpy as np
 
@@ -197,15 +196,12 @@ class EchoSolver:
 
 
 def _json_object(raw: bytes, source: str) -> dict:
-    """The JSON object in a reply from `source`, read as UTF-8; anything
-    else, or text that cannot be encoded as UTF-8 again (a lone surrogate
-    escape), is EndpointError."""
+    """The JSON object in a reply from `source`, read as UTF-8 (a leading
+    byte order mark is ignored); anything else, or text that cannot be
+    encoded as UTF-8 again (a lone surrogate escape), is EndpointError."""
     try:
-        text = raw.decode("utf-8")
-        out = json.loads(text)
-        # only an escape spells a surrogate; a valid pair decodes to one character
-        if re.search(r"\\u[dD][89a-fA-F]", text):
-            _wire_line(out)
+        out = json.loads(raw.decode("utf-8-sig"))
+        _wire_line(out)
     except ValueError as e:  # UnicodeDecodeError, JSONDecodeError or UnicodeEncodeError
         raise EndpointError(f"invalid JSON from {source}: {e}") from e
     if not isinstance(out, dict):
@@ -426,7 +422,7 @@ class RemoteEndpoint:
     validates the responses. A transport needs only `request(obj) -> dict`;
     this class alone looks for its optional `start`, `close` and `send_ahead`."""
 
-    def __init__(self, transport: JsonLinesProcess | HttpJson):
+    def __init__(self, transport: Any):
         self.transport = transport
 
     @staticmethod

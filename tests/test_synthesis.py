@@ -931,6 +931,7 @@ def test_process_non_utf8_line_counts_as_failure(tmp_path, small_pool):
     (b'{"t": "\\ud83d\\ude00"}', {"t": "\U0001F600"}),  # an escaped pair is one character
     (b'{"t": "\\\\ud800"}', {"t": "\\ud800"}),  # an escaped backslash, then text
     ('{"t": "\u00e9"}'.encode("utf-8"), {"t": "\u00e9"}),
+    ('{"t": 1}'.encode("utf-8-sig"), {"t": 1}),  # a byte order mark is ignored
 ])
 def test_reply_decoder_reads_utf8_json_objects(raw, parsed):
     assert synthesis._json_object(raw, "worker") == parsed
