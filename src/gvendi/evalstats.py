@@ -54,18 +54,21 @@ class AccuracyTable:
                 raise ValueError(f"{path}: header must be 'model,<benchmark>,...'")
             benchmarks = tuple(h.strip() for h in header[1:])
             models, rows = [], []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row or all(not c.strip() for c in row):
                     continue
+                # the line a row ends on, as a quoted field may span lines
+                where = f"{path}: line {reader.line_num}"
                 if len(row) != len(header):
-                    raise ValueError(f"{path}: line {lineno} has {len(row)} fields, expected {len(header)}")
-                models.append(row[0].strip())
+                    raise ValueError(f"{where} has {len(row)} fields, expected {len(header)}")
+                model = row[0].strip()
+                if model in models:
+                    raise ValueError(f"{where}: duplicate model {model!r}")
+                models.append(model)
                 try:
                     rows.append([float(c) for c in row[1:]])
                 except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: non-numeric accuracy") from None
-        if len(set(models)) != len(models):
-            raise ValueError(f"{path}: duplicate model names")
+                    raise ValueError(f"{where}: non-numeric accuracy") from None
         return cls(benchmarks, tuple(models), np.array(rows), reference_model)
 
 

@@ -112,16 +112,16 @@ def _eigvalsh(gram: np.ndarray) -> np.ndarray:
 
 
 def _gram(mat: np.ndarray) -> np.ndarray:
-    """G G^T / n of float64 unit rows given over their u used columns, on the
-    smaller side: n x n when n <= u, else u x u. Both share the nonzero
-    spectrum, so cost is O(min(n,u)^2 * max(n,u)) instead of O(n^3). The
-    product runs on one BLAS thread, like the spectrum, so its bits do not
-    depend on the thread count. The division is in place, which gives the
-    bits of `/ n` without a second Gram-sized array.
+    """G G^T / n of n float64 unit rows of d columns, on the smaller side:
+    n x n when n <= d, else d x d. Both share the nonzero spectrum, so cost
+    is O(min(n,d)^2 * max(n,d)) instead of O(n^3). The product runs on one
+    BLAS thread, like the spectrum, so its bits do not depend on the thread
+    count. The division is in place, which gives the bits of `/ n` without a
+    second Gram-sized array.
     """
-    n, u = mat.shape
+    n, d = mat.shape
     with one_thread():
-        gram = mat @ mat.T if n <= u else mat.T @ mat
+        gram = mat @ mat.T if n <= d else mat.T @ mat
     gram /= n
     return gram
 
@@ -196,10 +196,7 @@ def _features_gram(features: FeatureMatrix) -> np.ndarray:
 
     Embedding rows (TF-IDF, mostly zero) take `_sparse_gram`, as a corpus's
     embedding-vendi does, so a stored embedding `.gvfm` scores as its corpus
-    does by construction. Other rows take the BLAS Gram. Columns that are
-    zero in every row add only zero eigenvalues, so they are dropped before
-    the float64 Gram; when every column is used, as for gradient features,
-    no column is gathered.
+    does by construction. Other rows take the BLAS Gram over every column.
     """
     zero = features.degenerate_mask()
     data = features.data
@@ -208,9 +205,6 @@ def _features_gram(features: FeatureMatrix) -> np.ndarray:
         return _sparse_gram(_csr(data))
     if counted < features.rows:
         data = data[~zero]
-    used = np.flatnonzero(data.any(axis=0))
-    if used.size < features.dim:
-        data = data[:, used]
     return _gram(data.astype(np.float64))
 
 

@@ -20,8 +20,6 @@ import contextlib
 import contextvars
 import hashlib
 import os
-import queue
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -326,15 +324,21 @@ def _featurize_workers(chunks: int) -> int:
 
 
 def _featurize_chunk(model: ProxyModel, proj: ProjectionSpec, samples: Sequence[Sample],
-                     grads: np.ndarray, out: np.ndarray) -> None:
-    """One chunk's unit rows into `out`, its gradients through `grads`."""
-    for a in range(0, len(samples), _TOKEN_ROWS):
-        _token_pass(model, samples[a : a + _TOKEN_ROWS], grads[a : a + _TOKEN_ROWS])
-    # a zero gradient row projects to exactly +0.0 and stays zero
-    projected = project(proj, grads).astype(np.float64)
+                     buffers: list[np.ndarray]) -> np.ndarray:
+    """One chunk's unit rows as a new float32 block, its gradients computed in
+    a buffer borrowed from `buffers`, which holds one per worker thread."""
+    buffer = buffers.pop()
+    try:
+        grads = buffer[: len(samples)]
+        for a in range(0, len(samples), _TOKEN_ROWS):
+            _token_pass(model, samples[a : a + _TOKEN_ROWS], grads[a : a + _TOKEN_ROWS])
+        # a zero gradient row projects to exactly +0.0 and stays zero
+        projected = project(proj, grads).astype(np.float64)
+    finally:
+        buffers.append(buffer)
     norms = np.linalg.norm(projected, axis=1)
     projected /= np.where(norms == 0.0, 1.0, norms)[:, None]
-    out[...] = projected
+    return projected.astype(np.float32)
 
 
 def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> FeatureMatrix:
@@ -360,20 +364,21 @@ def featurize_stream(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) ->
     other samples of its chunk, except that a 1-row corpus takes `project`'s
     matrix-vector path.
 
-    The chunks run on a pool of `_featurize_workers` threads, each running
-    chunk in one of as many float32 gradient buffers. With two or more
-    workers OpenBLAS is held at one thread; a single worker leaves the BLAS
-    thread count as it finds it. The calling thread runs no chunk: it keeps
-    a window of at most two chunks per worker submitted and hands their
-    blocks on in corpus order. Each chunk runs in a copy of the caller's context (numpy's
-    errstate lives there). A failure raises the error of the first failing
-    chunk in corpus order, once every block before it has been handed on;
-    once a chunk has failed no later chunk starts, and those still queued
-    are cancelled.
-    The sign matrix is `proj.signs` (source_dim x target_dim float32, 64 MB
-    at the defaults), built before the workers start and kept by `proj`.
-    With at most _MAX_WORKERS gradient buffers and two chunk results per
-    worker, the stream's memory is flat in the corpus size and the CPU count.
+    The chunks run on a pool of `_featurize_workers` threads. A running chunk
+    computes its gradients in one of as many float32 buffers, which the
+    calling thread allocates, and its rows in a block of its own that no
+    later chunk reuses, so a consumer may keep what it is handed. With two
+    or more workers OpenBLAS is held at one thread; a single worker leaves
+    the BLAS thread count as it finds it. The calling thread runs no chunk:
+    it keeps a window of at most two chunks per worker submitted and hands
+    their blocks on in corpus order, so the stream's memory is flat in the
+    corpus size and the CPU count. Each chunk runs in a copy of the caller's
+    context (numpy's errstate lives there). A failed chunk stops the stream
+    as a failed `emit` does: the first failure in corpus order raises once
+    every block before it has been handed on, chunks still queued are
+    cancelled and those running finish. The sign matrix is `proj.signs`
+    (source_dim x target_dim float32, 64 MB at the defaults), built before
+    the workers start and kept by `proj`.
     """
     if proj.source_dim != model.n_params:
         raise ValueError(
@@ -389,50 +394,25 @@ def _featurize_blocks(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus,
     """Each chunk's unit rows to `emit`, in corpus order, on the calling
     thread; see `featurize_stream`."""
     bounds = _chunk_bounds(len(corpus))
-    chunks = len(bounds) - 1
-    workers = _featurize_workers(chunks)
-    rows = max(np.diff(bounds), default=0)
-    grads, results = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(workers):
-        grads.put(np.empty((rows, model.n_params), dtype=np.float32))
-    # one per chunk of the window, so no chunk waits for a result buffer
-    for _ in range(2 * workers):
-        results.put(np.empty((rows, proj.target_dim), dtype=np.float32))
+    workers = _featurize_workers(len(bounds) - 1)
+    # one gradient buffer per worker, allocated here: a worker thread's would
+    # come from its own malloc arena, which cannot reuse what this thread frees
+    buffers = [np.empty((max(np.diff(bounds), default=0), model.n_params), dtype=np.float32)
+               for _ in range(workers)]
     proj.signs  # built once, before the workers share it
-    lock = threading.Lock()
-    first_failed = chunks
-
-    def run(i: int) -> np.ndarray | None:
-        """Chunk i's rows in a result buffer; None, never read, after a failed chunk."""
-        nonlocal first_failed
-        if i > first_failed:
-            return None
-        start, stop = bounds[i], bounds[i + 1]
-        g, result = grads.get(), results.get()
-        try:
-            _featurize_chunk(model, proj, corpus.samples[start:stop], g[: stop - start],
-                             result[: stop - start])
-        except BaseException:
-            with lock:
-                first_failed = min(first_failed, i)
-            raise
-        finally:
-            grads.put(g)
-        return result
-
     # the caller only waits and emits, so no chunk runs beside another on its
     # stack (bench/tracer.py parents each thread's spans to the caller's); one
     # worker runs alone, so its chunks keep every BLAS thread
     with one_thread() if workers > 1 else contextlib.nullcontext():
         pool = ThreadPoolExecutor(workers)
         try:
-            submit = (pool.submit(contextvars.copy_context().run, run, i) for i in range(chunks))
+            submit = (pool.submit(contextvars.copy_context().run, _featurize_chunk, model, proj,
+                                  corpus.samples[start:stop], buffers)
+                      for start, stop in zip(bounds, bounds[1:]))
             window = deque(islice(submit, 2 * workers))
-            for i in range(chunks):
+            while window:
                 # raises the first failure in corpus order, every block before it emitted
-                result = window.popleft().result()
-                emit(result[: bounds[i + 1] - bounds[i]])
-                results.put(result)
+                emit(window.popleft().result())
                 window.extend(islice(submit, 1))
         finally:
             pool.shutdown(cancel_futures=True)

@@ -759,6 +759,8 @@ def _grow(
         mix64(step_seed, 3),
         max_workers=config.max_workers,
     )
+    # a kept trace with a byte the model cannot read fails its vote, not the run
+    verified = [v for v in verified if max(v.sample.output.encode("utf-8")) < model.vocab_size]
     survivors, flagged = decontaminate([v.sample for v in verified], protected,
                                        config.decontam_ngram)
 

@@ -262,6 +262,20 @@ def test_accuracy_table_csv_errors(tmp_path):
         AccuracyTable.from_csv(p, "ref")
 
 
+def test_accuracy_table_csv_errors_name_the_line_a_row_ends_on(tmp_path):
+    # a quoted model name on lines 3-4 makes line 5 the fifth line, not the fourth
+    p = tmp_path / "acc.csv"
+    p.write_text('model,b1\nref,1.0\n"two\nlines",0.5\nshort\n')
+    with pytest.raises(ValueError, match=r"acc\.csv: line 5 has 1 fields, expected 2$"):
+        AccuracyTable.from_csv(p, "ref")
+    p.write_text('model,b1\n"two\nlines",1.0\nref,abc\n')
+    with pytest.raises(ValueError, match=r"acc\.csv: line 4: non-numeric accuracy$"):
+        AccuracyTable.from_csv(p, "ref")
+    p.write_text('model,b1\nref,1.0\n"two\nlines",0.5\n\nref,0.7\n')
+    with pytest.raises(ValueError, match=r"acc\.csv: line 6: duplicate model 'ref'$"):
+        AccuracyTable.from_csv(p, "ref")
+
+
 def test_spearman_invariant_under_monotone_transform():
     rng = rng_from(901)
     x = rng.uniform(0.5, 9.0, size=20)

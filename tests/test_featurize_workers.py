@@ -1,9 +1,12 @@
 """featurize on several threads: the bytes of one thread, the error of the
-first failing chunk, and the OpenBLAS thread count left as it was found."""
+first failing chunk, the OpenBLAS thread count left as it was found, and
+memory bounded by the window of submitted chunks."""
 
 import os
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,11 +95,11 @@ def test_error_names_the_first_failing_chunk_in_corpus_order(monkeypatch):
     third_failed = threading.Event()
     run_chunk = proxy._featurize_chunk
 
-    def ordered(model, proj, chunk, grads, out):
+    def ordered(model, proj, chunk, buffers):
         try:
             if chunk[0].id == "s4":
                 third_failed.wait(10)
-            run_chunk(model, proj, chunk, grads, out)
+            return run_chunk(model, proj, chunk, buffers)
         finally:
             if chunk[0].id == "s12":
                 third_failed.set()
@@ -134,17 +137,20 @@ def test_one_cpu_runs_every_chunk_on_one_worker_and_leaves_blas_alone(monkeypatc
 
 @needs_blas_count
 def test_failing_worker_restores_blas_threads(monkeypatch):
+    """Chunk 1 fails while chunk 0 runs: as for a failed emit, at most two
+    chunks per worker ran beyond chunk 0's block, each on a worker held at
+    one BLAS thread, and the count is restored."""
     _workers(monkeypatch, 2)
     caller = threading.current_thread()
     failed = threading.Event()
     seen = []
     run_chunk = proxy._featurize_chunk
 
-    def failing(model, proj, chunk, grads, out):
+    def failing(model, proj, chunk, buffers):
         seen.append((threading.current_thread() is caller, _count()))
         if chunk[0].id == "s0":
-            failed.wait(10)  # the other worker takes the next chunk meanwhile
-            return run_chunk(model, proj, chunk, grads, out)
+            failed.wait(10)  # the other worker takes the next chunks meanwhile
+            return run_chunk(model, proj, chunk, buffers)
         failed.set()
         raise RuntimeError("worker failed")
 
@@ -152,8 +158,10 @@ def test_failing_worker_restores_blas_threads(monkeypatch):
     model = ProxyModel.create()
     before = _count()
     with pytest.raises(RuntimeError, match="worker failed"):
-        featurize(model, ProjectionSpec(model.n_params, 32, seed=13), _short_and_long_outputs(12))
-    assert failed.is_set() and seen == [(False, 1)] * 2
+        featurize(model, ProjectionSpec(model.n_params, 32, seed=13),
+                  _short_and_long_outputs(41))  # 10 chunks
+    assert failed.is_set() and set(seen) == {(False, 1)}
+    assert len(seen) <= 1 + 2 * 2
     assert _count() == before
 
 
@@ -209,9 +217,8 @@ def test_spectrum_overlapping_featurize_restores_blas_threads(monkeypatch, spect
 @needs_blas_count
 def test_many_workers_and_spectra_under_fast_thread_switching(monkeypatch):
     """Eight workers on 4-row chunks while three threads take and release
-    one BLAS thread in a loop: a lost update to the buffer queues, the
-    first failed chunk or the holder count shows as other bytes or another
-    final count."""
+    one BLAS thread in a loop: a lost update to the chunk window or the
+    holder count shows as other bytes or another final count."""
     model = ProxyModel.create()
     proj = ProjectionSpec(model.n_params, 32, seed=13)
     corpus = _short_and_long_outputs(41)
@@ -264,3 +271,40 @@ def test_emit_that_raises_stops_the_pool_and_restores_blas_threads(monkeypatch):
         stream.blocks(emit)
     assert threading.active_count() == threads and _count() == before
     assert len(emitted) == 2 and len(ran) <= len(emitted) + 2 * 2
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_slow_consumer_holds_only_the_window(monkeypatch):
+    """A consumer that takes 10 ms per block while two workers run 16-row
+    chunks: the traced peak stays within 2 x workers blocks plus, per
+    worker, a gradient buffer and a running chunk's peak (its block and
+    temporaries), and does not grow from 40 chunks to 80."""
+    monkeypatch.setattr(proxy, "_CHUNK_ROWS", 16)
+    monkeypatch.setattr(proxy, "_featurize_workers", lambda chunks: 2)
+    model = ProxyModel.create(feature_dim=4)
+    proj = ProjectionSpec(model.n_params, model.n_params, seed=13)  # 1024-wide blocks
+
+    def corpus(n):
+        return Corpus(tuple(Sample(id=f"s{i}", input=f"question {i}", output=f"answer {i % 7}")
+                            for i in range(n)), name="t")
+
+    chunk = corpus(16).samples
+    buffers = [np.empty((16, model.n_params), dtype=np.float32)]
+    proxy._featurize_chunk(model, proj, chunk, buffers)  # builds the signs and the bigram table
+    chunk_peak = _traced_peak(lambda: proxy._featurize_chunk(model, proj, chunk, buffers))
+    block, grads = 16 * proj.target_dim * 4, buffers[0].nbytes
+    streams = [proxy.featurize_stream(model, proj, corpus(16 * chunks)) for chunks in (40, 80)]
+    peaks = [_traced_peak(lambda: stream.blocks(lambda rows: time.sleep(0.01)))
+             for stream in streams]
+    assert max(peaks) <= 2 * 2 * block + 2 * (grads + chunk_peak), (peaks, block, chunk_peak)
+    # whether both workers' temporaries peak at once moves a run's peak by
+    # up to one chunk's; 40 more blocks held would move it by 40 blocks
+    assert peaks[1] <= peaks[0] + chunk_peak, (peaks, chunk_peak)

@@ -211,8 +211,9 @@ def _traced_peak(fn):
 
 
 def _full_width_vendi(data):
-    """vendi_score as it was before unused columns were dropped: the float64
-    Gram over every column, n x n when n <= d, with the program's spectrum."""
+    """vendi_score over the float64 Gram of every column, n x n when n <= d,
+    with the program's spectrum: the dense rows' Gram, which the sparse Gram
+    of embedding rows matches."""
     mat = np.asarray(data, dtype=np.float64)
     n, d = mat.shape
     gram = (mat @ mat.T if n <= d else mat.T @ mat) / n
@@ -272,14 +273,14 @@ def test_vendi_score_drops_unused_tfidf_columns_keeping_bits(dim):
     assert vendi_score(feats) == _full_width_vendi(feats.data)
 
 
-def test_vendi_score_drops_unused_dense_columns():
-    # dense rows sum each Gram entry in another grouping once columns go, so
-    # only the low bits may move
+def test_vendi_score_keeps_unused_dense_columns():
+    # dense rows with all-zero columns take the Gram over every column, so
+    # their score is the full-width one bit for bit
     rng = rng_from(31)
     data = rng.normal(size=(40, 300))
     data[:, rng.choice(300, 120, replace=False)] = 0.0
     feats = fm(unit_rows(data))
-    assert vendi_score(feats) == pytest.approx(_full_width_vendi(feats.data), rel=1e-12)
+    assert vendi_score(feats) == _full_width_vendi(feats.data)
 
 
 needs_dsyevd = pytest.mark.skipif(

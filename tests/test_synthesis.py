@@ -324,6 +324,40 @@ def test_empty_majority_trace_is_never_kept(traces):
         assert record["vote_accepted"] == 0 and grown == ()
 
 
+class UnreadableTraceSolver:
+    """Votes each candidate's own answer; the trace of a candidate whose
+    input has an odd length holds an `é`, bytes 195 and 169."""
+
+    def __init__(self):
+        self.unreadable = []
+
+    def solve(self, sample, n, seed):
+        odd = len(sample.input) % 2 == 1
+        if odd:
+            self.unreadable.append(sample.input)
+        trace = "t \u00e9 \\boxed{1}" if odd else "t \\boxed{1}"
+        return [extract_answer(sample.output)] * n, [trace] * n
+
+
+def test_trace_outside_the_vocab_fails_its_vote_and_the_run_goes_on():
+    model = ProxyModel.create(vocab_size=128)
+    proj = ProjectionSpec(model.n_params, 64, seed=303)
+    pool = template_corpus(4, 20, seed=3)
+    config = SynthesisConfig(iterations=2, gen_batch=20, vote_n=2, vote_tau=2, k_fraction=0.1,
+                             sparse_fraction=1.0, fewshot_count=3, seed=3)
+    solver = UnreadableTraceSolver()
+    state = run_synthesis(pool, config, RecombinationGenerator(), solver, model, proj)
+    assert len(state.history) == 2 and solver.unreadable
+    generated = sum(r["generated"] for r in state.history)
+    assert sum(r["vote_accepted"] for r in state.history) == generated - len(solver.unreadable)
+    keys = {"generated", "gen_failed", "vote_accepted", "solver_failed", "decontam_flagged",
+            "sparse_accepted", "pool_g_vendi"}
+    assert all(set(r) == keys for r in state.history)
+    grown = state.pool.samples[len(pool):]
+    assert grown and {s.output for s in grown} == {"t \\boxed{1}"}
+    assert all(len(s.input) % 2 == 0 for s in grown)
+
+
 # ---------------------------------------------------------------------------
 # decontamination
 
