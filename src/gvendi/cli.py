@@ -18,13 +18,12 @@ import argparse
 import fcntl
 import inspect
 import json
-import math
 import os
 import sys
 from typing import Callable, NamedTuple, Sequence
 
 from .cluster import dynamic_k, kmeans_fit
-from .corpus import Corpus, ingest_jsonl, open_atomic, open_text, write_jsonl
+from .corpus import Corpus, ingest_jsonl, load_json, open_atomic, open_text, write_jsonl
 from .featmat import load_features
 from .metrics import (
     DiversityReport,
@@ -36,7 +35,7 @@ from .metrics import (
     report_from_tfidf,
     tag_entropy,
 )
-from .evalstats import AccuracyTable, correlation_study, relative_perf
+from .evalstats import AccuracyTable, correlation_study, read_diversity_csv, relative_perf
 from .proxy import ProjectionSpec, ProxyModel, embed_hashed_tfidf, embed_stream, featurize_stream
 from .sampling import (
     sample_higher_diversity,
@@ -194,11 +193,7 @@ def cmd_featurize(args: argparse.Namespace) -> None:
 def _load_selection(path: str, sample_ids: Sequence[str]) -> list[int]:
     """Row indices, in file order, of the ids in a JSON id-list file; an
     unknown or repeated id is an error that names the file."""
-    with open_text(path) as fh:
-        try:
-            ids = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not JSON: {e}") from None
+    ids = load_json(path)
     if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
         raise ValueError(f"{path}: expected a JSON array of sample ids")
     index = {sid: i for i, sid in enumerate(sample_ids)}
@@ -393,32 +388,6 @@ def cmd_decontaminate(args: argparse.Namespace) -> None:
                args.output, args.flagged)
 
 
-def _diversity_map(path: str) -> dict[str, float]:
-    """CSV `model,diversity` -> mapping."""
-    import csv
-
-    out: dict[str, float] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise ValueError(f"{path}: expected header 'model,diversity'")
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            where = f"{path}: line {reader.line_num}"
-            try:
-                model, value = row[0].strip(), float(row[1])
-            except (IndexError, ValueError):
-                raise ValueError(f"{where}: expected 'model,diversity'") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{where}: diversity {row[1].strip()!r} is not finite")
-            if model in out:
-                raise ValueError(f"{where}: model {model!r} is listed twice")
-            out[model] = value
-    return out
-
-
 def cmd_evaluate(args: argparse.Namespace) -> None:
     table = AccuracyTable.from_csv(_need(args, "table"), _need(args, "reference"))
     result: dict = {
@@ -426,7 +395,7 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
         "perf": {m: relative_perf(table, m) for m in table.models},
     }
     if args.diversity:
-        dmap = _diversity_map(args.diversity)
+        dmap = read_diversity_csv(args.diversity)
         pairs = [(dmap[m], result["perf"][m]) for m in table.models if m in dmap]
         if len(pairs) < 3:
             raise ValueError("need diversity values for at least 3 models")
@@ -437,7 +406,7 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
 
 def cmd_report(args: argparse.Namespace) -> None:
     table = AccuracyTable.from_csv(_need(args, "table"), _need(args, "reference"))
-    dmap = _diversity_map(_need(args, "diversity"))
+    dmap = read_diversity_csv(_need(args, "diversity"))
     rows = sorted((dmap[m], relative_perf(table, m), m) for m in table.models if m in dmap)
     lines = ["diversity\tperf\tmodel"]
     lines += [f"{d!r}\t{p!r}\t{m}" for d, p, m in rows]
@@ -538,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, fn, help=text)
         _opt(p, "--table", "evaluate.table", help="accuracy CSV: model,<benchmark>,...")
         _opt(p, "--reference", "evaluate.reference", help="reference model name")
-        _opt(p, "--diversity", "evaluate.diversity", help="CSV model,diversity")
+        _opt(p, "--diversity", "evaluate.diversity", help="diversity CSV: model,<diversity>")
         _opt(p, "--output", "output")
 
     return parser

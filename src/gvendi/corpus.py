@@ -169,6 +169,16 @@ def open_text(path, newline: str | None = None) -> Iterator[TextIO]:
             raise ValueError(f"{path}: not UTF-8 ({e.reason}: 0x{e.object[e.start]:02x})") from None
 
 
+def load_json(path):
+    """The JSON document in `path` (`open_text`); one that is not JSON is a
+    ValueError naming the file."""
+    with open_text(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: not JSON: {e}") from None
+
+
 @contextmanager
 def open_atomic(path, mode: str = "w") -> Iterator[IO]:
     """A new file ("w", UTF-8, or "wb") that replaces `path` when the block
@@ -206,12 +216,14 @@ def open_atomic(path, mode: str = "w") -> Iterator[IO]:
 def ingest_jsonl(path) -> Corpus:
     """Read a JSONL file into a Corpus, preserving line order.
 
-    Records without an `id`, or with a null one, get a content-hash id;
-    identical no-id records deduplicate to the first occurrence. Duplicate
-    explicit ids, and id collisions between differing records, are errors.
+    Records without an `id`, or with a null one, get a content-hash id; a
+    no-id record that reads as the same Sample as an earlier no-id one is
+    dropped, keeping the first. Duplicate explicit ids, and id collisions
+    between differing records, are errors.
     """
     samples: list[Sample] = []
-    seen: dict[str, tuple[bool, dict]] = {}  # id -> (auto_generated, record)
+    index: dict[str, int] = {}  # id -> position in samples
+    generated: set[str] = set()  # ids hashed from a record's content
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -227,12 +239,13 @@ def ingest_jsonl(path) -> Corpus:
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from e
             auto = obj.get("id") is None
-            if s.id in seen:
-                prev_auto, prev_obj = seen[s.id]
-                if auto and prev_auto and {**prev_obj, "id": None} == {**obj, "id": None}:
-                    continue  # identical auto-id record: keep the first
+            if s.id in index:
+                if auto and s.id in generated and samples[index[s.id]] == s:
+                    continue  # an id-less record read as the same Sample: keep the first
                 raise ValueError(f"{path}: line {lineno}: duplicate sample id {s.id!r}")
-            seen[s.id] = (auto, obj)
+            index[s.id] = len(samples)
+            if auto:
+                generated.add(s.id)
             samples.append(s)
     return Corpus(tuple(samples), name=os.path.basename(str(path)))
 

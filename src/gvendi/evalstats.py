@@ -43,33 +43,54 @@ class AccuracyTable:
 
     @classmethod
     def from_csv(cls, path, reference_model: str) -> "AccuracyTable":
-        """CSV with header `model,<benchmark>,...`, one row per model."""
-        with open_text(path, newline="") as fh:
-            reader = csv.reader(fh)
+        """CSV with header `model,<benchmark>,...`, one row per model (`_read_model_csv`)."""
+        benchmarks, models, acc = _read_model_csv(path, "accuracy")
+        try:
+            return cls(benchmarks, models, acc, reference_model)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+
+
+def _read_model_csv(path, value: str, one_column: bool = False) -> tuple[tuple, tuple, np.ndarray]:
+    """Column names, models and (models, columns) values of a CSV table with
+    header `model,<column>,...` (one value column if `one_column`), one row
+    per model. Blank rows are skipped; a row not as wide as the header, a
+    repeated model and a non-numeric or non-finite `value` are errors naming
+    the file and the line the row ends on (a quoted field may span lines)."""
+    shape = "model,<column>" if one_column else "model,<column>,..."
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)  # None: an empty file, refused as a table without rows
+        if header is not None and (len(header) < 2 or header[0].strip() != "model"
+                                   or one_column and len(header) != 2):
+            raise ValueError(f"{path}: line {reader.line_num}: header must be '{shape}'")
+        models, rows = [], []
+        for row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where} has {len(row)} fields, expected {len(header)}")
+            model = row[0].strip()
+            if model in models:
+                raise ValueError(f"{where}: duplicate model {model!r}")
+            models.append(model)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty accuracy table") from None
-            if len(header) < 2 or header[0].strip() != "model":
-                raise ValueError(f"{path}: header must be 'model,<benchmark>,...'")
-            benchmarks = tuple(h.strip() for h in header[1:])
-            models, rows = [], []
-            for row in reader:
-                if not row or all(not c.strip() for c in row):
-                    continue
-                # the line a row ends on, as a quoted field may span lines
-                where = f"{path}: line {reader.line_num}"
-                if len(row) != len(header):
-                    raise ValueError(f"{where} has {len(row)} fields, expected {len(header)}")
-                model = row[0].strip()
-                if model in models:
-                    raise ValueError(f"{where}: duplicate model {model!r}")
-                models.append(model)
-                try:
-                    rows.append([float(c) for c in row[1:]])
-                except ValueError:
-                    raise ValueError(f"{where}: non-numeric accuracy") from None
-        return cls(benchmarks, tuple(models), np.array(rows), reference_model)
+                rows.append([float(c) for c in row[1:]])
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric {value}") from None
+            for c, v in zip(row[1:], rows[-1]):
+                if not np.isfinite(v):
+                    raise ValueError(f"{where}: {value} {c.strip()!r} is not finite")
+    if not models:
+        raise ValueError(f"{path}: empty {value} table")
+    return tuple(h.strip() for h in header[1:]), tuple(models), np.array(rows)
+
+
+def read_diversity_csv(path) -> dict[str, float]:
+    """CSV `model,<diversity>`, one row per model (`_read_model_csv`) -> mapping."""
+    _, models, values = _read_model_csv(path, "diversity", one_column=True)
+    return dict(zip(models, values[:, 0].tolist()))
 
 
 def relative_perf(table: AccuracyTable, model: str) -> float:

@@ -94,8 +94,8 @@ def sample_lower_diversity(
     of outsiders whose max cosine to the current members exceeds tau_sim.
     When no outsider clears the threshold, the single most-similar outsider
     is admitted so the loop always terminates. The running max-similarity of
-    each outsider is maintained incrementally; each round costs one
-    (batch x n) product, taken as members x rows (less process memory than
+    each outsider is maintained incrementally; each batch but the last costs
+    one (batch x n) product, taken as members x rows (less process memory than
     rows x members at 2 BLAS threads) on one BLAS thread, so that the
     similarities' bits do not depend on the thread count.
     """
@@ -111,12 +111,12 @@ def sample_lower_diversity(
     mat = features.data.astype(np.float64)
 
     member = np.zeros(n, dtype=bool)
-    seed_idx = rng.choice(n, size=n_seed, replace=False)
-    member[seed_idx] = True
-    with one_thread():
-        max_sim = (mat[seed_idx] @ mat.T).max(axis=0)
-    last_batch: list[int] = []
+    max_sim = np.full(n, -np.inf)
+    batch = rng.choice(n, size=n_seed, replace=False)  # the seed is the first batch
+    member[batch] = True
     while int(member.sum()) < n_target:
+        with one_thread():
+            max_sim = np.maximum(max_sim, (mat[batch] @ mat.T).max(axis=0))
         outsiders = np.flatnonzero(~member)
         eligible = outsiders[max_sim[outsiders] > tau_sim]
         if eligible.size == 0:
@@ -126,13 +126,9 @@ def sample_lower_diversity(
             size = min(n_batch, eligible.size)
             batch = eligible[rng.choice(eligible.size, size=size, replace=False)]
         member[batch] = True
-        last_batch = [int(i) for i in batch]
-        with one_thread():
-            max_sim = np.maximum(max_sim, (mat[batch] @ mat.T).max(axis=0))
     overshoot = int(member.sum()) - n_target
-    if overshoot > 0:
-        drop = rng.choice(len(last_batch), size=overshoot, replace=False)
-        member[[last_batch[int(j)] for j in drop]] = False
+    if overshoot > 0:  # only a grown batch overshoots, as n_seed <= n_target
+        member[batch[rng.choice(len(batch), size=overshoot, replace=False)]] = False
     return [int(i) for i in np.flatnonzero(member)]
 
 

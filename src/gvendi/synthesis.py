@@ -42,7 +42,7 @@ from typing import Any, Protocol, Sequence
 import numpy as np
 
 from .cluster import dynamic_k, kmeans_fit, sparse_clusters
-from .corpus import Corpus, Sample, content_id, ingest_jsonl, open_atomic, write_jsonl
+from .corpus import Corpus, Sample, content_id, ingest_jsonl, load_json, open_atomic, write_jsonl
 from .featmat import FeatureMatrix, load_features, store_features
 from .metrics import _features_gram, _gram_vendi, vendi_score
 from .proxy import ProjectionSpec, ProxyModel, featurize, gradient_provenance
@@ -828,11 +828,7 @@ def load_checkpoint(directory) -> SynthesisState | None:
     state_path = os.path.join(directory, STATE_FILE)
     if not os.path.exists(state_path):
         return None
-    with open(state_path, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except ValueError as e:
-            raise ValueError(f"{state_path}: {e}") from None
+    meta = load_json(state_path)
     if not (isinstance(meta, dict) and type(meta.get("iteration")) is int
             and isinstance(meta.get("history"), list) and type(meta.get("pool_size")) is int
             and meta["pool_size"] >= 0):  # a negative size would slice rows off the end

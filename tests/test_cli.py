@@ -392,7 +392,11 @@ def test_synthesize_corrupt_state_names_the_file(toy, capsys):
     state.write_text("{")
     capsys.readouterr()
     assert run_cli(*args) == 1
-    assert capsys.readouterr().err.startswith(f"error: ValueError: {state}: Expecting")
+    assert capsys.readouterr().err.startswith(f"error: ValueError: {state}: not JSON: Expecting")
+    state.write_bytes(b'{"iteration": 1, "pool_name": "\xff"}')
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {state}: not UTF-8 (") and err.count("\n") == 1
 
 
 def test_synthesize_history_length_mismatch_names_the_file(toy, capsys):
@@ -611,9 +615,7 @@ def test_diversity_csv_short_row(tmp_path, capsys, command):
     div.write_text("model,diversity\nm1,5.0\nm2\nm3,17.0\n")
     rc = run_cli(command, "--table", str(acc), "--reference", "ref", "--diversity", str(div))
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ValueError:") and err.count("\n") == 1
-    assert f"{div}: line 3" in err
+    assert capsys.readouterr().err == f"error: ValueError: {div}: line 3 has 1 fields, expected 2\n"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "report"])
@@ -622,7 +624,7 @@ def test_diversity_csv_short_row(tmp_path, capsys, command):
     [
         ("m2,nan", "diversity 'nan' is not finite"),
         ("m2,-inf", "diversity '-inf' is not finite"),
-        ("m1,6.0", "model 'm1' is listed twice"),
+        ("m1,6.0", "duplicate model 'm1'"),
     ],
 )
 def test_diversity_csv_rejects_bad_values(tmp_path, capsys, command, row, message):
@@ -633,6 +635,47 @@ def test_diversity_csv_rejects_bad_values(tmp_path, capsys, command, row, messag
     rc = run_cli(command, "--table", str(acc), "--reference", "ref", "--diversity", str(div))
     assert rc == 1
     assert capsys.readouterr().err == f"error: ValueError: {div}: line 3: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("model,diversity,notes\nm1,5.0,x\n", "line 1: header must be 'model,<column>'"),
+        ("name,score\nm1,5.0\n", "line 1: header must be 'model,<column>'"),
+        ("model,diversity\nm1,5.0\nm2,11.0,x\n", "line 3 has 3 fields, expected 2"),
+    ],
+    ids=["third-column", "no-model-column", "long-row"],
+)
+def test_diversity_csv_rejects_bad_shape(tmp_path, capsys, command, text, message):
+    acc = tmp_path / "acc.csv"
+    acc.write_text("model,b1\nref,0.8\nm1,0.4\nm2,0.6\nm3,0.7\n")
+    div = tmp_path / "div.csv"
+    div.write_text(text)
+    rc = run_cli(command, "--table", str(acc), "--reference", "ref", "--diversity", str(div))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: ValueError: {div}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("model,b1\nref,0.8\nm1,1.5\n", "accuracies must be finite and in [0, 1]"),
+        ("model,b1\nref,0.8\nm1,nan\n", "line 3: accuracy 'nan' is not finite"),
+        ("model,b1\n", "empty accuracy table"),
+        ("model,b1\nm1,0.8\n", "reference model 'ref' not in table"),
+    ],
+    ids=["above-one", "nan", "header-only", "no-reference"],
+)
+def test_accuracy_csv_errors_name_the_file(tmp_path, capsys, command, text, message):
+    acc = tmp_path / "acc.csv"
+    acc.write_text(text)
+    div = tmp_path / "div.csv"
+    div.write_text("model,diversity\nm1,5.0\n")
+    rc = run_cli(command, "--table", str(acc), "--reference", "ref", "--diversity", str(div))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: ValueError: {acc}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -1003,6 +1046,30 @@ def test_keyed_option_flag_config_precedence(keyed_inputs, tmp_path, monkeypatch
         results[way] = (captured.out, files)
     assert results["b"] == results["a"], "config file value differs from the same flag"
     assert results["c"] == results["a"], "config file value beat its flag"
+
+
+@pytest.mark.parametrize(
+    "key, value, argv",
+    [
+        ("featurizer", "bogus", ["featurize", "--input", "{d}/pool.jsonl", "--output", "out.gvfm"]),
+        ("sample.strategy", "sideways", ["sample", "--features", "{d}/pool.gvfm", "--n", "5"]),
+        ("metric", "bogus", ["diversity", "--corpus", "{d}/pool.jsonl"]),
+    ],
+    ids=["featurizer", "strategy", "metric"],
+)
+def test_config_value_outside_a_flags_choices_is_refused(keyed_inputs, tmp_path, monkeypatch,
+                                                         capsys, key, value, argv):
+    # argparse checks a flag's choices; a config-file value reaches the command
+    monkeypatch.delenv("GVENDI_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    capsys.readouterr()
+    assert main(["--config", str(cfg), *(a.format(d=keyed_inputs) for a in argv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and err.count("\n") == 1, err
+    assert repr(value) in err
+    assert not any(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize("writer", ["text", "jsonl", "gvfm"])

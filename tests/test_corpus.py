@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gvendi import Corpus, Sample, content_id, ingest_jsonl, write_jsonl
+from gvendi import Corpus, Sample, content_id, ingest_jsonl, template_corpus, write_jsonl
 from gvendi.rng import rng_from
 
 
@@ -65,6 +66,35 @@ def test_null_id_lines_dedup_like_missing_ids(tmp_path):
     write_lines(p, [null, null, '{"input": "a", "output": "b"}'])
     corpus = ingest_jsonl(p)
     assert corpus.ids() == [content_id("a", "b", None)]
+
+
+def test_noid_twin_that_reads_as_the_same_sample_dedups(tmp_path):
+    # a null label is an absent one: both lines read as the same Sample
+    p = tmp_path / "c.jsonl"
+    write_lines(p, ['{"input": "x", "output": "y"}',
+                    '{"input": "x", "output": "y", "label": null}'])
+    corpus = ingest_jsonl(p)
+    assert corpus.samples == (Sample(content_id("x", "y", None), "x", "y"),)
+
+
+@pytest.mark.parametrize("ids", [False, True], ids=["no-ids", "ids"])
+def test_ingest_peak_is_near_what_the_corpus_keeps(tmp_path, ids):
+    """ingest_jsonl holds each record once, as its Sample: its peak stays
+    near the memory the corpus it returns keeps (20k rows)."""
+    records = [s.to_json_dict() for s in template_corpus(40, 500, 3)]
+    for r in records if not ids else ():
+        del r["id"]
+    p = tmp_path / "c.jsonl"
+    write_lines(p, [json.dumps(r) for r in records])
+    del records
+    tracemalloc.start()
+    try:
+        corpus = ingest_jsonl(p)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 20000
+    assert peak <= 1.4 * kept, f"peak {peak / 1e6:.1f} MB, corpus keeps {kept / 1e6:.1f} MB"
 
 
 def test_malformed_line_names_line_number(tmp_path):

@@ -12,6 +12,7 @@ from gvendi import (
     spearman,
 )
 from gvendi import evalstats
+from gvendi.evalstats import read_diversity_csv
 from gvendi.rng import rng_from
 
 
@@ -274,6 +275,18 @@ def test_accuracy_table_csv_errors_name_the_line_a_row_ends_on(tmp_path):
     p.write_text('model,b1\nref,1.0\n"two\nlines",0.5\n\nref,0.7\n')
     with pytest.raises(ValueError, match=r"acc\.csv: line 6: duplicate model 'ref'$"):
         AccuracyTable.from_csv(p, "ref")
+
+
+def test_diversity_csv_shares_the_accuracy_table_reader(tmp_path):
+    p = tmp_path / "div.csv"
+    p.write_text('model,g_vendi\n\n"m\n1", 5.0\nm2,11\n')
+    assert read_diversity_csv(p) == {"m\n1": 5.0, "m2": 11.0}
+    p.write_text('model,g_vendi\n"m\n1",5.0\nm2,x\n')
+    with pytest.raises(ValueError, match=r"div\.csv: line 4: non-numeric diversity$"):
+        read_diversity_csv(p)
+    p.write_text("model,g_vendi\n")
+    with pytest.raises(ValueError, match=r"div\.csv: empty diversity table$"):
+        read_diversity_csv(p)
 
 
 def test_spearman_invariant_under_monotone_transform():
