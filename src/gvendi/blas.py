@@ -2,10 +2,12 @@
 spectrum in the caller's buffer.
 
 `one_thread()` holds the count at one thread for a block: `metrics` computes
-its Gram products and spectra that way, and `proxy.featurize` while its own
-threads share the CPUs. Holders nest and may overlap across threads; the first to enter saves
-the count and the last to leave restores it, so the count after the last
-holder is the count before the first, whatever raised in between.
+its Gram products and spectra that way, `cluster._assign` and
+`sampling.sample_lower_diversity` their products whose bits reach a result,
+and `proxy.featurize` while its own threads share the CPUs. Holders nest
+and may overlap across threads; the first to enter saves the count and the
+last to leave restores it, so the count after the last holder is the count
+before the first, whatever raised in between.
 
 `eigvalsh_in_place(a)` is `np.linalg.eigvalsh(a)` computed by LAPACK's
 `dsyevd` on a's own buffer, which it overwrites, where `eigvalsh` first

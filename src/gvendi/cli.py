@@ -35,7 +35,7 @@ from .metrics import (
     report_from_tfidf,
     tag_entropy,
 )
-from .evalstats import AccuracyTable, correlation_study, read_diversity_csv, relative_perf
+from .evalstats import AccuracyTable, fit_r2, paired_perf, relative_perf
 from .proxy import ProjectionSpec, ProxyModel, embed_hashed_tfidf, embed_stream, featurize_stream
 from .sampling import (
     sample_higher_diversity,
@@ -395,21 +395,15 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
         "perf": {m: relative_perf(table, m) for m in table.models},
     }
     if args.diversity:
-        dmap = read_diversity_csv(args.diversity)
-        pairs = [(dmap[m], result["perf"][m]) for m in table.models if m in dmap]
-        if len(pairs) < 3:
-            raise ValueError("need diversity values for at least 3 models")
-        report = correlation_study(pairs)
-        result["correlation"] = json.loads(report.to_json())
+        div, perf, _ = zip(*paired_perf(table, args.diversity))
+        result["correlation"] = json.loads(fit_r2(div, perf).to_json())
     _write_text(args.output, json.dumps(result, sort_keys=True))
 
 
 def cmd_report(args: argparse.Namespace) -> None:
     table = AccuracyTable.from_csv(_need(args, "table"), _need(args, "reference"))
-    dmap = read_diversity_csv(_need(args, "diversity"))
-    rows = sorted((dmap[m], relative_perf(table, m), m) for m in table.models if m in dmap)
-    lines = ["diversity\tperf\tmodel"]
-    lines += [f"{d!r}\t{p!r}\t{m}" for d, p, m in rows]
+    rows = sorted(paired_perf(table, _need(args, "diversity")))
+    lines = ["diversity\tperf\tmodel"] + [f"{d!r}\t{p!r}\t{m}" for d, p, m in rows]
     _write_text(args.output, "\n".join(lines))
 
 

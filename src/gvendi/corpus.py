@@ -161,8 +161,9 @@ class Corpus:
 
 @contextmanager
 def open_text(path, newline: str | None = None) -> Iterator[TextIO]:
-    """`path` read as UTF-8 text; a byte that is not UTF-8 is a ValueError naming the file."""
-    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+    """`path` read as UTF-8 text, a leading byte order mark ignored; a byte
+    that is not UTF-8 is a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as e:
@@ -175,7 +176,7 @@ def load_json(path):
     with open_text(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
             raise ValueError(f"{path}: not JSON: {e}") from None
 
 
@@ -230,8 +231,9 @@ def ingest_jsonl(path) -> Corpus:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: malformed JSON on line {lineno}: {e.msg}") from e
+            except (json.JSONDecodeError, RecursionError) as e:
+                msg = getattr(e, "msg", "nested too deeply")
+                raise ValueError(f"{path}: malformed JSON on line {lineno}: {msg}") from e
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: line {lineno} is not a JSON object")
             try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,18 +51,20 @@ class AccuracyTable:
             raise ValueError(f"{path}: {e}") from None
 
 
-def _read_model_csv(path, value: str, one_column: bool = False) -> tuple[tuple, tuple, np.ndarray]:
+def _read_model_csv(path, value: str,
+                    known: Sequence[str] | None = None) -> tuple[tuple, tuple, np.ndarray]:
     """Column names, models and (models, columns) values of a CSV table with
-    header `model,<column>,...` (one value column if `one_column`), one row
-    per model. Blank rows are skipped; a row not as wide as the header, a
-    repeated model and a non-numeric or non-finite `value` are errors naming
-    the file and the line the row ends on (a quoted field may span lines)."""
-    shape = "model,<column>" if one_column else "model,<column>,..."
+    header `model,<column>,...` (`model,<column>` and only `known` models if
+    given), one row per model. Blank rows are skipped; a row not as wide as
+    the header, a repeated or unknown model and a non-numeric or non-finite
+    `value` are errors naming the file and the line the row ends on (a quoted
+    field may span lines)."""
+    shape = "model,<column>,..." if known is None else "model,<column>"
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)  # None: an empty file, refused as a table without rows
         if header is not None and (len(header) < 2 or header[0].strip() != "model"
-                                   or one_column and len(header) != 2):
+                                   or known is not None and len(header) != 2):
             raise ValueError(f"{path}: line {reader.line_num}: header must be '{shape}'")
         models, rows = [], []
         for row in reader:
@@ -74,6 +76,8 @@ def _read_model_csv(path, value: str, one_column: bool = False) -> tuple[tuple, 
             model = row[0].strip()
             if model in models:
                 raise ValueError(f"{where}: duplicate model {model!r}")
+            if known is not None and model not in known:
+                raise ValueError(f"{where}: model {model!r} is not in the accuracy table")
             models.append(model)
             try:
                 rows.append([float(c) for c in row[1:]])
@@ -87,10 +91,17 @@ def _read_model_csv(path, value: str, one_column: bool = False) -> tuple[tuple, 
     return tuple(h.strip() for h in header[1:]), tuple(models), np.array(rows)
 
 
-def read_diversity_csv(path) -> dict[str, float]:
-    """CSV `model,<diversity>`, one row per model (`_read_model_csv`) -> mapping."""
-    _, models, values = _read_model_csv(path, "diversity", one_column=True)
-    return dict(zip(models, values[:, 0].tolist()))
+def paired_perf(table: AccuracyTable, path) -> list[tuple[float, float, str]]:
+    """(diversity, relative perf, model) in `table`'s model order, for each
+    row of the diversity CSV `path` (`model,<diversity>`, `_read_model_csv`).
+    An accuracy model without a diversity row (the reference, often) is left
+    out; fewer than 3 pairs, too few to correlate, is an error."""
+    _, models, values = _read_model_csv(path, "diversity", known=table.models)
+    div = dict(zip(models, values[:, 0].tolist()))
+    pairs = [(div[m], relative_perf(table, m), m) for m in table.models if m in div]
+    if len(pairs) < 3:
+        raise ValueError(f"{path}: need diversity values for at least 3 models, got {len(pairs)}")
+    return pairs
 
 
 def relative_perf(table: AccuracyTable, model: str) -> float:
@@ -148,16 +159,7 @@ class CorrelationReport:
         return max(self.r2_linear, self.r2_loglinear)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "spearman_rho": self.spearman_rho,
-                "r2_linear": self.r2_linear,
-                "r2_loglinear": self.r2_loglinear,
-                "r2_reported": self.r2_reported,
-                "n_points": self.n_points,
-            },
-            sort_keys=True,
-        )
+        return json.dumps({**asdict(self), "r2_reported": self.r2_reported}, sort_keys=True)
 
 
 def _ols_r2(x: np.ndarray, y: np.ndarray) -> float:

@@ -197,12 +197,13 @@ class EchoSolver:
 
 def _json_object(raw: bytes, source: str) -> dict:
     """The JSON object in a reply from `source`, read as UTF-8 (a leading
-    byte order mark is ignored); anything else, or text that cannot be
-    encoded as UTF-8 again (a lone surrogate escape), is EndpointError."""
+    byte order mark is ignored); anything else, JSON nested too deeply to
+    read, or text that cannot be encoded as UTF-8 again (a lone surrogate
+    escape), is EndpointError."""
     try:
         out = json.loads(raw.decode("utf-8-sig"))
         _wire_line(out)
-    except ValueError as e:  # UnicodeDecodeError, JSONDecodeError or UnicodeEncodeError
+    except (ValueError, RecursionError) as e:  # a decode, parse or re-encode error; too deep
         raise EndpointError(f"invalid JSON from {source}: {e}") from e
     if not isinstance(out, dict):
         raise EndpointError(f"{source}: response is not a JSON object")
@@ -252,6 +253,8 @@ class JsonLinesProcess:
 
     def __init__(self, command: str | Sequence[str], timeout: float = 60.0):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
+        if not self.command:
+            raise ValueError(f"empty worker command {command!r}")
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
         self._lock = threading.Lock()

@@ -264,8 +264,13 @@ def test_sample_mixture_bad_weight_names_flag(toy, capsys):
         (["evaluate", "--table", "{bad}", "--reference", "ref"], b"\xff\n", "not UTF-8"),
         (["evaluate", "--table", "{d}/acc.csv", "--reference", "ref", "--diversity", "{bad}"],
          b"\xff\n", "not UTF-8"),
+        (["ingest", "--input", "{bad}", "--output", "{d}/out.jsonl"], b"[" * 100000 + b"\n",
+         "malformed JSON on line 1: nested too deeply"),
+        (["diversity", "--metric", "ngram-entropy", "--corpus", "{pool}", "--select", "{bad}"],
+         b"[" * 100000, "not JSON"),
     ],
-    ids=["ingest", "config", "select", "select-not-json", "accuracy-csv", "diversity-csv"],
+    ids=["ingest", "config", "select", "select-not-json", "accuracy-csv", "diversity-csv",
+         "ingest-nested-too-deeply", "select-nested-too-deeply"],
 )
 def test_unreadable_text_input_names_the_file(toy, capsys, argv, content, message):
     tmp_path, pool = toy
@@ -644,8 +649,14 @@ def test_diversity_csv_rejects_bad_values(tmp_path, capsys, command, row, messag
         ("model,diversity,notes\nm1,5.0,x\n", "line 1: header must be 'model,<column>'"),
         ("name,score\nm1,5.0\n", "line 1: header must be 'model,<column>'"),
         ("model,diversity\nm1,5.0\nm2,11.0,x\n", "line 3 has 3 fields, expected 2"),
+        # evaluate and report pair rows alike: every diversity model must be in
+        # the accuracy table, and there must be 3 pairs
+        ("model,diversity\nm1,5.0\nm2,11.0\nm3,17.0\nM4,20.0\n",
+         "line 5: model 'M4' is not in the accuracy table"),
+        ("model,diversity\nm1,5.0\n\nm2,11.0\n",
+         "need diversity values for at least 3 models, got 2"),
     ],
-    ids=["third-column", "no-model-column", "long-row"],
+    ids=["third-column", "no-model-column", "long-row", "unknown-model", "two-pairs"],
 )
 def test_diversity_csv_rejects_bad_shape(tmp_path, capsys, command, text, message):
     acc = tmp_path / "acc.csv"
@@ -676,6 +687,47 @@ def test_accuracy_csv_errors_name_the_file(tmp_path, capsys, command, text, mess
     rc = run_cli(command, "--table", str(acc), "--reference", "ref", "--diversity", str(div))
     assert rc == 1
     assert capsys.readouterr().err == f"error: ValueError: {acc}: {message}\n"
+
+
+def test_evaluate_and_report_read_tables_that_start_with_a_bom(tmp_path, capsys):
+    """Both CSV tables saved with a byte order mark (Excel's "CSV UTF-8")
+    give the bytes the plain tables give."""
+    acc_text = "model,b1,b2\nref,0.8,0.5\nm1,0.4,0.25\nm2,0.6,0.45\nm3,0.72,0.48\n"
+    div_text = "model,diversity\nm1,5.0\nm2,11.0\nm3,17.0\n"
+    for encoding in ("utf-8", "utf-8-sig"):
+        (tmp_path / f"acc-{encoding}.csv").write_text(acc_text, encoding=encoding)
+        (tmp_path / f"div-{encoding}.csv").write_text(div_text, encoding=encoding)
+    assert (tmp_path / "acc-utf-8-sig.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    outputs = {}
+    for command in ("evaluate", "report"):
+        for encoding in ("utf-8", "utf-8-sig"):
+            assert run_cli(command, "--table", str(tmp_path / f"acc-{encoding}.csv"),
+                           "--reference", "ref",
+                           "--diversity", str(tmp_path / f"div-{encoding}.csv")) == 0
+            outputs[command, encoding] = capsys.readouterr().out
+        assert outputs[command, "utf-8-sig"] == outputs[command, "utf-8"]
+
+
+def test_config_file_that_starts_with_a_bom_sets_its_first_key(toy, capsys):
+    tmp_path, pool = toy
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("projection.dim = 16\nproxy.feature_dim = 32\n", encoding="utf-8-sig")
+    assert run_cli("--config", str(cfg), "featurize", "--input", pool,
+                   "--output", str(tmp_path / "f.gvfm")) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 16
+
+
+@pytest.mark.parametrize("flag", ["--generator", "--solver"])
+@pytest.mark.parametrize("spec", ["cmd:", "cmd:   "], ids=["empty", "blank"])
+def test_synthesize_empty_cmd_endpoint_is_one_error_line(toy, capsys, flag, spec):
+    tmp_path, pool = toy
+    outdir = tmp_path / "run"
+    rc = run_cli("synthesize", "--corpus", pool, "--outdir", str(outdir), "--iterations", "1",
+                 "--gen-batch", "4", flag, spec)
+    assert rc == 1
+    argv = spec.removeprefix("cmd:")
+    assert capsys.readouterr().err == f"error: ValueError: empty worker command {argv!r}\n"
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize(

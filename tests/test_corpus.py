@@ -104,6 +104,15 @@ def test_malformed_line_names_line_number(tmp_path):
         ingest_jsonl(p)
 
 
+def test_ingest_ignores_a_leading_byte_order_mark(tmp_path):
+    plain, bom = tmp_path / "plain.jsonl", tmp_path / "bom.jsonl"
+    text = '{"input": "x", "output": "y"}\n{"id": "b", "input": "z"}\n'
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert ingest_jsonl(bom).samples == ingest_jsonl(plain).samples
+
+
 def test_duplicate_explicit_ids_error(tmp_path):
     p = tmp_path / "c.jsonl"
     write_lines(p, ['{"id": "a", "input": "x"}', '{"id": "a", "input": "z"}'])

@@ -12,7 +12,7 @@ from gvendi import (
     spearman,
 )
 from gvendi import evalstats
-from gvendi.evalstats import read_diversity_csv
+from gvendi.evalstats import paired_perf
 from gvendi.rng import rng_from
 
 
@@ -277,16 +277,27 @@ def test_accuracy_table_csv_errors_name_the_line_a_row_ends_on(tmp_path):
         AccuracyTable.from_csv(p, "ref")
 
 
-def test_diversity_csv_shares_the_accuracy_table_reader(tmp_path):
+def test_paired_perf_shares_the_accuracy_table_reader(tmp_path):
+    t = AccuracyTable(("b1",), ("ref", "m3", "m\n1", "m2"),
+                      np.array([[0.5], [0.25], [0.125], [0.5]]), "ref")
     p = tmp_path / "div.csv"
-    p.write_text('model,g_vendi\n\n"m\n1", 5.0\nm2,11\n')
-    assert read_diversity_csv(p) == {"m\n1": 5.0, "m2": 11.0}
+    p.write_text('model,g_vendi\n\n"m\n1", 5.0\nm2,11\nm3,2\n')
+    # in the accuracy table's order; the reference has no diversity row
+    assert paired_perf(t, p) == [(2.0, 0.5, "m3"), (5.0, 0.25, "m\n1"), (11.0, 1.0, "m2")]
     p.write_text('model,g_vendi\n"m\n1",5.0\nm2,x\n')
     with pytest.raises(ValueError, match=r"div\.csv: line 4: non-numeric diversity$"):
-        read_diversity_csv(p)
+        paired_perf(t, p)
     p.write_text("model,g_vendi\n")
     with pytest.raises(ValueError, match=r"div\.csv: empty diversity table$"):
-        read_diversity_csv(p)
+        paired_perf(t, p)
+    p.write_text("model,g_vendi\nm2,11\nm4,2\nm3,1\n")
+    with pytest.raises(ValueError,
+                       match=r"div\.csv: line 3: model 'm4' is not in the accuracy table$"):
+        paired_perf(t, p)
+    p.write_text("model,g_vendi\nm2,11\nm3,2\n")
+    with pytest.raises(ValueError,
+                       match=r"div\.csv: need diversity values for at least 3 models, got 2$"):
+        paired_perf(t, p)
 
 
 def test_spearman_invariant_under_monotone_transform():

@@ -2,17 +2,20 @@
 
 A refactor that is meant to keep behaviour must leave these bytes as they
 are. The pipeline runs `gvendi.cli.main` in-process on a 6-family x 20-row
-`template_corpus` with `--proj-dim 128` and hashes each file it writes.
+`template_corpus` with `--proj-dim 128` and hashes each file it writes; the
+same commands, run in one child process at 1 and at 3 OpenBLAS threads, must
+write the same bytes.
 
 The hashes pin floating-point results, so they belong to one numerical
 stack: they were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64).
-Another BLAS build or thread count may move low bits of the feature values
-and therefore the hashes; a mismatch on such a stack is not by itself a bug.
+Another BLAS build may move low bits of the feature values and therefore
+the hashes; a mismatch on such a stack is not by itself a bug.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shlex
 import subprocess
@@ -126,55 +129,22 @@ GOLDEN = {
 }
 
 
-def _write_corpus(path) -> None:
-    write_jsonl(template_corpus(6, 20, seed=17, name="golden"), path)
-
-
-def _write_protected(root: Path) -> Path:
-    """Every 15th line of root/pool.jsonl, as the protected corpus."""
-    protected = root / "protected.jsonl"
-    lines = (root / "pool.jsonl").read_text(encoding="utf-8").splitlines()
-    protected.write_text("\n".join(lines[::15]) + "\n", encoding="utf-8")
-    return protected
-
-
-def _synthesize_commands(root: Path) -> dict[str, list[str]]:
-    """The golden `synthesize` argvs by output directory name, over
-    root/pool.jsonl and root/protected.jsonl; writes the `cmd:` worker."""
-    corpus = str(root / "pool.jsonl")
-    synth = ["synthesize", "--corpus", corpus, "--iterations", "2", "--gen-batch", "12",
-             "--k-fraction", "0.1", "--seed", "5", *PROXY]
-    worker = root / "worker.py"
-    worker.write_text(WORKER, encoding="utf-8")
-    cmd = "cmd:" + shlex.join([sys.executable, str(worker)])
-    return {
-        "synth-builtin": [*synth, "--outdir", str(root / "synth-builtin"),
-                          "--generator", "recombine", "--solver", "echo:0.2"],
-        "synth-cmd": ["--threads", "2", *synth, "--outdir", str(root / "synth-cmd"),
-                      "--protected", str(root / "protected.jsonl"), "--ngram", "5",
-                      "--generator", cmd, "--solver", cmd],
-    }
-
-
-def _cli(*argv: str) -> None:
-    rc = main(list(argv))
-    assert rc == 0, f"gvendi {' '.join(argv)} exited {rc}"
-
-
-@pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def _golden_commands(root: Path) -> list[list[str]]:
+    """The argv of every golden `gvendi` run, in order, writing each artifact
+    under root; writes their inputs: the corpus, the protected corpus, the
+    `cmd:` worker and the two CSV tables."""
     for sub in ("featurize", "sample", "diversity", "decontaminate"):
         (root / sub).mkdir()
     corpus = str(root / "pool.jsonl")
-    _write_corpus(corpus)
+    write_jsonl(template_corpus(6, 20, seed=17, name="golden"), corpus)
     grad = str(root / "featurize" / "gradient.gvfm")
     emb = str(root / "featurize" / "embedding.gvfm")
-
-    _cli("featurize", "--input", corpus, "--output", grad, *PROXY)
-    _cli("featurize", "--input", corpus, "--output", emb, "--featurizer", "embedding")
-    _cli("cluster", "--features", grad, "--k", "6", "--seed", "3",
-         "--output", str(root / "cluster.json"))
+    commands = [
+        ["featurize", "--input", corpus, "--output", grad, *PROXY],
+        ["featurize", "--input", corpus, "--output", emb, "--featurizer", "embedding"],
+        ["cluster", "--features", grad, "--k", "6", "--seed", "3",
+         "--output", str(root / "cluster.json")],
+    ]
 
     sample = root / "sample"
     strategies = {
@@ -185,8 +155,8 @@ def artifacts(tmp_path_factory):
                     "--weights", "2,1"],
     }
     for name, extra in strategies.items():
-        _cli("sample", "--features", grad, "--strategy", name, "--n", "30", "--seed", "7",
-             *extra, "--output", str(sample / f"{name}.json"))
+        commands.append(["sample", "--features", grad, "--strategy", name, "--n", "30",
+                         "--seed", "7", *extra, "--output", str(sample / f"{name}.json")])
 
     div = root / "diversity"
     select = ["--select", str(sample / "random.json")]
@@ -195,29 +165,54 @@ def artifacts(tmp_path_factory):
         for source, src_args in (("features", ["--features", feats]),
                                  ("corpus", ["--corpus", corpus, *PROXY])):
             for suffix, sel in (("", []), ("-select", select)):
-                _cli("diversity", "--metric", metric, *src_args, *sel,
-                     "--output", str(div / f"{metric}-{source}{suffix}.json"))
+                commands.append(["diversity", "--metric", metric, *src_args, *sel,
+                                 "--output", str(div / f"{metric}-{source}{suffix}.json")])
     for metric in ("ngram-entropy", "tag-entropy", "mean-nll"):
-        _cli("diversity", "--metric", metric, "--corpus", corpus, *PROXY,
-             "--output", str(div / f"{metric}.json"))
+        commands.append(["diversity", "--metric", metric, "--corpus", corpus, *PROXY,
+                         "--output", str(div / f"{metric}.json")])
 
-    protected = _write_protected(root)
-    _cli("decontaminate", "--corpus", corpus, "--protected", str(protected),
-         "--ngram", "6", "--output", str(root / "decontaminate" / "kept.jsonl"),
-         "--flagged", str(root / "decontaminate" / "flagged.jsonl"))
-    for argv in _synthesize_commands(root).values():
-        _cli(*argv)
+    # every 15th corpus line is the protected corpus
+    lines = (root / "pool.jsonl").read_text(encoding="utf-8").splitlines()
+    protected = str(root / "protected.jsonl")
+    Path(protected).write_text("\n".join(lines[::15]) + "\n", encoding="utf-8")
+    commands.append(["decontaminate", "--corpus", corpus, "--protected", protected,
+                     "--ngram", "6", "--output", str(root / "decontaminate" / "kept.jsonl"),
+                     "--flagged", str(root / "decontaminate" / "flagged.jsonl")])
+
+    synth = ["synthesize", "--corpus", corpus, "--iterations", "2", "--gen-batch", "12",
+             "--k-fraction", "0.1", "--seed", "5", *PROXY]
+    worker = root / "worker.py"
+    worker.write_text(WORKER, encoding="utf-8")
+    cmd = "cmd:" + shlex.join([sys.executable, str(worker)])
+    commands.append([*synth, "--outdir", str(root / "synth-builtin"),
+                     "--generator", "recombine", "--solver", "echo:0.2"])
+    commands.append(["--threads", "2", *synth, "--outdir", str(root / "synth-cmd"),
+                     "--protected", protected, "--ngram", "5", "--generator", cmd,
+                     "--solver", cmd])
 
     acc = root / "acc.csv"
     acc.write_text("model,b1,b2\nref,0.8,0.5\nm1,0.4,0.25\nm2,0.6,0.45\nm3,0.72,0.48\n")
     dcsv = root / "div.csv"
     dcsv.write_text("model,diversity\nm1,5.0\nm2,11.0\nm3,17.0\n")
     table = ["--table", str(acc), "--reference", "ref", "--diversity", str(dcsv)]
-    _cli("evaluate", *table, "--output", str(root / "evaluate.json"))
-    _cli("report", *table, "--output", str(root / "report.tsv"))
+    commands.append(["evaluate", *table, "--output", str(root / "evaluate.json")])
+    commands.append(["report", *table, "--output", str(root / "report.tsv")])
+    return commands
 
+
+def _digests(root: Path) -> dict[str, str]:
+    """sha256 of each golden artifact written under root."""
     return {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
             for name in GOLDEN if (root / name).exists()}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    for argv in _golden_commands(root):
+        rc = main(argv)
+        assert rc == 0, f"gvendi {' '.join(argv)} exited {rc}"
+    return _digests(root)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -226,44 +221,32 @@ def test_golden_artifact(artifacts, name):
     assert artifacts[name] == GOLDEN[name], f"{name}: sha256 {artifacts[name]}"
 
 
-def _cli_child(threads: str, *argv: str) -> None:
-    """gvendi argv in a child process at `threads` OpenBLAS threads."""
+# runs each argv of the JSON list on stdin through gvendi.cli.main, in order,
+# and exits 1 at the first that fails (its error is on stderr)
+_RUN_ALL = """
+import json, sys
+from gvendi.cli import main
+for argv in json.load(sys.stdin):
+    if main(argv):
+        sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_golden_artifacts_do_not_depend_on_blas_threads(tmp_path, threads):
+    """Every golden command, run in one child process at 1 and at 3 OpenBLAS
+    threads, writes the golden bytes."""
+    commands = _golden_commands(tmp_path)
     # the child imports the same gvendi as this test, installed or not
     src = str(Path(gvendi.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "gvendi.cli", *argv],
+        [sys.executable, "-c", _RUN_ALL],
+        input=json.dumps(commands),
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
-        timeout=120,
+        timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def test_featurize_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """The golden gradient features, featurized in child processes at 1 and
-    at 3 OpenBLAS threads."""
-    corpus = tmp_path / "pool.jsonl"
-    _write_corpus(corpus)
-    digests = {}
-    for threads in ("1", "3"):
-        out = tmp_path / f"gradient-{threads}.gvfm"
-        _cli_child(threads, "featurize", "--input", str(corpus), "--output", str(out), *PROXY)
-        digests[threads] = hashlib.sha256(out.read_bytes()).hexdigest()
-    expected = GOLDEN["featurize/gradient.gvfm"]
-    assert digests == {"1": expected, "3": expected}
-
-
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_synthesize_state_does_not_depend_on_blas_threads(tmp_path, threads):
-    """The golden `synthesize` runs in a child process at 1 and at 3 OpenBLAS
-    threads: each `state.json` is the golden one."""
-    _write_corpus(tmp_path / "pool.jsonl")
-    _write_protected(tmp_path)
-    digests, expected = {}, {}
-    for name, argv in _synthesize_commands(tmp_path).items():
-        _cli_child(threads, *argv)
-        digests[name] = hashlib.sha256((tmp_path / name / "state.json").read_bytes()).hexdigest()
-        expected[name] = GOLDEN[f"{name}/state.json"]
-    assert digests == expected
+    assert _digests(tmp_path) == GOLDEN

@@ -961,6 +961,16 @@ def test_process_non_utf8_line_counts_as_failure(tmp_path, small_pool):
         gen.close()
 
 
+def test_process_reply_nested_too_deeply_counts_as_failure(tmp_path, small_pool):
+    deep = tmp_path / "deep.py"
+    deep.write_text("import sys\nfor line in sys.stdin:\n    print('[' * 100000, flush=True)\n")
+    gen = RemoteEndpoint(JsonLinesProcess([sys.executable, str(deep)]))
+    try:
+        assert generate_candidates(gen, small_pool, 3, 2, rng_seed=2) == ([], 2)
+    finally:
+        gen.close()
+
+
 @pytest.mark.parametrize("raw, parsed", [
     (b'{"t": "\\ud83d\\ude00"}', {"t": "\U0001F600"}),  # an escaped pair is one character
     (b'{"t": "\\\\ud800"}', {"t": "\\ud800"}),  # an escaped backslash, then text
