@@ -232,21 +232,53 @@ for argv in json.load(sys.stdin):
 """
 
 
+@pytest.fixture(scope="module")
+def child_digests(tmp_path_factory):
+    """Digests of the golden artifacts by OpenBLAS thread count: every golden
+    command runs in one child process at that count, once per module."""
+    runs: dict[str, dict[str, str]] = {}
+
+    def digests(threads: str) -> dict[str, str]:
+        if threads not in runs:
+            root = tmp_path_factory.mktemp(f"golden-blas-{threads}")
+            commands = _golden_commands(root)
+            # the child imports the same gvendi as this test, installed or not
+            src = str(Path(gvendi.__file__).resolve().parents[1])
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", _RUN_ALL],
+                input=json.dumps(commands),
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[threads] = _digests(root)
+        return runs[threads]
+
+    return digests
+
+
 @pytest.mark.parametrize("threads", ["1", "3"])
-def test_golden_artifacts_do_not_depend_on_blas_threads(tmp_path, threads):
+def test_golden_artifacts_do_not_depend_on_blas_threads(child_digests, threads):
     """Every golden command, run in one child process at 1 and at 3 OpenBLAS
     threads, writes the golden bytes."""
-    commands = _golden_commands(tmp_path)
-    # the child imports the same gvendi as this test, installed or not
-    src = str(Path(gvendi.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUN_ALL],
-        input=json.dumps(commands),
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
-        timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert _digests(tmp_path) == GOLDEN
+    assert child_digests(threads) == GOLDEN
+
+
+def test_featurize_bytes_do_not_depend_on_blas_threads(child_digests):
+    """The golden gradient features, featurized in child processes at 1 and
+    at 3 OpenBLAS threads."""
+    name = "featurize/gradient.gvfm"
+    digests = {threads: child_digests(threads).get(name) for threads in ("1", "3")}
+    assert digests == {"1": GOLDEN[name], "3": GOLDEN[name]}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_synthesize_state_does_not_depend_on_blas_threads(child_digests, threads):
+    """The golden `synthesize` runs in a child process at 1 and at 3 OpenBLAS
+    threads: each `state.json` is the golden one."""
+    names = ("synth-builtin/state.json", "synth-cmd/state.json")
+    digests = child_digests(threads)
+    assert {n: digests.get(n) for n in names} == {n: GOLDEN[n] for n in names}
