@@ -20,7 +20,7 @@ import inspect
 import json
 import os
 import sys
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 from .cluster import dynamic_k, kmeans_fit
 from .corpus import Corpus, ingest_jsonl, load_json, open_atomic, open_text, write_jsonl
@@ -58,8 +58,9 @@ from .synthesis import (
 CONFIG_ENV = "GVENDI_CONFIG"
 
 
-def parse_config(path: str) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment; blank lines ignored."""
+def parse_config(path: str, known: Collection[str] | None = None) -> dict[str, str]:
+    """Flat `key = value` lines; '#' starts a comment; blank lines ignored.
+    A key set twice, or one outside `known` when it is given, is an error."""
     out: dict[str, str] = {}
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -68,8 +69,12 @@ def parse_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"{path}: line {lineno}: key {key!r} is already set")
+            if known is not None and key not in known:
+                raise ValueError(f"{path}: line {lineno}: no command reads key {key!r}")
+            out[key] = val
     return out
 
 
@@ -504,6 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
         _opt(p, "--diversity", "evaluate.diversity", help="diversity CSV: model,<diversity>")
         _opt(p, "--output", "output")
 
+    # one config file serves every command, so a key is known if any command reads it
+    parser.set_defaults(config_keys={opt.key for cmd in sub.choices.values()
+                                     for opt in cmd.get_default("keyed").values()})
     return parser
 
 
@@ -527,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     config_path = args.config or os.environ.get(CONFIG_ENV)
     try:
-        _resolve(args, parse_config(config_path) if config_path else {})
+        _resolve(args, parse_config(config_path, args.config_keys) if config_path else {})
         args.fn(args)
     except (ValueError, OSError, KeyError, EndpointError, MemoryError) as e:
         msg = str(e).replace("\n", " ")

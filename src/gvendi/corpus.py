@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import stat
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from typing import IO, Iterator, Sequence, TextIO
 import numpy as np
 
 _FIELD_ORDER = ("id", "input", "output", "label", "tags", "split")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # how UTF-8 text can hold a surrogate
 
 
 def content_id(input_text: str, output_text: str, label: str | None = None) -> str:
@@ -219,8 +221,9 @@ def ingest_jsonl(path) -> Corpus:
 
     Records without an `id`, or with a null one, get a content-hash id; a
     no-id record that reads as the same Sample as an earlier no-id one is
-    dropped, keeping the first. Duplicate explicit ids, and id collisions
-    between differing records, are errors.
+    dropped, keeping the first. Duplicate explicit ids, id collisions
+    between differing records, and text that cannot be encoded as UTF-8 (a
+    lone surrogate escape) are errors.
     """
     samples: list[Sample] = []
     index: dict[str, int] = {}  # id -> position in samples
@@ -237,6 +240,8 @@ def ingest_jsonl(path) -> Corpus:
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: line {lineno} is not a JSON object")
             try:
+                if _SURROGATE_ESCAPE.search(line):  # a lone one raises UnicodeEncodeError
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
                 s = Sample.from_json_dict(obj)
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from e

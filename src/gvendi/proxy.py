@@ -40,8 +40,10 @@ _CTX_SEP = 0x1E  # record separator between input and output prefix
 _PROJECT_BLOCK_ROWS = 8192
 # mixed into featurize's provenance fingerprint; bumped whenever a change to
 # the kernel moves feature values, so rows of two revisions never join one pool
-_FEATURIZE_REVISION = 2  # float32 token pass
-_MIN_LOGIT_ROWS = 8  # rows of the smallest logits GEMM _token_pass runs
+_FEATURIZE_REVISION = 3  # 2: float32 token pass; 3: every product padded to _MIN_ROWS
+# rows of the smallest product (zero rows pad a shorter one): fewer take BLAS's
+# matrix-vector or small-matrix kernel, whose low bits differ
+_MIN_ROWS = 8
 _CHUNK_ROWS = 128  # samples per featurize chunk: one projection GEMM, one gradient buffer
 _TOKEN_ROWS = 16  # samples per token pass, which bounds its logits and temporaries
 # most featurize threads, each holding one chunk's gradient buffer: the count
@@ -193,10 +195,9 @@ def _token_pass(model: ProxyModel, samples: Sequence[Sample],
     Given `out`, each sample's gradient, (softmax - onehot)^T @ phi, also
     lands un-normalised in its row of `out`. The pass computes in `out`'s
     dtype (`featurize` passes float32 rows), and in float64 without `out`.
-    The logits GEMM gets at least _MIN_LOGIT_ROWS rows, zero rows padding a
-    shorter one, so a sample's bits do not depend on the samples passed with
-    it. Errors name the first failing sample in order, even when a later one
-    fails at an earlier stage.
+    The logits GEMM gets at least _MIN_ROWS rows, so a sample's bits do not
+    depend on the samples passed with it. Errors name the first failing
+    sample in order, even when a later one fails at an earlier stage.
     """
     contexts = []
     pending = None
@@ -210,8 +211,7 @@ def _token_pass(model: ProxyModel, samples: Sequence[Sample],
     if contexts:
         dtype = np.float64 if out is None else out.dtype
         n_tokens = sum(len(c[1]) for c in contexts)
-        # a product of 1-4 rows takes another BLAS kernel, whose low bits differ
-        phi = np.zeros((max(n_tokens, _MIN_LOGIT_ROWS), model.feature_dim), dtype=dtype)
+        phi = np.zeros((max(n_tokens, _MIN_ROWS), model.feature_dim), dtype=dtype)
         np.concatenate([c[0] for c in contexts], out=phi[:n_tokens])
         probs = (phi @ model.weights.astype(dtype, copy=False).T)[:n_tokens]
         phi = phi[:n_tokens]
@@ -274,10 +274,8 @@ def project(spec: ProjectionSpec, vectors: np.ndarray) -> np.ndarray:
 
     The spec builds its whole sign matrix on first use and keeps it, so
     `featurize`, which projects each chunk through here, shares the build.
-    A row's result does not depend on the other rows passed with it, except
-    that a single row takes the BLAS matrix-vector path, whose low bits can
-    differ; that is why `featurize` never projects a 1-row chunk of a longer
-    corpus.
+    Each product gets at least _MIN_ROWS rows, so a row's result does not
+    depend on the other rows passed with it.
     """
     vecs = np.atleast_2d(vectors)
     vecs = vecs.astype(np.float32 if vecs.dtype == np.float32 else np.float64, copy=False)
@@ -285,24 +283,14 @@ def project(spec: ProjectionSpec, vectors: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"vector dimension {vecs.shape[1]} != projection source_dim {spec.source_dim}"
         )
-    out = np.zeros((vecs.shape[0], spec.target_dim), dtype=vecs.dtype)
+    n = len(vecs)
+    if n < _MIN_ROWS:
+        vecs = np.concatenate([vecs, np.zeros((_MIN_ROWS - n, vecs.shape[1]), vecs.dtype)])
+    out = np.zeros((len(vecs), spec.target_dim), dtype=vecs.dtype)
     for start in range(0, spec.source_dim, _PROJECT_BLOCK_ROWS):
         stop = start + _PROJECT_BLOCK_ROWS
         out += vecs[:, start:stop] @ spec.signs[start:stop].astype(vecs.dtype, copy=False)
-    return out
-
-
-def _chunk_bounds(n: int) -> list[int]:
-    """Chunk boundaries [0, ..., n] of at most _CHUNK_ROWS rows, no 1-row tail.
-
-    A 1-row product takes the BLAS matrix-vector path, whose low bits differ
-    from the matrix-matrix path every other row takes, so a 1-row tail is
-    folded into the chunk before it. Only a 1-row corpus has a 1-row chunk.
-    """
-    bounds = list(range(0, n, _CHUNK_ROWS)) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return bounds
+    return out[:n]
 
 
 def gradient_provenance(model: ProxyModel, proj: ProjectionSpec) -> Provenance:
@@ -355,14 +343,12 @@ def featurize(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> Featur
 def featurize_stream(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus) -> FeatureStream:
     """`featurize`'s rows as a FeatureStream of one block per chunk.
 
-    The corpus streams through in chunks of _CHUNK_ROWS samples (a 1-row
-    tail joins the chunk before it): the token pass computes a chunk's
-    gradients in float32, the dtype they are stored and projected in (the
-    logits GEMM, the softmax and the per-sample products alike), _TOKEN_ROWS
-    samples at a time, then each projected row is normalised in float64 and
-    lands as float32 in the chunk's block. A row does not depend on the
-    other samples of its chunk, except that a 1-row corpus takes `project`'s
-    matrix-vector path.
+    The corpus streams through in chunks of _CHUNK_ROWS samples: the token
+    pass computes a chunk's gradients in float32, the dtype they are stored
+    and projected in (the logits GEMM, the softmax and the per-sample
+    products alike), _TOKEN_ROWS samples at a time, then each projected row
+    is normalised in float64 and lands as float32 in the chunk's block. Every
+    product gets at least _MIN_ROWS rows, so a row depends on its sample alone.
 
     The chunks run on a pool of `_featurize_workers` threads. A running chunk
     computes its gradients in one of as many float32 buffers, which the
@@ -393,11 +379,11 @@ def _featurize_blocks(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus,
                       emit: Callable[[np.ndarray], None]) -> None:
     """Each chunk's unit rows to `emit`, in corpus order, on the calling
     thread; see `featurize_stream`."""
-    bounds = _chunk_bounds(len(corpus))
-    workers = _featurize_workers(len(bounds) - 1)
+    starts = range(0, len(corpus), _CHUNK_ROWS)
+    workers = _featurize_workers(len(starts))
     # one gradient buffer per worker, allocated here: a worker thread's would
     # come from its own malloc arena, which cannot reuse what this thread frees
-    buffers = [np.empty((max(np.diff(bounds), default=0), model.n_params), dtype=np.float32)
+    buffers = [np.empty((min(len(corpus), _CHUNK_ROWS), model.n_params), dtype=np.float32)
                for _ in range(workers)]
     proj.signs  # built once, before the workers share it
     # the caller only waits and emits, so no chunk runs beside another on its
@@ -407,8 +393,8 @@ def _featurize_blocks(model: ProxyModel, proj: ProjectionSpec, corpus: Corpus,
         pool = ThreadPoolExecutor(workers)
         try:
             submit = (pool.submit(contextvars.copy_context().run, _featurize_chunk, model, proj,
-                                  corpus.samples[start:stop], buffers)
-                      for start, stop in zip(bounds, bounds[1:]))
+                                  corpus.samples[start : start + _CHUNK_ROWS], buffers)
+                      for start in starts)
             window = deque(islice(submit, 2 * workers))
             while window:
                 # raises the first failure in corpus order, every block before it emitted

@@ -31,7 +31,7 @@ from gvendi import (
     template_corpus,
     write_jsonl,
 )
-from gvendi import blas
+from gvendi import blas, proxy
 from gvendi.cli import _write_text, main, parse_config
 from gvendi.metrics import report_from_tfidf
 from gvendi.proxy import TFIDF_DIM, TFIDF_SEED
@@ -251,6 +251,10 @@ def test_sample_mixture_bad_weight_names_flag(toy, capsys):
     assert capsys.readouterr().err == "error: ValueError: --weights '1,x': 'x' is not a number\n"
 
 
+SURROGATE = b'{"id": "a", "input": "x y z"}\n{"id": "b", "input": "x \\ud800 y"}\n'
+ENCODE = "line 2: 'utf-8' codec can't encode character '\\ud800'"
+
+
 @pytest.mark.parametrize(
     "argv, content, message",
     [
@@ -268,9 +272,21 @@ def test_sample_mixture_bad_weight_names_flag(toy, capsys):
          "malformed JSON on line 1: nested too deeply"),
         (["diversity", "--metric", "ngram-entropy", "--corpus", "{pool}", "--select", "{bad}"],
          b"[" * 100000, "not JSON"),
+        # a config file serves every command, so only a key no command reads is unknown
+        (["--config", "{bad}", "featurize", "--input", "{pool}", "--output", "{d}/out.gvfm"],
+         b"projection.dims = 16\n", "line 1: no command reads key 'projection.dims'"),
+        (["--config", "{bad}", "featurize", "--input", "{pool}", "--output", "{d}/out.gvfm"],
+         b"projection.dim = 16\n\nprojection.dim = 32\n",
+         "line 3: key 'projection.dim' is already set"),
+        # an id'd record is never hashed, so only the reader sees a lone surrogate
+        (["ingest", "--input", "{bad}", "--output", "{d}/out.jsonl"], SURROGATE, ENCODE),
+        (["diversity", "--metric", "embedding-vendi", "--corpus", "{bad}"], SURROGATE, ENCODE),
+        (["decontaminate", "--corpus", "{bad}", "--protected", "{pool}"], SURROGATE, ENCODE),
     ],
     ids=["ingest", "config", "select", "select-not-json", "accuracy-csv", "diversity-csv",
-         "ingest-nested-too-deeply", "select-nested-too-deeply"],
+         "ingest-nested-too-deeply", "select-nested-too-deeply", "config-unknown-key",
+         "config-key-set-twice", "ingest-lone-surrogate", "embedding-vendi-lone-surrogate",
+         "decontaminate-lone-surrogate"],
 )
 def test_unreadable_text_input_names_the_file(toy, capsys, argv, content, message):
     tmp_path, pool = toy
@@ -458,6 +474,20 @@ def test_synthesize_resume_with_another_featurizer_names_the_features(toy, capsy
     assert err.count("\n") == 1, err
     assert not log.exists(), "an endpoint request ran before the check"
     assert [(outdir / f).read_bytes() for f in files] == before
+
+
+def test_checkpoint_of_an_earlier_featurize_revision_refuses_to_resume(toy, capsys, monkeypatch):
+    tmp_path, pool = toy
+    outdir = tmp_path / "run"
+    args = ["synthesize", "--corpus", pool, "--outdir", str(outdir),
+            "--gen-batch", "4", "--feature-dim", "32", "--proj-dim", "32"]
+    monkeypatch.setattr(proxy, "_FEATURIZE_REVISION", proxy._FEATURIZE_REVISION - 1)
+    assert run_cli(*args, "--iterations", "1") == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert run_cli(*args, "--iterations", "2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {outdir / 'features.gvfm'}: rows written with "), err
 
 
 def test_synthesize_resume_refused_for_provenance_spawns_no_worker(toy, capsys, monkeypatch):
@@ -715,6 +745,21 @@ def test_config_file_that_starts_with_a_bom_sets_its_first_key(toy, capsys):
     assert run_cli("--config", str(cfg), "featurize", "--input", pool,
                    "--output", str(tmp_path / "f.gvfm")) == 0
     assert json.loads(capsys.readouterr().out)["dim"] == 16
+
+
+def test_g_vendi_of_a_grown_pool_matches_its_features(toy, capsys):
+    # one candidate per step: every admitted row is featurized on its own
+    tmp_path, pool = toy
+    outdir = tmp_path / "run"
+    assert run_cli("synthesize", "--corpus", pool, "--outdir", str(outdir), "--iterations", "6",
+                   "--gen-batch", "1", "--sparse-fraction", "1.0") == 0
+    assert json.loads(capsys.readouterr().out)["pool_size"] > 120
+    values = []
+    for source in (["--corpus", str(outdir / "pool.jsonl")],
+                   ["--features", str(outdir / "features.gvfm")]):
+        assert run_cli("diversity", "--metric", "g-vendi", *source) == 0
+        values.append(json.loads(capsys.readouterr().out)["value"])
+    assert values[0] == values[1]
 
 
 @pytest.mark.parametrize("flag", ["--generator", "--solver"])

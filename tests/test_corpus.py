@@ -113,6 +113,22 @@ def test_ingest_ignores_a_leading_byte_order_mark(tmp_path):
     assert ingest_jsonl(bom).samples == ingest_jsonl(plain).samples
 
 
+@pytest.mark.parametrize("record", ['{"id": "b", "input": "x \\ud800 y"}',
+                                    '{"id": "b", "input": "x", "output": "\\udfff"}',
+                                    '{"id": "b", "input": "x", "meta": {"\\ud83d": 1}}',
+                                    '{"input": "x", "label": "\\udc00"}'],
+                         ids=["input", "output", "extra-key", "no-id"])
+def test_lone_surrogate_escape_is_refused_with_its_line(tmp_path, record):
+    # a pair, and an escaped backslash before "ud800", are UTF-8 text; a
+    # record with an id is never hashed, so only the reader's check sees it
+    p = tmp_path / "c.jsonl"
+    write_lines(p, ['{"input": "\\ud83d\\ude00 and \\\\ud800"}', record])
+    with pytest.raises(ValueError, match=rf"^{p}: line 2: 'utf-8' codec can't encode character"):
+        ingest_jsonl(p)
+    write_lines(p, ['{"input": "\\ud83d\\ude00 and \\\\ud800"}'])
+    assert ingest_jsonl(p)[0].input == "\U0001f600 and \\ud800"
+
+
 def test_duplicate_explicit_ids_error(tmp_path):
     p = tmp_path / "c.jsonl"
     write_lines(p, ['{"id": "a", "input": "x"}', '{"id": "a", "input": "z"}'])

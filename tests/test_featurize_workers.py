@@ -35,8 +35,8 @@ def _workers(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 9, 12, 13, 21])
 def test_featurize_bytes_do_not_depend_on_workers(monkeypatch, n):
-    # 4-row chunks: 1 to 5 chunks, fewer, as many and more than the workers;
-    # at 5, 9, 13 and 21 rows a 1-row tail joins the chunk before it
+    # 4-row chunks: 1 to 6 chunks, fewer, as many and more than the workers;
+    # at 5, 9, 13 and 21 rows the last chunk is one row
     model = ProxyModel.create()
     proj = ProjectionSpec(model.n_params, 64, seed=5)
     corpus = _short_and_long_outputs(n)
@@ -84,7 +84,7 @@ def test_workers_run_in_the_callers_errstate(monkeypatch):
     with np.errstate(all="ignore", under="warn"):
         expected = np.geterr()
         featurize(model, ProjectionSpec(model.n_params, 32, seed=13), _short_and_long_outputs(21))
-    assert seen == [expected] * 5
+    assert seen == [expected] * 6  # 21 rows in 4-row chunks
 
 
 def test_error_names_the_first_failing_chunk_in_corpus_order(monkeypatch):

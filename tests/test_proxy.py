@@ -228,17 +228,17 @@ def _per_sample_gradient(model, sample, dtype):
 
 
 def _per_sample_featurize(model, proj, corpus):
-    """featurize as one n x n_params buffer of per-sample float32
-    gradients, one float32 projection over 8192-row sign blocks and a float64
-    renormalisation: the chunked rows must equal it."""
-    grads = np.zeros((len(corpus), model.n_params), dtype=np.float32)
+    """featurize as one buffer of per-sample float32 gradients (zero rows
+    padding it to at least 8), one float32 projection over 8192-row sign
+    blocks and a float64 renormalisation: the chunked rows must equal it."""
+    grads = np.zeros((max(len(corpus), 8), model.n_params), dtype=np.float32)
     for i, sample in enumerate(corpus):
         grads[i] = _per_sample_gradient(model, sample, np.float32)
-    projected = np.zeros((len(corpus), proj.target_dim), dtype=np.float32)
+    projected = np.zeros((len(grads), proj.target_dim), dtype=np.float32)
     for start in range(0, proj.source_dim, 8192):
         stop = min(start + 8192, proj.source_dim)
         projected += grads[:, start:stop] @ sign_block(proj.seed, start, stop, proj.target_dim)
-    projected = projected.astype(np.float64)
+    projected = projected[: len(corpus)].astype(np.float64)
     norms = np.linalg.norm(projected, axis=1)
     projected /= np.where(norms == 0.0, 1.0, norms)[:, None]
     return projected.astype(np.float32)
@@ -279,8 +279,7 @@ def test_chunked_featurize_matches_per_sample_reference(monkeypatch):
         feats = featurize(model, proj, corpus)
         reference = _per_sample_featurize(model, proj, corpus)
         assert feats.data.tobytes() == reference.tobytes(), n
-        assert sum(chunk_rows) == n and max(chunk_rows, default=0) <= 5, (n, chunk_rows)
-        assert n == 1 or 1 not in chunk_rows, (n, chunk_rows)
+        assert chunk_rows == [4] * (n // 4) + [n % 4] * (n % 4 > 0), (n, chunk_rows)
     for sample in _short_and_long_outputs(9):
         reference = _per_sample_gradient(model, sample, np.float64)
         assert loss_gradient(model, sample).tobytes() == reference.tobytes(), sample.id
@@ -297,6 +296,21 @@ def test_featurize_row_does_not_depend_on_the_other_samples():
         sub = corpus.subset(picks)
         for sid, row in zip(sub.ids(), featurize(model, proj, sub).data):
             assert row.tobytes() == rows[sid].tobytes(), (picks, sid)
+
+
+@pytest.mark.parametrize("dim", [32, 128, 1024])
+def test_each_sample_featurized_alone_gives_its_row_in_the_corpus(dim):
+    # a 1-row projection takes BLAS's matrix-vector kernel, and at width 32
+    # one of 2-7 rows its small-matrix kernel, unless padded to 8 rows
+    model = ProxyModel.create()
+    proj = ProjectionSpec(model.n_params, dim, seed=5)
+    corpus = _short_and_long_outputs(9)
+    rows = featurize(model, proj, corpus).data
+    for i, sid in enumerate(corpus.ids()):
+        assert featurize(model, proj, corpus.subset([i])).data.tobytes() == rows[i].tobytes(), sid
+    for picks in ([0, 6], [2, 8, 6], [8, 3, 2, 0, 6, 1, 4]):
+        sub = featurize(model, proj, corpus.subset(picks)).data
+        assert sub.tobytes() == rows[picks].tobytes(), picks
 
 
 def _per_sample_nll(model, sample):

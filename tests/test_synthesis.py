@@ -491,6 +491,19 @@ def test_prismatic_step_refuses_rows_of_another_featurizer_before_any_request(
     assert gen.calls == solver.calls == fits == []
 
 
+@pytest.mark.parametrize("dim", [32, 1024])
+def test_one_survivor_steps_admit_the_rows_featurize_writes(dim):
+    # each step featurizes a batch of at most one survivor on its own
+    pool, model, _, _ = loop_fixture()
+    proj = ProjectionSpec(model.n_params, dim, seed=303)
+    config = SynthesisConfig(iterations=4, gen_batch=1, vote_n=3, vote_tau=2, k_fraction=0.1,
+                             sparse_fraction=1.0, fewshot_count=5, seed=2)
+    state = run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj)
+    assert len(state.pool) > len(pool)
+    expected = featurize(model, proj, state.pool)
+    assert state.pool_features.data.tobytes() == expected.data.tobytes()
+
+
 def test_run_synthesis_zero_iterations():
     pool, model, proj, _ = loop_fixture()
     config = SynthesisConfig(iterations=0, gen_batch=5, vote_n=3, vote_tau=2,
