@@ -63,7 +63,7 @@ WORKER = textwrap.dedent(
 
 GOLDEN = {
     "featurize/gradient.gvfm":
-        "3ea0d427b932cac6af10e47585665372877647db0dc5e79151053c89e226cceb",
+        "5aa84ef738e1df09195c149723fc887525e69ec944bf95718a71acb738fe7e30",
     "featurize/embedding.gvfm":
         "dd05b997be2286240b34aa2c5adf2d76490860b30637c2ad4b7755b8a2418218",
     "cluster.json":
@@ -115,13 +115,13 @@ GOLDEN = {
     "synth-builtin/state.json":
         "3936af9a5c5a8d8fee521d8c0c92b44c46b4c7ff149bcb937b7f14df0686c853",
     "synth-builtin/features.gvfm":
-        "53907d0c069ef0591fa48e3ee3a51f4603d2edcc1761a746956116e2cbb079ae",
+        "c19ed4db54d9a9ea182a2cdd50c3a2baaaa49a0b54464eb87e5e4ddcf4a294e7",
     "synth-cmd/pool.jsonl":
         "dad44519b043a6718d264dd134f742473a7a0d1b15258aed8ebf9a45b7e20c57",
     "synth-cmd/state.json":
         "0f1864944efa4fcb69084bcac2f0e3f631a9879b225634aca4bfba131a738ea1",
     "synth-cmd/features.gvfm":
-        "d381e1690fd74dc9cd123390648d93e6e3d0cc5bbdbaf8e6e8f5ea25870cfc3b",
+        "f07460f6f5109a3c04653acfc65230fc8f920a87fd5d74d1ffe081d58075c741",
     "evaluate.json":
         "ae55f4b2b297d74bb5e54e761b19e569c68b24a6b79bfd4f5c20eb05f2519477",
     "report.tsv":
