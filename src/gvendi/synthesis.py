@@ -24,6 +24,7 @@ surrogate escape) fails its try. A transport needs only `request`; its
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import http.client
 import json
 import math
@@ -35,15 +36,15 @@ import threading
 import time
 import urllib.request
 from collections import Counter, deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Protocol, Sequence
 
 import numpy as np
 
 from .cluster import dynamic_k, kmeans_fit, sparse_clusters
 from .corpus import Corpus, Sample, content_id, ingest_jsonl, load_json, open_atomic, write_jsonl
-from .featmat import FeatureMatrix, load_features, store_features
+from .featmat import FEATURIZERS, FeatureMatrix, Provenance, store_features
 from .metrics import _features_gram, _gram_vendi, vendi_score
 from .proxy import ProjectionSpec, ProxyModel, featurize, gradient_provenance
 from .rng import mix64, rng_from
@@ -709,22 +710,27 @@ def prismatic_step(
     admission, so admissions within a step cannot crowd each other out. The
     step's record ends with the grown pool's `vendi_score`.
     """
-    _check_featurizer(state.pool_features, model, proj, "state.pool_features")
+    _check_featurizer(state.pool_features.provenance, state.pool_features.dim, model, proj,
+                      "state.pool_features")
     pool, features, record = _grow(state, config, generator, solver, model, proj, protected)
     record["pool_g_vendi"] = vendi_score(features)
     return SynthesisState(pool=pool, pool_features=features, history=state.history + (record,))
 
 
-def _check_featurizer(features: FeatureMatrix, model: ProxyModel, proj: ProjectionSpec,
-                      where: str) -> None:
-    """Raise unless `features` (named `where`) holds rows that
-    `featurize(model, proj, ...)` writes: its provenance and its width."""
+def _check_featurizer(provenance: Provenance, width: int, model: ProxyModel,
+                      proj: ProjectionSpec, where: str) -> None:
+    """Raise unless rows of `provenance` and `width` (named by `where`) are
+    rows that `featurize(model, proj, ...)` writes."""
     made = gradient_provenance(model, proj)
-    if (features.provenance, features.dim) != (made, proj.target_dim):
-        raise ValueError(f"{where}: rows written with {features.provenance} at width "
-                         f"{features.dim}, but this run featurizes with {made} at width "
-                         f"{proj.target_dim}; use the settings that wrote them, or delete "
-                         "and rerun")
+    if (provenance, width) != (made, proj.target_dim):
+        raise ValueError(f"{where}: rows written with {provenance} at width {width}, but this "
+                         f"run featurizes with {made} at width {proj.target_dim}; use the "
+                         "settings that wrote them, or delete and rerun")
+
+
+# a step record's counts, which `_grow` returns; its score "pool_g_vendi" comes after
+_RECORD_COUNTS = ("generated", "gen_failed", "vote_accepted", "solver_failed",
+                  "decontam_flagged", "sparse_accepted")
 
 
 def _grow(
@@ -785,15 +791,9 @@ def _grow(
             rows = np.concatenate([state.pool_features.data, cand_feats.data[keep]])
             new_features = FeatureMatrix(rows, new_pool.ids(), state.pool_features.provenance)
 
-    record = {
-        "generated": len(candidates),
-        "gen_failed": gen_failed,
-        "vote_accepted": len(verified),
-        "solver_failed": solver_failed,
-        "decontam_flagged": len(flagged),
-        "sparse_accepted": len(accepted),
-    }
-    return new_pool, new_features, record
+    counts = (len(candidates), gen_failed, len(verified), solver_failed, len(flagged),
+              len(accepted))
+    return new_pool, new_features, dict(zip(_RECORD_COUNTS, counts))
 
 
 # checkpoint file names
@@ -802,58 +802,71 @@ FEATURES_FILE = "features.gvfm"
 STATE_FILE = "state.json"
 
 
+def _ids_sha256(ids: Sequence[str]) -> str:
+    return hashlib.sha256(json.dumps(list(ids)).encode("ascii")).hexdigest()
+
+
 def save_checkpoint(state: SynthesisState, directory) -> None:
+    """Commit `state` to `directory`: `pool.jsonl`, then `state.json`, which
+    names the committed rows (their count and the sha256 of their ids), the
+    history and the featurizer of the pool's rows. No feature row is saved."""
     os.makedirs(directory, exist_ok=True)
     write_jsonl(state.pool, os.path.join(directory, POOL_FILE))
-    store_features(state.pool_features, os.path.join(directory, FEATURES_FILE))
     with open_atomic(os.path.join(directory, STATE_FILE)) as fh:
-        json.dump(
-            {
-                "iteration": state.iteration,
-                "history": list(state.history),
-                "pool_size": len(state.pool),
-                "pool_name": state.pool.name,
-            },
-            fh,
-            sort_keys=True,
-        )
+        json.dump({"iteration": state.iteration, "history": list(state.history),
+                   "pool_size": len(state.pool), "pool_name": state.pool.name,
+                   "pool_ids_sha256": _ids_sha256(state.pool.ids()),
+                   **asdict(state.pool_features.provenance), "width": state.pool_features.dim},
+                  fh, sort_keys=True)
         fh.write("\n")
 
 
-def load_checkpoint(directory) -> SynthesisState | None:
-    """State from a checkpoint directory, or None if no checkpoint exists.
+def load_checkpoint(directory, model: ProxyModel, proj: ProjectionSpec) -> SynthesisState | None:
+    """The state that a checkpoint directory commits (see `_committed`), its
+    pool featurized with `featurize(model, proj, ...)`; None if there is none."""
+    pool, history = _committed(directory, model, proj) or (None, ())
+    return None if pool is None else SynthesisState(pool, featurize(model, proj, pool), history)
 
-    `save_checkpoint` writes `state.json` last and a step only appends rows,
-    so after a crash between its files each data file begins with the
-    `pool_size` rows that `state.json` commits: those rows are the state, and
-    any after them, a step that was never committed, are left out.
-    """
+
+def _committed(directory, model: ProxyModel, proj: ProjectionSpec) -> tuple | None:
+    """(pool, history) that `state.json` in `directory` commits, or None if
+    there is none. Rows featurized otherwise than `featurize(model, proj,
+    ...)` are refused before `pool.jsonl` is read, and so is a `pool.jsonl`
+    that does not begin with the committed rows; rows after them, from a
+    step that a crash kept from committing, are left out."""
     state_path = os.path.join(directory, STATE_FILE)
     if not os.path.exists(state_path):
         return None
     meta = load_json(state_path)
-    if not (isinstance(meta, dict) and type(meta.get("iteration")) is int
-            and isinstance(meta.get("history"), list) and type(meta.get("pool_size")) is int
-            and meta["pool_size"] >= 0):  # a negative size would slice rows off the end
-        raise ValueError(f"{state_path}: expected an object with an int 'iteration', "
-                         "a list 'history' and an int 'pool_size'")
+    if not (isinstance(meta, dict) and isinstance(meta.get("history"), list)
+            and all(type(meta.get(key)) is int for key in ("iteration", "pool_size", "width"))
+            and all(isinstance(meta.get(key), str) for key in ("pool_name", "pool_ids_sha256"))
+            and meta["pool_size"] >= 0 and meta.get("featurizer") in FEATURIZERS):
+        raise ValueError(f"{state_path}: expected an object with a list 'history'; ints "
+                         "'iteration', 'pool_size' and 'width'; strings 'pool_name' and "
+                         "'pool_ids_sha256'; and a featurizer name 'featurizer'")
     if len(meta["history"]) != meta["iteration"]:
         raise ValueError(f"{state_path}: history has {len(meta['history'])} entries, "
                          f"iteration is {meta['iteration']}")
+    for i, record in enumerate(meta["history"], start=1):
+        if not (isinstance(record, dict)
+                and all(type(record.get(key)) is int for key in _RECORD_COUNTS)
+                and type(record.get("pool_g_vendi")) in (int, float)
+                and math.isfinite(record["pool_g_vendi"])):
+            raise ValueError(f"{state_path}: history entry {i}: expected an object with "
+                             f"ints {', '.join(map(repr, _RECORD_COUNTS))} and a finite "
+                             "number 'pool_g_vendi'")
+    _check_featurizer(Provenance(meta["featurizer"], meta.get("fingerprint"), meta.get("seed")),
+                      meta["width"], model, proj, state_path)
     n = meta["pool_size"]
     pool = ingest_jsonl(os.path.join(directory, POOL_FILE))
-    features = load_features(os.path.join(directory, FEATURES_FILE))
-    for name, rows in ((POOL_FILE, len(pool)), (FEATURES_FILE, features.rows)):
-        if rows < n:
-            raise ValueError(f"{directory}: {name} holds {rows} rows, fewer than the {n} that "
-                             f"{STATE_FILE} commits; delete and rerun")
-    if pool.ids()[:n] != list(features.sample_ids[:n]):
-        raise ValueError(f"{directory}: {POOL_FILE} and {FEATURES_FILE} are not row-aligned; "
+    if len(pool) < n:
+        raise ValueError(f"{directory}: {POOL_FILE} holds {len(pool)} rows, fewer than the {n} "
+                         f"that {STATE_FILE} commits; delete and rerun")
+    if _ids_sha256(pool.ids()[:n]) != meta["pool_ids_sha256"]:
+        raise ValueError(f"{directory}: {POOL_FILE} does not begin with the committed rows; "
                          "delete and rerun")
-    if features.rows > n:  # a step's rows that state.json never committed
-        features = FeatureMatrix(features.data[:n], features.sample_ids[:n], features.provenance)
-    return SynthesisState(Corpus(pool.samples[:n], name=meta.get("pool_name", pool.name)),
-                          features, tuple(meta["history"]))
+    return Corpus(pool.samples[:n], name=meta["pool_name"]), tuple(meta["history"])
 
 
 def run_synthesis(
@@ -869,18 +882,18 @@ def run_synthesis(
     """Featurize the seed pool and grow it for `iterations` steps, to the
     state that applying prismatic_step that many times gives.
 
-    With a checkpoint_dir, state is persisted after every step and a partial
-    run resumes from the last completed step; seeds derive from (config.seed,
-    iteration), so a resumed run reproduces an uninterrupted one exactly,
-    also after a kill between two checkpoint files (see `load_checkpoint`).
-    A checkpoint whose features carry another provenance than
-    `gradient_provenance(model, proj)`, or another width than
-    `proj.target_dim`, fails before any step, and before any endpoint is
-    started, and so does a `fewshot_count` larger than the pool, whenever a
-    step remains to run. After those checks, each endpoint with a `start`
-    method is started, so a worker's start-up overlaps the seed featurize.
-    Once the run returns or raises, each endpoint with a `close` method is
-    closed, after the score in flight is settled.
+    With a checkpoint_dir, the pool and history are committed before the
+    first step and after every step, and a rerun resumes from the last
+    commit; seeds derive from (config.seed, iteration), so it reproduces an
+    uninterrupted run exactly, also after a kill between two checkpoint
+    files. The features go to `features.gvfm` once, when the run returns.
+    A checkpoint that `_committed` refuses (rows of another featurizer or
+    width, say), or a `fewshot_count` larger than the pool while a step
+    remains to run, fails before any endpoint is started. Each endpoint
+    with a `start` method is then started, so a worker's start-up overlaps
+    the featurize of the seed corpus or of the committed pool. Once the run
+    returns or raises, each endpoint with a `close` method is closed, after
+    the score in flight is settled.
 
     A step's pool score is computed on a background thread while the next
     step grows the pool; the step is checkpointed once its score is in, so
@@ -892,12 +905,9 @@ def run_synthesis(
     When anything raises, the score in flight is awaited and, if it
     succeeded, its step checkpointed first.
     """
-    state = load_checkpoint(checkpoint_dir) if checkpoint_dir is not None else None
-    if state is not None:
-        _check_featurizer(state.pool_features, model, proj,
-                          os.path.join(checkpoint_dir, FEATURES_FILE))
-    pool, done = (seed_corpus, 0) if state is None else (state.pool, state.iteration)
-    if done < config.iterations and config.fewshot_count > len(pool):
+    committed = _committed(checkpoint_dir, model, proj) if checkpoint_dir is not None else None
+    pool, history = committed or (seed_corpus, ())
+    if len(history) < config.iterations and config.fewshot_count > len(pool):
         # the pool only grows, so no later step can fail this check
         raise ValueError(f"fewshot_count must be in [1, {len(pool)}]")
     with contextlib.ExitStack() as endpoints:
@@ -908,17 +918,19 @@ def run_synthesis(
             start = getattr(endpoint, "start", None)
             if start:
                 start()
-        if state is None:
-            state = SynthesisState(seed_corpus, featurize(model, proj, seed_corpus))
-            if checkpoint_dir is not None:
-                save_checkpoint(state, checkpoint_dir)
+        state = SynthesisState(pool, featurize(model, proj, pool), history)
+        if checkpoint_dir is not None:
+            save_checkpoint(state, checkpoint_dir)
         pending = None  # (state whose last record awaits its score, the score's future)
 
         def settle():
             # pending is cleared before the save, so a failed save is not retried
             # on the way out, and no name keeps the previous pool's features alive
             nonlocal state, pending
-            state, pending = _scored(*pending), None
+            (grown, score), pending = pending, None
+            record = {**grown.history[-1], "pool_g_vendi": score.result()}
+            state = SynthesisState(grown.pool, grown.pool_features,
+                                   grown.history[:-1] + (record,))
             if checkpoint_dir is not None:
                 save_checkpoint(state, checkpoint_dir)
 
@@ -937,11 +949,7 @@ def run_synthesis(
                 if pending is not None and pending[1].exception() is None:
                     settle()
                 raise
+    if checkpoint_dir is not None:
+        store_features(state.pool_features, os.path.join(checkpoint_dir, FEATURES_FILE))
     return state
 
-
-def _scored(state: SynthesisState, score: Future) -> SynthesisState:
-    """state with score's result, once it is in, as its last record's
-    "pool_g_vendi"."""
-    record = {**state.history[-1], "pool_g_vendi": score.result()}
-    return SynthesisState(state.pool, state.pool_features, state.history[:-1] + (record,))

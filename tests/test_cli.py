@@ -402,10 +402,15 @@ def test_synthesize_corrupt_state_names_the_file(toy, capsys):
     assert run_cli(*args) == 0
     state = outdir / "state.json"
     good = json.loads(state.read_text())
-    expected = (f"error: ValueError: {state}: expected an object with an int 'iteration', "
-                "a list 'history' and an int 'pool_size'\n")
+    expected = (f"error: ValueError: {state}: expected an object with a list 'history'; ints "
+                "'iteration', 'pool_size' and 'width'; strings 'pool_name' and "
+                "'pool_ids_sha256'; and a featurizer name 'featurizer'\n")
     no_iteration = {k: v for k, v in good.items() if k != "iteration"}
-    for corrupt in ([good], no_iteration, {**good, "history": 5}, {**good, "pool_size": -1}):
+    # a checkpoint written before state.json named its rows' featurizer
+    older = {k: v for k, v in good.items()
+             if k not in ("featurizer", "fingerprint", "seed", "width", "pool_ids_sha256")}
+    for corrupt in ([good], no_iteration, {**good, "history": 5}, {**good, "pool_size": -1},
+                    {**good, "pool_name": 5}, {**good, "featurizer": "bogus"}, older):
         state.write_text(json.dumps(corrupt))
         capsys.readouterr()
         assert run_cli(*args) == 1, corrupt
@@ -435,6 +440,32 @@ def test_synthesize_history_length_mismatch_names_the_file(toy, capsys):
                                        "iteration is 1\n")
 
 
+@pytest.mark.parametrize("entry", [
+    lambda record: 5,
+    lambda record: {},
+    lambda record: {"pool_g_vendi": "x"},
+    lambda record: {**record, "pool_g_vendi": float("inf")},
+    lambda record: {**record, "generated": 1.0},
+    lambda record: {**record, "sparse_accepted": True},
+], ids=["int", "empty", "string-score", "inf-score", "float-count", "bool-count"])
+def test_synthesize_malformed_history_entry_is_one_error_line(toy, capsys, entry):
+    tmp_path, pool = toy
+    outdir = tmp_path / "run"
+    args = ["synthesize", "--corpus", pool, "--outdir", str(outdir),
+            "--iterations", "1", "--gen-batch", "4",
+            "--feature-dim", "32", "--proj-dim", "32"]
+    assert run_cli(*args) == 0
+    state = outdir / "state.json"
+    good = json.loads(state.read_text())
+    state.write_text(json.dumps({**good, "history": [entry(good["history"][0])]}))
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {state}: history entry 1: expected an object with ints "
+        "'generated', 'gen_failed', 'vote_accepted', 'solver_failed', 'decontam_flagged', "
+        "'sparse_accepted' and a finite number 'pool_g_vendi'\n")
+
+
 def test_synthesize_misaligned_checkpoint_names_the_directory(toy, capsys):
     tmp_path, pool = toy
     outdir = tmp_path / "run"
@@ -447,8 +478,8 @@ def test_synthesize_misaligned_checkpoint_names_the_directory(toy, capsys):
     state = (outdir / "state.json").read_bytes()
     capsys.readouterr()
     assert run_cli(*args) == 1
-    assert capsys.readouterr().err == (f"error: ValueError: {outdir}: pool.jsonl and "
-                                       "features.gvfm are not row-aligned; delete and rerun\n")
+    assert capsys.readouterr().err == (f"error: ValueError: {outdir}: pool.jsonl does not "
+                                       "begin with the committed rows; delete and rerun\n")
     assert (outdir / "state.json").read_bytes() == state
 
 
@@ -470,7 +501,7 @@ def test_synthesize_resume_with_another_featurizer_names_the_features(toy, capsy
                  "--generator", "cmd:" + shlex.join([sys.executable, str(worker)]))
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: ValueError: {outdir / 'features.gvfm'}: rows written with "), err
+    assert err.startswith(f"error: ValueError: {outdir / 'state.json'}: rows written with "), err
     assert err.count("\n") == 1, err
     assert not log.exists(), "an endpoint request ran before the check"
     assert [(outdir / f).read_bytes() for f in files] == before
@@ -487,7 +518,7 @@ def test_checkpoint_of_an_earlier_featurize_revision_refuses_to_resume(toy, caps
     capsys.readouterr()
     assert run_cli(*args, "--iterations", "2") == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: ValueError: {outdir / 'features.gvfm'}: rows written with "), err
+    assert err.startswith(f"error: ValueError: {outdir / 'state.json'}: rows written with "), err
 
 
 def test_synthesize_resume_refused_for_provenance_spawns_no_worker(toy, capsys, monkeypatch):
@@ -535,7 +566,7 @@ def test_synthesize_resume_with_another_width_fails_before_any_worker(toy, capsy
                  "--generator", "cmd:" + shlex.join([sys.executable, str(worker)]))
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: ValueError: {outdir / 'features.gvfm'}: rows written with "), err
+    assert err.startswith(f"error: ValueError: {outdir / 'state.json'}: rows written with "), err
     assert "at width 32" in err and "at width 16" in err, err
     assert err.count("\n") == 1, err
     assert spawned == [] and not log.exists(), "a worker started before the check"

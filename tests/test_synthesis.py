@@ -549,7 +549,7 @@ def test_run_synthesis_checks_fewshot_against_the_resumed_pool_first(tmp_path):
     with pytest.raises(ValueError, match=rf"^fewshot_count must be in \[1, {len(grown)}\]$"):
         run_synthesis(tiny, too_many, Recording(), EchoSolver(), model, proj,
                       checkpoint_dir=ckpt)
-    assert started == [] and load_checkpoint(ckpt).iteration == 1
+    assert started == [] and load_checkpoint(ckpt, model, proj).iteration == 1
     # with no step left to run there is nothing to check
     done = run_synthesis(tiny, replace(too_many, iterations=1), Recording(), EchoSolver(),
                          model, proj, checkpoint_dir=ckpt)
@@ -607,7 +607,7 @@ def test_run_synthesis_resume_with_another_projection_seed_fails_first(tmp_path,
     generator = RecordingEndpoint(RecombinationGenerator())
     solver = RecordingEndpoint(EchoSolver())
     other = ProjectionSpec(model.n_params, proj.target_dim, seed=proj.seed + 1)
-    with pytest.raises(ValueError, match=r"features\.gvfm: rows written with"):
+    with pytest.raises(ValueError, match=r"state\.json: rows written with"):
         run_synthesis(pool, config, generator, solver, model, other, checkpoint_dir=ckpt)
     assert generator.calls == solver.calls == featurized == []
 
@@ -684,7 +684,7 @@ def test_run_synthesis_crash_in_a_step_keeps_the_step_before(tmp_path):
         run_synthesis(pool, config, FailingGenerator(config.gen_batch + 1), EchoSolver(),
                       model, proj, checkpoint_dir=str(ckpt))
     assert threading.active_count() == threads
-    assert load_checkpoint(str(ckpt)).iteration == 1
+    assert load_checkpoint(str(ckpt), model, proj).iteration == 1
     run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
                   checkpoint_dir=str(ckpt))
     assert _run_bytes(ckpt) == _run_bytes(tmp_path / "full")
@@ -711,7 +711,7 @@ def test_run_synthesis_failed_spectrum_is_raised_and_never_checkpointed(
         run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
                       checkpoint_dir=ckpt)
     assert threading.active_count() == threads
-    assert load_checkpoint(ckpt).iteration == fail_at - 1
+    assert load_checkpoint(ckpt, model, proj).iteration == fail_at - 1
 
 
 # ---------------------------------------------------------------------------
@@ -725,13 +725,14 @@ def _fault_run_parts():
     return pool, model, proj, config
 
 
-# the seed pool's save and one per step, each writing and renaming three files
-_SAVE_POINTS = 4 * 3 * 2
+# the seed pool's save and one per step, each writing and renaming two files,
+# then the features' write and rename when the run returns
+_SAVE_POINTS = 4 * 2 * 2 + 2
 
 
 def _fault_at_save_point(monkeypatch, fault_at):
     """Make the `fault_at`-th write or rename of a checkpoint file raise
-    OSError, in the order `save_checkpoint` reaches them: a write fails once
+    OSError, in the order `run_synthesis` reaches them: a write fails once
     its bytes are in the temporary file, a rename before it is made. The
     list of points reached is returned."""
     points = []
@@ -767,8 +768,9 @@ def uninterrupted_run(tmp_path_factory):
         run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
                       checkpoint_dir=str(directory))
     assert len(points) == _SAVE_POINTS
-    assert points[:6] == ["write pool.jsonl", "rename pool.jsonl", "write features.gvfm",
-                          "rename features.gvfm", "write state.json", "rename state.json"]
+    assert points[:4] == ["write pool.jsonl", "rename pool.jsonl", "write state.json",
+                          "rename state.json"]
+    assert points[-2:] == ["write features.gvfm", "rename features.gvfm"]
     return _run_bytes(directory)
 
 
@@ -777,8 +779,8 @@ def test_run_synthesis_resumes_after_a_fault_at_any_checkpoint_point(
     tmp_path, monkeypatch, uninterrupted_run, fault_at
 ):
     """A step only appends rows and state.json is written last, so a fault
-    between two checkpoint files leaves data files that begin with the
-    committed pool; the resume takes that prefix and ends in the
+    between two checkpoint files leaves a pool.jsonl that begins with the
+    committed pool; the resume featurizes that prefix and ends in the
     uninterrupted run's bytes."""
     pool, model, proj, config = _fault_run_parts()
     ckpt = str(tmp_path / "run")
@@ -823,13 +825,32 @@ def test_run_synthesis_resumes_after_a_fault_while_a_score_is_in_flight(
         with pytest.raises(OSError, match="injected fault in a step"):
             run_synthesis(pool, config, Crashing(), EchoSolver(), model, proj,
                           checkpoint_dir=ckpt)
-    assert load_checkpoint(ckpt).iteration == 1
+    assert load_checkpoint(ckpt, model, proj).iteration == 1
     run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
                   checkpoint_dir=ckpt)
     assert _run_bytes(tmp_path / "run") == uninterrupted_run
 
 
-@pytest.mark.parametrize("behind", ["pool.jsonl", "features.gvfm"])
+def test_run_synthesis_resumes_after_its_features_file_is_deleted(tmp_path, uninterrupted_run):
+    """No checkpoint holds feature rows: a run that returned after step 1,
+    then crashed in step 3 and lost its features.gvfm, resumes by
+    featurizing the committed pool and ends in the uninterrupted bytes."""
+    pool, model, proj, config = _fault_run_parts()
+    ckpt = tmp_path / "run"
+    run_synthesis(pool, replace(config, iterations=1), RecombinationGenerator(), EchoSolver(),
+                  model, proj, checkpoint_dir=str(ckpt))
+    # one generate request per batch slot: step 2 takes the first gen_batch calls
+    with pytest.raises(RuntimeError, match="generator crashed"):
+        run_synthesis(pool, config, FailingGenerator(config.gen_batch + 1), EchoSolver(),
+                      model, proj, checkpoint_dir=str(ckpt))
+    assert json.loads((ckpt / "state.json").read_text())["iteration"] == 2
+    (ckpt / "features.gvfm").unlink()
+    run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
+                  checkpoint_dir=str(ckpt))
+    assert _run_bytes(ckpt) == uninterrupted_run
+
+
+@pytest.mark.parametrize("behind", ["pool.jsonl"])
 def test_load_checkpoint_names_a_data_file_behind_the_state(tmp_path, behind):
     pool, model, proj, config = loop_fixture()
     for name, steps in (("step1", 1), ("run", 2)):
@@ -837,21 +858,22 @@ def test_load_checkpoint_names_a_data_file_behind_the_state(tmp_path, behind):
                       EchoSolver(), model, proj, checkpoint_dir=str(tmp_path / name))
     # that data file goes back to step 1 while state.json commits step 2
     (tmp_path / "run" / behind).write_bytes((tmp_path / "step1" / behind).read_bytes())
-    rows = len(load_checkpoint(str(tmp_path / "step1")).pool)
+    rows = len(load_checkpoint(str(tmp_path / "step1"), model, proj).pool)
     committed = json.loads((tmp_path / "run" / "state.json").read_text())["pool_size"]
     assert committed > rows
     with pytest.raises(ValueError, match=rf"{behind} holds {rows} rows, fewer than the "
                                          rf"{committed} that state\.json commits"):
-        load_checkpoint(str(tmp_path / "run"))
+        load_checkpoint(str(tmp_path / "run"), model, proj)
 
 
 def test_checkpoint_roundtrip(tmp_path):
     pool, model, proj, config = loop_fixture()
     state = run_synthesis(pool, config, RecombinationGenerator(), EchoSolver(), model, proj,
                           checkpoint_dir=str(tmp_path / "ck"))
-    loaded = load_checkpoint(str(tmp_path / "ck"))
+    loaded = load_checkpoint(str(tmp_path / "ck"), model, proj)
     assert loaded.iteration == state.iteration
     assert loaded.pool.ids() == state.pool.ids()
+    assert loaded.pool_features.data.tobytes() == state.pool_features.data.tobytes()
     assert list(loaded.history) == list(state.history)
 
 
