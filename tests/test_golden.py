@@ -113,13 +113,13 @@ GOLDEN = {
     "synth-builtin/pool.jsonl":
         "f2f9b159edb9c75741845e6359ab49f137f3b2438551424d3e937e9de22e4578",
     "synth-builtin/state.json":
-        "3936af9a5c5a8d8fee521d8c0c92b44c46b4c7ff149bcb937b7f14df0686c853",
+        "71dd47d71e95f6983ecf9a13b15f66f7b81a2df521b6cb56c2f6fc41ad2ba164",
     "synth-builtin/features.gvfm":
         "c19ed4db54d9a9ea182a2cdd50c3a2baaaa49a0b54464eb87e5e4ddcf4a294e7",
     "synth-cmd/pool.jsonl":
         "dad44519b043a6718d264dd134f742473a7a0d1b15258aed8ebf9a45b7e20c57",
     "synth-cmd/state.json":
-        "0f1864944efa4fcb69084bcac2f0e3f631a9879b225634aca4bfba131a738ea1",
+        "7332fcc98a5f619cfd6a01b7330571803f66e99f9a7f268c94e37bd5ede7c6fa",
     "synth-cmd/features.gvfm":
         "f07460f6f5109a3c04653acfc65230fc8f920a87fd5d74d1ffe081d58075c741",
     "evaluate.json":
